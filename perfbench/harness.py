@@ -5,10 +5,15 @@ makes into a layer.  A span is ``[name, start_ns, end_ns, parent, item]``:
 ``parent`` is the index of the enclosing span (``None`` for an item's root
 span, named ``bench.item``) and ``item`` is the item's id.  Spans stay in
 memory until the run ends.
+
+End-to-end times are normalized to the host's speed: a `SpeedProbe` times
+a fixed reference task between items, and each item's wall time is scaled
+by the probes taken around it.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import statistics
@@ -16,6 +21,63 @@ import time
 from collections import defaultdict
 
 ROOT = "bench.item"
+
+#: The reference task: 12 sparse products on a fixed 12 x 12 matrix with two
+#: ones per row (steps +1 and +5 round a 12-cycle), the inner loop of the
+#: library's matrix code, frozen here so that no library change moves it.
+_REF_N = 12
+_REF_ROWS = [[((i + 1) % _REF_N, 1), ((i + 5) % _REF_N, 1)] for i in range(_REF_N)]
+#: trace(M^12): walks of 12 steps of +1 or +5 that return, 12 * sum of C(12, b)
+#: over b = 0, 3, 6, 9, 12
+_REF_TRACE = 16392
+#: the reference task's time that normalized figures are scaled to
+REF_MS = 1.0
+
+
+def reference_task() -> None:
+    n, rows = _REF_N, _REF_ROWS
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(12):
+        power = [[sum(v * power[t][j] for t, v in rows[i]) for j in range(n)]
+                 for i in range(n)]
+    if sum(power[i][i] for i in range(n)) != _REF_TRACE:
+        raise RuntimeError("reference task miscomputed")
+
+
+class SpeedProbe:
+    """The host's current speed, from the reference task timed between items.
+
+    The host this runs on changes speed by up to two times for seconds at a
+    time, alike for the library and the reference task.  An item's
+    normalized time is its wall time times REF_MS over the median time of the
+    probes taken within `window_s` of it: what it would have taken on a host
+    where the reference task takes REF_MS.
+    """
+
+    def __init__(self, every_s: float = 0.05, window_s: float = 0.25) -> None:
+        self.every_s, self.window_s = every_s, window_s
+        self.starts: list[float] = []
+        self.ms: list[float] = []
+
+    def probe(self) -> None:
+        start = time.perf_counter()
+        reference_task()
+        self.starts.append(start)
+        self.ms.append((time.perf_counter() - start) * 1e3)
+
+    def maybe(self) -> None:
+        """Probe unless the last probe is less than `every_s` old."""
+        if not self.starts or time.perf_counter() - self.starts[-1] >= self.every_s:
+            self.probe()
+
+    def scale(self, start: float, end: float) -> float:
+        """REF_MS over the median probe time within the window around
+        [start, end] (seconds on the perf_counter clock)."""
+        lo = bisect.bisect_left(self.starts, start - self.window_s)
+        hi = bisect.bisect_right(self.starts, end + self.window_s)
+        if lo == hi:
+            raise ValueError("no speed probe near the interval")
+        return REF_MS / statistics.median(self.ms[lo:hi])
 
 
 class NullTracer:

@@ -10,8 +10,10 @@ output is checked (closed forms, matrix laws, surgery round trips and the
 recorded output digests).  The report names each metric with its unit; its
 last line is one JSON object with the keys ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  With ``--trace 0`` the metrics are the
-end-to-end ones; with ``--trace 1`` every item runs once untraced and once
-traced, and the metrics are the per-layer ones.
+end-to-end ones, their times normalized to the host's speed as a reference
+task measures it between items (see ``harness.SpeedProbe``); with
+``--trace 1`` every item runs once untraced and once traced, and the metrics
+are the per-layer ones, in wall time.
 The exit code is 0 when every check passed, 1 when one failed and 2 when the
 benchmark cannot run here (no ``src/altknot`` beside ``perfbench``).
 """
@@ -30,7 +32,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from harness import ROOT, NullTracer, Tracer, busy_by_name, percentile
+from harness import (REF_MS, ROOT, NullTracer, SpeedProbe, Tracer, busy_by_name,
+                     percentile)
 
 HERE = Path(__file__).resolve().parent
 CHECKOUT = HERE.parent
@@ -80,8 +83,8 @@ class Segment:
     """Items run back to back: what ran, how long each took, what failed."""
 
     items: list = field(default_factory=list)
+    starts: list = field(default_factory=list)
     item_ms: list = field(default_factory=list)
-    pass_rates: list = field(default_factory=list)
     failed: int = 0
     errors: list = field(default_factory=list)
 
@@ -94,23 +97,24 @@ def run_item(wl, item, tracer, seg: Segment) -> None:
         seg.failed += 1
         seg.errors.append(f"{type(exc).__name__}: {exc}")
     seg.item_ms.append((time.perf_counter_ns() - start) / 1e6)
+    seg.starts.append(start / 1e9)
     seg.items.append(item)
 
 
-def run_passes(wl, seconds: float) -> Segment:
-    """Whole passes until `seconds` are up; the last pass may be cut short.
-    At least two items run, so that a percentile exists."""
+def run_passes(wl, seconds: float, probe: SpeedProbe) -> Segment:
+    """Whole passes, a new one begun while `seconds` are not up, so that
+    every pass counts its members in the same proportions.  The speed probe
+    runs between items whenever its last run is `probe.every_s` old, and once
+    after the last item."""
     seg = Segment()
     tracer = NullTracer()
     deadline = time.perf_counter() + seconds
-    while True:
-        items = wl.next_pass()
-        begin = time.perf_counter()
-        for item in items:
-            if len(seg.items) >= 2 and time.perf_counter() >= deadline:
-                return seg
+    while time.perf_counter() < deadline:
+        for item in wl.next_pass():
+            probe.maybe()
             run_item(wl, item, tracer, seg)
-        seg.pass_rates.append(len(items) / (time.perf_counter() - begin))
+    probe.probe()
+    return seg
 
 
 def run_paired(wl, seconds: float) -> tuple[Segment, Segment, Tracer]:
@@ -142,10 +146,15 @@ def _clock() -> float:
     return time.clock_gettime(time.CLOCK_MONOTONIC)
 
 
-def setup_seconds(args) -> float:
-    """Median time from starting a fresh process to its first item ready."""
-    samples = []
+def setup_seconds(args, probe: SpeedProbe) -> tuple[float, float]:
+    """Median time from starting a fresh process to its first item ready,
+    normalized by speed probes taken just before and after each process,
+    and the same median in wall time."""
+    samples, walls = [], []
     for _ in range(SETUP_PROBES):
+        for _ in range(3):
+            probe.probe()
+        begin = time.perf_counter()
         start = _clock()
         done = subprocess.run(
             [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
@@ -154,27 +163,34 @@ def setup_seconds(args) -> float:
             cwd=CHECKOUT, capture_output=True, text=True, timeout=120)
         if done.returncode != 0:
             raise RuntimeError("set-up probe failed: " + done.stderr.strip())
-        samples.append(float(done.stdout.split()[-1]) - start)
-    return statistics.median(samples)
+        wall = float(done.stdout.split()[-1]) - start
+        end = time.perf_counter()
+        for _ in range(3):
+            probe.probe()
+        walls.append(wall)
+        samples.append(wall * probe.scale(begin, end))
+    return statistics.median(samples), statistics.median(walls)
 
 
-def end_to_end(seg: Segment, setup_s: float) -> tuple[dict, list[str]]:
-    p90, beyond = percentile(seg.item_ms, 90)
-    if seg.pass_rates:
-        rate = statistics.median(seg.pass_rates)
-        rate_note = f"median of {len(seg.pass_rates)} complete passes"
-    else:
-        rate = len(seg.items) / (sum(seg.item_ms) / 1e3)
-        rate_note = "no pass completed: items over busy time"
-    values = {"setup_s": setup_s, "items_per_s": rate,
-              "item_ms.p50": statistics.median(seg.item_ms),
+def end_to_end(seg: Segment, setup: tuple[float, float],
+               probe: SpeedProbe) -> tuple[dict, list[str]]:
+    scaled = [ms * probe.scale(start, start + ms / 1e3)
+              for start, ms in zip(seg.starts, seg.item_ms)]
+    n = len(scaled)
+    p90, beyond = percentile(scaled, 90)
+    wall_p90, _ = percentile(seg.item_ms, 90)
+    values = {"setup_s": setup[0], "items_per_s": n / (sum(scaled) / 1e3),
+              "item_ms.p50": statistics.median(scaled),
               "item_ms.p90": p90,
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
-    notes = {"setup_s": f"median of {SETUP_PROBES} fresh processes",
-             "items_per_s": rate_note,
-             "item_ms.p50": f"n={len(seg.item_ms)}",
-             "item_ms.p90": f"n={len(seg.item_ms)}, {beyond} beyond"
-                            + ("" if beyond >= 10 else " (fewer than ten)"),
+    notes = {"setup_s": f"median of {SETUP_PROBES} fresh processes; "
+                        f"wall {setup[1]:.6g}",
+             "items_per_s": f"{n} items over their summed time; "
+                            f"wall {n / (sum(seg.item_ms) / 1e3):.6g}",
+             "item_ms.p50": f"n={n}; wall {statistics.median(seg.item_ms):.6g}",
+             "item_ms.p90": f"n={n}, {beyond} beyond"
+                            + ("" if beyond >= 10 else " (fewer than ten)")
+                            + f"; wall {wall_p90:.6g}",
              "peak_rss_mb": "ru_maxrss of this process"}
     lines = [f"{name:14s} {values[name]:14.6g} {unit:4s} ({notes[name]})"
              for name, unit in END_TO_END_UNITS.items()]
@@ -250,9 +266,15 @@ def main(argv=None) -> int:
         units = per_layer_units()
         segments = (plain, traced)
     else:
-        setup_s = setup_seconds(args)
-        plain = run_passes(wl, args.seconds)
-        metrics, lines = end_to_end(plain, setup_s)
+        probe = SpeedProbe()
+        for _ in range(3):  # warm-up
+            probe.probe()
+        setup = setup_seconds(args, probe)
+        plain = run_passes(wl, args.seconds, probe)
+        metrics, lines = end_to_end(plain, setup, probe)
+        lines.append(f"speed probe: {len(probe.ms)} runs of the reference task, "
+                     f"median {statistics.median(probe.ms):.4g} ms, "
+                     f"times scaled to {REF_MS:g} ms")
         units = END_TO_END_UNITS
         segments = (plain,)
 

@@ -3,9 +3,9 @@
     python3 perfbench/test_harness.py
 
 Covers the tail-percentile choice with its sample count, the self-time
-arithmetic, the correctness gates (a tampered polynomial, a wrong closed
-form) and the agreement of BENCHMARK.json with the metrics the harness
-prints.
+arithmetic, the speed normalization, the correctness gates (a tampered
+polynomial, a wrong closed form) and the agreement of BENCHMARK.json with
+the metrics the harness prints.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from altknot import polynomials as poly  # noqa: E402
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from harness import (ROOT, NullTracer, Tracer, busy_by_name, digest,  # noqa: E402
-                     percentile, self_times)
+from harness import (REF_MS, ROOT, NullTracer, SpeedProbe, Tracer,  # noqa: E402
+                     busy_by_name, digest, percentile, reference_task, self_times)
 
 
 class PercentileTest(unittest.TestCase):
@@ -68,6 +68,31 @@ class SelfTimeTest(unittest.TestCase):
         item_ns = sum(s[2] - s[1] for s in tracer.spans if s[0] == ROOT)
         self.assertEqual(sum(busy.values()), item_ns)
         self.assertTrue(all(s[3] == 0 for s in tracer.spans[1:3]))
+
+
+class SpeedProbeTest(unittest.TestCase):
+    def setUp(self):
+        self.probe = SpeedProbe(window_s=0.25)
+        self.probe.starts = [0.0, 0.1, 0.2, 1.0, 1.1]
+        self.probe.ms = [1.0, 2.0, 4.0, 8.0, 8.0]
+
+    def test_scale_uses_the_median_of_the_probes_in_the_window(self):
+        # window 0.05..0.6 holds the probes at 0.1 and 0.2
+        self.assertEqual(self.probe.scale(0.3, 0.35), REF_MS / 3.0)
+        # window 0.65..1.45 holds the two 8 ms probes
+        self.assertEqual(self.probe.scale(0.9, 1.2), REF_MS / 8.0)
+
+    def test_an_item_without_a_probe_nearby_is_an_error(self):
+        with self.assertRaises(ValueError):
+            self.probe.scale(5.0, 5.1)
+
+    def test_probes_record_the_reference_task(self):
+        probe = SpeedProbe(every_s=3600)
+        probe.maybe()
+        probe.maybe()  # too soon after the first: skipped
+        self.assertEqual(len(probe.ms), 1)
+        self.assertGreater(probe.ms[0], 0)
+        reference_task()  # checks its own result
 
 
 class GateTest(unittest.TestCase):

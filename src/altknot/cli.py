@@ -4,8 +4,8 @@ Subcommands: ``gen`` writes a family member as JSON or DOT, ``charpoly``
 prints a characteristic polynomial, ``verify`` sweeps generators against
 their closed forms, ``census`` reports faces and coefficient rules,
 ``components`` counts strands and ``decompose`` prints the permutation
-splittings.  Exit codes: 0 success / all pass, 1 verification failure,
-2 usage or input error.
+splittings.  Exit codes: 0 success / all pass, 1 verification failure
+(or output cut short by a closed pipe), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -23,14 +23,23 @@ from . import spectra as sp
 
 _USAGE_ERROR = 2
 _VERIFY_FAILURE = 1
+_OUTPUT_CUT = 1  # stdout closed early; what Python itself exits with on EPIPE
 
 
 class InputError(Exception):
     pass
 
 
+class _NotADiagram(InputError):
+    """The source is an existing file that does not parse as a diagram."""
+
+
 def _load_spec_or_diagram(text: str) -> dg.Diagram:
-    """Family spec string or path to a diagram JSON document."""
+    """Family spec string or path to a diagram JSON document.
+
+    A document that parses is validated before use, so a malformed one is
+    an input error rather than a crash further down the pipeline.
+    """
     try:
         return fam.generate(fam.parse_spec_string(text))
     except fam.FamilyError as spec_err:
@@ -40,28 +49,27 @@ def _load_spec_or_diagram(text: str) -> dg.Diagram:
     if not path.exists():
         raise InputError(f"{text!r} is neither a family spec nor a file")
     try:
-        return dg.from_json(path.read_text())
-    except dg.DiagramFormatError as exc:
+        d = dg.from_json(path.read_text())
+    except OSError as exc:
         raise InputError(f"{text}: {exc}") from exc
+    except dg.DiagramFormatError as exc:
+        raise _NotADiagram(f"{text}: {exc}") from exc
+    problems = dg.validate(d)
+    if problems:
+        raise InputError(f"{text}: invalid diagram: " + "; ".join(problems))
+    return d
 
 
 def _load_matrix_source(text: str) -> sp.AdjMatrix:
     """Family spec, diagram JSON path, or matrix file (text or JSON rows)."""
     try:
         return sp.adjacency(_load_spec_or_diagram(text))
-    except InputError:
+    except _NotADiagram:
         pass
-    path = Path(text)
-    if not path.exists():
-        raise InputError(f"{text!r} is neither a family spec nor a file")
-    content = path.read_text()
     try:
-        return sp.adjacency(dg.from_json(content))
-    except dg.DiagramFormatError:
-        try:
-            return sp.parse_matrix(content)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"{text}: not a diagram or matrix: {exc}") from exc
+        return sp.parse_matrix(Path(text).read_text())
+    except (ValueError, json.JSONDecodeError) as exc:
+        raise InputError(f"{text}: not a diagram or matrix: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +94,6 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     d = _load_spec_or_diagram(args.source)
-    problems = dg.validate(d)
-    if problems:
-        print("invalid diagram: " + "; ".join(problems))
-        return _USAGE_ERROR
     _, census = dg.faces(d)
     loops = d.loop_count()
     parts = [" ".join(f"C_{j}={c}" for j, c in sorted(census.counts.items()))]
@@ -261,10 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except (fam.FamilyError, InputError, dg.DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`).  Send what is still
+        # buffered to devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _OUTPUT_CUT
+    return code
 
 
 if __name__ == "__main__":

@@ -453,7 +453,8 @@ def canonical_code(d: Diagram) -> tuple:
                      for dart in order)
         if best is None or code < best:
             best = code
-    assert best is not None
+    if best is None:
+        raise DiagramError("canonical code of a diagram with no darts")
     return best
 
 

@@ -274,7 +274,9 @@ def charpoly(matrix) -> IntPoly:
                 for i in range(n)]
         trace = sum(prod[i][i] for i in range(n))
         q, r = divmod(trace, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier division not exact: trace {trace} at k={k}")
         c = -q
         coeffs[n - k] = c
         if k < n:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .diagram import OUT, Diagram
 
@@ -181,38 +182,46 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
     matrix, and identical pairs (possible when a component's two classes
     coincide, e.g. a 2-entry circle) are deduplicated.  A knot therefore
     has exactly one decomposition.
+
+    Every row and column of the matrix belongs to exactly one component, so
+    a pair is a per-row choice between the two class rows of that row's
+    component.  Flipping a component whose classes coincide repeats a pair
+    and flipping any other gives a new one, so only flips of the distinct
+    components are enumerated, in the order of their first occurrence.
     """
     dec = trace_strands(m)
     n = m.n
-    class_pairs = []
-    for cycle, (class_a, class_b) in zip(dec.components, dec.permutation_split):
+    units = [tuple(int(c == j) for c in range(n)) for j in range(n)]
+    first_rows: list[tuple[int, ...]] = [()] * n
+    second_rows: list[tuple[int, ...]] = [()] * n
+    flip_bit = [0] * n  # of each row's component; component 0 is pinned
+    free = 0  # flip bits of the components whose two classes differ
+    for c, (class_a, class_b) in enumerate(dec.permutation_split):
         first = class_a if min(class_a) < min(class_b) else class_b
         second = class_b if first is class_a else class_a
-        class_pairs.append((_class_matrix(n, dec.edges, first),
-                            _class_matrix(n, dec.edges, second)))
+        cells = [sorted(dec.edges[e] for e in cls) for cls in (first, second)]
+        rows = sorted({i for i, _ in cells[0] + cells[1]})
+        cols = sorted({j for _, j in cells[0] + cells[1]})
+        for cls in cells:
+            if [i for i, _ in cls] != rows or sorted(j for _, j in cls) != cols:
+                raise ValueError(f"component {c}: a class is not a "
+                                 "permutation of its rows and columns")
+        bit = 1 << (c - 1) if c else 0
+        for (i, j), (_, k) in zip(*cells):
+            first_rows[i], second_rows[i], flip_bit[i] = units[j], units[k], bit
+        if cells[0] != cells[1]:
+            free |= bit
 
     results: list[tuple[Matrix, Matrix]] = []
-    seen = set()
-    n_comp = len(class_pairs)
-    for mask in range(2 ** max(n_comp - 1, 0)):
-        p1 = [[0] * n for _ in range(n)]
-        p2 = [[0] * n for _ in range(n)]
-        for c, (first, second) in enumerate(class_pairs):
-            # component 0 is pinned: its smallest edge's class goes to p1
-            flip = c > 0 and (mask >> (c - 1)) & 1
-            a, b = (second, first) if flip else (first, second)
-            for i in range(n):
-                for j in range(n):
-                    p1[i][j] += a[i][j]
-                    p2[i][j] += b[i][j]
-        pair = (tuple(tuple(r) for r in p1), tuple(tuple(r) for r in p2))
-        for p in pair:
-            assert all(sum(row) == 1 for row in p), "classes must be permutations"
-            assert all(sum(row[j] for row in p) == 1 for j in range(n))
-        if pair not in seen:
-            seen.add(pair)
-            results.append(pair)
-    return results
+    mask = 0
+    while True:
+        flips = [mask & bit for bit in flip_bit]
+        results.append((
+            tuple(b if f else a for a, b, f in zip(first_rows, second_rows, flips)),
+            tuple(a if f else b for a, b, f in zip(first_rows, second_rows, flips))))
+        mask = (mask - free) & free  # next submask of `free`, 0 after the last
+        if not mask:
+            return results
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +237,49 @@ def all_ones_check(m: AdjMatrix) -> bool:
             and all(sum(row[j] for row in m.rows) == 2 for j in range(m.n)))
 
 
+def _combine_rows(row: tuple[tuple[int, int], ...], power: Matrix,
+                  n: int) -> tuple[int, ...]:
+    """Row of M * power: the sum of v * power[t] over M's entries (t, v)."""
+    out = None
+    for t, v in row:
+        term = power[t] if v == 1 else tuple(v * x for x in power[t])
+        out = term if out is None else tuple(map(add, out, term))
+    return (0,) * n if out is None else out
+
+
+# The last matrix swept by closed_path_count: (rows, sparse rows, M^j,
+# (trace M^1, ..., trace M^j)).  Replaced whole, never mutated, so threads
+# sharing the module at worst recompute a power, never read a torn one.
+_paths_slot: tuple[Matrix, tuple, Matrix, tuple[int, ...]] | None = None
+
+
 def closed_path_count(m: AdjMatrix, k: int) -> int:
-    """Number of closed directed paths of length k = trace(M^k), exactly."""
+    """Number of closed directed paths of length k = trace(M^k), exactly.
+
+    The running power M^j of the last matrix asked about is kept with the
+    traces of M^1..M^j, so a sweep k = 1..V over one matrix costs V - 1
+    sparse products in all (O(V^3)) instead of V(V - 1)/2.  A call on the
+    same matrix returns a stored trace or extends the power from j to k; a
+    call on any other matrix starts again from M.  No call does more
+    products than computing M^k from scratch.  Independent of
+    :func:`charpoly`, so comparing the two checks Newton's identities
+    rather than restating them.
+    """
+    global _paths_slot
     if k < 1:
         raise ValueError("path length must be >= 1")
-    n = m.n
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m.rows]
-    power = [list(row) for row in m.rows]
-    for _ in range(k - 1):
-        power = [[sum(v * power[t][j] for t, v in sparse[i]) for j in range(n)]
-                 for i in range(n)]
-    return sum(power[i][i] for i in range(n))
+    slot = _paths_slot
+    if slot is None or slot[0] != m.rows:
+        sparse = tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                       for row in m.rows)
+        slot = (m.rows, sparse, m.rows, (m.trace(),))
+    rows, sparse, power, traces = slot
+    if k > len(traces):
+        n = len(rows)
+        traces = list(traces)
+        for _ in range(k - len(traces)):
+            power = tuple(_combine_rows(row, power, n) for row in sparse)
+            traces.append(sum(power[i][i] for i in range(n)))
+        slot = (rows, sparse, power, tuple(traces))
+    _paths_slot = slot
+    return slot[3][k - 1]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,32 @@ def test_decompose_multi_component(capsys):
     code, out, _ = run(capsys, "decompose", "chain:k=2")
     assert code == 0
     assert "canonical decompositions: 2" in out
+
+
+@pytest.mark.parametrize("command", ["charpoly", "components", "decompose",
+                                     "census"])
+def test_invalid_diagram_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    assert run(capsys, "gen", "cyclic:V=3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["darts"][0]["vertex"] = 7  # parses, but names a vertex that is not there
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "invalid diagram" in err and "vertex 7 out of range" in err
+
+
+def test_closed_stdout_exits_quietly():
+    # more output than a pipe buffer holds, so the reader closes it mid-write
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "altknot.cli", "decompose", "kribbon:k=8,m=4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"strands: 8\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

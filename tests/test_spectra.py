@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 
 from altknot import families as fam
 from altknot import spectra as sp
@@ -163,6 +167,129 @@ def test_two_paths_count_bigons(member_diagrams):
         m = sp.adjacency(d)
         assert sp.closed_path_count(m, 2) == 2 * census.counts.get(2, 0), \
             str(spec)
+
+
+def reference_path_counts(m, k_max):
+    """trace(M^k) for k = 1..k_max from a fresh dense power, no state."""
+    n = m.n
+    power, out = m.rows, []
+    for _ in range(k_max):
+        out.append(sum(power[i][i] for i in range(n)))
+        power = tuple(tuple(sum(power[i][t] * m.rows[t][j] for t in range(n))
+                            for j in range(n)) for i in range(n))
+    return out
+
+
+def test_closed_path_count_interleaved_matrices():
+    a = matrix_of(fam.CYCLIC_TORUS, (7,))
+    b = matrix_of(fam.K_RIBBON_CYCLIC, (3, 2))
+    ref_a, ref_b = reference_path_counts(a, 7), reference_path_counts(b, 7)
+    for k in range(1, 8):
+        assert sp.closed_path_count(a, k) == ref_a[k - 1], k
+        assert sp.closed_path_count(b, k) == ref_b[k - 1], k
+
+
+def test_closed_path_count_descending_repeated_and_beyond_v():
+    m = matrix_of(fam.THREE_RIBBON_G, (2, 2, 1))
+    ref = reference_path_counts(m, 3 * m.n)
+    for k in range(m.n, 0, -1):  # descending: the first call builds M^V
+        assert sp.closed_path_count(m, k) == ref[k - 1], k
+    for k in (4, 4, 1, 1, 2 * m.n, 2 * m.n, m.n + 1, 3 * m.n):
+        assert sp.closed_path_count(m, k) == ref[k - 1], k
+    # an equal matrix built separately shares the stored sweep
+    again = sp.AdjMatrix(tuple(list(row) for row in m.rows))
+    assert sp.closed_path_count(again, 3 * m.n - 1) == ref[3 * m.n - 2]
+
+
+def test_closed_path_count_threads_on_different_matrices():
+    specs = [(fam.CYCLIC_TORUS, (9,)), (fam.TWO_RIBBON, (4, 3)),
+             (fam.CLOSED_CHAIN, (4,)), (fam.TWIST_KNOTS, (8,))]
+    matrices = [matrix_of(family, params) for family, params in specs]
+    refs = [reference_path_counts(m, m.n + 2) for m in matrices]
+    errors = []
+
+    def sweep(m, ref):
+        for _ in range(30):
+            for k in range(1, m.n + 3):
+                if sp.closed_path_count(m, k) != ref[k - 1]:
+                    errors.append((m.n, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=sweep, args=pair)
+                   for pair in zip(matrices, refs)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+
+
+def reference_decompositions(m):
+    """The brute-force enumeration: every flip mask, dense sums, and a set
+    that drops repeated pairs."""
+    dec = sp.trace_strands(m)
+    n = m.n
+    class_pairs = []
+    for class_a, class_b in dec.permutation_split:
+        first = class_a if min(class_a) < min(class_b) else class_b
+        second = class_b if first is class_a else class_a
+        class_pairs.append((sp._class_matrix(n, dec.edges, first),
+                            sp._class_matrix(n, dec.edges, second)))
+    results, seen = [], set()
+    for mask in range(2 ** max(len(class_pairs) - 1, 0)):
+        p1 = [[0] * n for _ in range(n)]
+        p2 = [[0] * n for _ in range(n)]
+        for c, (first, second) in enumerate(class_pairs):
+            flip = c > 0 and (mask >> (c - 1)) & 1
+            a, b = (second, first) if flip else (first, second)
+            for i in range(n):
+                for j in range(n):
+                    p1[i][j] += a[i][j]
+                    p2[i][j] += b[i][j]
+        pair = (tuple(tuple(r) for r in p1), tuple(tuple(r) for r in p2))
+        if pair not in seen:
+            seen.add(pair)
+            results.append(pair)
+    return results
+
+
+def test_decompositions_match_brute_force():
+    matrices = [sp.adjacency(fam.generate(spec)) for spec in _sweep_specs()]
+    matrices += [sp.adjacency(fam.waist_ring_diagram(v, growth))
+                 for v in range(5, 13) for growth in fam.WAIST_RING_GROWTHS]
+    matrices.append(sp.AdjMatrix(((0, 2), (2, 0))))
+    strands = set()
+    for m in matrices:
+        assert sp.permutation_decompositions(m) == reference_decompositions(m), \
+            m.to_text()
+        strands.add(sp.trace_strands(m).count)
+    assert max(strands) >= 8  # kribbon and lchain members
+
+
+def block_diagonal(*blocks):
+    n = sum(b.n for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        for row in b.rows:
+            rows.append((0,) * offset + row + (0,) * (n - offset - b.n))
+        offset += b.n
+    return sp.AdjMatrix(tuple(rows))
+
+
+def test_decompositions_skip_coincident_strands_in_order():
+    # 2-entry circles first, between and after strands with distinct classes
+    hopf = sp.AdjMatrix(((0, 2), (2, 0)))
+    link = matrix_of(fam.CYCLIC_TORUS, (4,))
+    m = block_diagonal(hopf, link, hopf, matrix_of(fam.CYCLIC_TORUS, (3,)),
+                       hopf)
+    pairs = sp.permutation_decompositions(m)
+    assert len(pairs) == 8  # three strands with distinct classes flip
+    assert pairs == reference_decompositions(m)
 
 
 # ---------------------------------------------------------------------------

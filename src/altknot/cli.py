@@ -135,66 +135,19 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 # verify sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_specs(name: str, maximum: int) -> list[fam.FamilySpec]:
-    cap = dg.max_vertices()
-    single_v = {
-        "cyclic": (fam.CYCLIC_TORUS, 1),
-        "twistchain": (fam.TWIST_CHAIN, 1),
-        "hopftwist": (fam.HOPF_TWIST, 2),
-        "trefoiltwist": (fam.TREFOIL_TWIST, 3),
-        "fourknottwist": (fam.FOUR_KNOT_TWIST, 4),
-        "twistknot": (fam.TWIST_KNOTS, 3),
-    }
-    specs: list[fam.FamilySpec] = []
-    if name in single_v:
-        family, lo = single_v[name]
-        specs = [fam.FamilySpec(family, (v,))
-                 for v in range(lo, maximum + 1)]
-    elif name == "f":
-        specs = [fam.FamilySpec(fam.TWO_RIBBON, (j, k))
-                 for j in range(1, maximum + 1) for k in range(1, j + 1)]
-    elif name == "p":
-        specs = [fam.FamilySpec(fam.THREE_RIBBON_P, (k, l, m))
-                 for k in range(1, maximum + 1)
-                 for l in range(1, maximum + 1)
-                 for m in range(1, maximum + 1)]
-    elif name == "g":
-        specs = [fam.FamilySpec(fam.THREE_RIBBON_G, (k, l, m))
-                 for k in range(1, maximum + 1)
-                 for l in range(1, k + 1) for m in range(1, l + 1)]
-    elif name == "chain":
-        specs = [fam.FamilySpec(fam.CLOSED_CHAIN, (k,))
-                 for k in range(1, maximum + 1)]
-    elif name == "kribbon":
-        specs = [fam.FamilySpec(fam.K_RIBBON_CYCLIC, (k, m))
-                 for k in range(1, maximum + 1) for m in range(1, maximum + 1)]
-    elif name == "lchain":
-        specs = [fam.FamilySpec(fam.CHAINED_CYCLIC, (k, n))
-                 for k in range(0, maximum + 1) for n in range(1, maximum + 1)]
-    else:
-        raise InputError(f"unknown verify family {name!r}")
-    return [s for s in specs if fam.vertex_count(s) <= cap]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     rows: list[tuple[str, str, str, bool, str, str]] = []
-    if args.family == "identities":
+    for family in fam.FAMILIES:
+        if args.family not in ("all", family.prefix):
+            continue
+        for spec in family.sweep(args.max):
+            res = fam.verify_member(spec)
+            rows.append((family.prefix, fam.spec_string(spec),
+                         str(fam.vertex_count(spec)), res.match,
+                         str(res.generated), str(res.formula)))
+    if args.family in ("all", "identities"):
         for key, ok in fam.check_identities(args.max).items():
             rows.append(("identities", key, "", ok, "", ""))
-    else:
-        names = ([args.family] if args.family != "all" else
-                 ["cyclic", "twistchain", "hopftwist", "trefoiltwist",
-                  "fourknottwist", "twistknot", "f", "p", "g", "chain",
-                  "kribbon", "lchain"])
-        for name in names:
-            for spec in _sweep_specs(name, args.max):
-                res = fam.verify_member(spec)
-                rows.append((name, fam.spec_string(spec),
-                             str(fam.vertex_count(spec)), res.match,
-                             str(res.generated), str(res.formula)))
-        if args.family == "all":
-            for key, ok in fam.check_identities(args.max).items():
-                rows.append(("identities", key, "", ok, "", ""))
 
     all_ok = all(r[3] for r in rows)
     if args.report == "csv":
@@ -235,10 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify",
                               help="sweep generators against closed forms")
     p_verify.add_argument("--family", default="all",
-                          choices=("all", "identities", "cyclic", "twistchain",
-                                   "hopftwist", "trefoiltwist", "fourknottwist",
-                                   "twistknot", "f", "p", "g", "chain",
-                                   "kribbon", "lchain"))
+                          choices=("all", "identities",
+                                   *(f.prefix for f in fam.FAMILIES)))
     p_verify.add_argument("--max", type=int, default=8,
                           help="largest index swept (default 8)")
     p_verify.add_argument("--report", choices=("csv", "text"), default="text")

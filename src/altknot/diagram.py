@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .limits import max_vertices  # noqa: F401  (re-exported convenience)
-
 OUT = "out"
 IN = "in"
 

@@ -6,15 +6,21 @@ chain at a loop-carrying vertex, ribbon families grow cross ribbons out of
 necklace vertices, and chained families thread rings around edges.  The
 closed forms are combinations of the Chebyshev-type basis in
 :mod:`altknot.polynomials`; ``verify_member`` checks a generator against
-its formula by exact characteristic-polynomial equality.
+its formula by exact characteristic-polynomial equality.  The registry
+``FAMILIES`` holds one ``Family`` record per family (tag, spec prefix,
+parameters, size, generator, closed form); everything that dispatches on a
+family, the CLI included, reads it from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import Callable
 
-from .diagram import (IN, OUT, Diagram, build_diagram, faces, max_vertices,
-                      validate, with_kind, _rebuild)
+from .diagram import (IN, OUT, Diagram, build_diagram, faces, validate,
+                      with_kind, _rebuild)
+from .limits import max_vertices
 from .polynomials import IntPoly, X, jpoly
 from .surgery import LANE_IN, LANE_OUT, _expand, lane_preserving_face
 
@@ -31,26 +37,6 @@ CLOSED_CHAIN = "CLOSED_CHAIN"
 K_RIBBON_CYCLIC = "K_RIBBON_CYCLIC"
 CHAINED_CYCLIC = "CHAINED_CYCLIC"
 
-#: family -> (parameter names, minimum values)
-FAMILY_PARAMS: dict[str, tuple[tuple[str, ...], tuple[int, ...]]] = {
-    TWIST_CHAIN: (("V",), (1,)),
-    HOPF_TWIST: (("V",), (2,)),
-    TREFOIL_TWIST: (("V",), (3,)),
-    FOUR_KNOT_TWIST: (("V",), (4,)),
-    CYCLIC_TORUS: (("V",), (1,)),
-    TWIST_KNOTS: (("V",), (3,)),
-    TWO_RIBBON: (("j", "k"), (1, 1)),
-    THREE_RIBBON_P: (("k", "l", "m"), (1, 1, 1)),
-    THREE_RIBBON_G: (("k", "l", "m"), (1, 1, 1)),
-    CLOSED_CHAIN: (("k",), (1,)),
-    K_RIBBON_CYCLIC: (("k", "m"), (1, 1)),
-    # k = 0 degenerates to the bare cyclic knot (the formula then needs the
-    # convention J_{-1} = 0)
-    CHAINED_CYCLIC: (("k", "n"), (0, 1)),
-}
-
-FAMILIES = tuple(FAMILY_PARAMS)
-
 
 class FamilyError(ValueError):
     """Unknown family or out-of-range parameters."""
@@ -64,42 +50,56 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_PARAMS:
+        if self.family not in _BY_TAG:
             raise FamilyError(f"unknown family {self.family!r}")
-        names, minima = FAMILY_PARAMS[self.family]
+        family = _BY_TAG[self.family]
         values = tuple(int(v) for v in self.params)
         object.__setattr__(self, "params", values)
-        if len(values) != len(names):
+        if len(values) != len(family.names):
             raise FamilyError(
-                f"{self.family} takes parameters {names}, got {values}")
-        for name, lo, v in zip(names, minima, values):
+                f"{self.family} takes parameters {family.names}, got {values}")
+        for name, lo, v in zip(family.names, family.minima, values):
             if v < lo:
                 raise FamilyError(
                     f"{self.family}: {name} out of range ({name} >= {lo}, got {v})")
 
     def __str__(self) -> str:
-        names, _ = FAMILY_PARAMS[self.family]
-        inner = ",".join(f"{n}={v}" for n, v in zip(names, self.params))
-        return f"{self.family}({inner})"
+        return spec_string(self)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family: its tag, CLI prefix, parameters, size, generator
+    and closed form.  `vertices`, `build` and `formula` take the member's
+    parameters in the order of `names`.
+
+    The verify sweep runs every parameter from its minimum up to the sweep
+    maximum; a `descending` family, symmetric in its ribbons, keeps only
+    the non-increasing tuples.
+    """
+
+    tag: str
+    prefix: str
+    names: tuple[str, ...]
+    minima: tuple[int, ...]
+    vertices: Callable[..., int]
+    build: Callable[..., Diagram]
+    formula: Callable[..., IntPoly]
+    descending: bool = False
+
+    def sweep(self, maximum: int) -> list[FamilySpec]:
+        """Members with every parameter at most `maximum` and no more
+        vertices than the cap, in lexicographic parameter order."""
+        cap = max_vertices()
+        grid = product(*(range(lo, maximum + 1) for lo in self.minima))
+        specs = [FamilySpec(self.tag, p) for p in grid
+                 if not self.descending or list(p) == sorted(p, reverse=True)]
+        return [s for s in specs if vertex_count(s) <= cap]
 
 
 def vertex_count(spec: FamilySpec) -> int:
     """Number of crossings of the member selected by `spec`."""
-    p = spec.params
-    if spec.family in (TWIST_CHAIN, HOPF_TWIST, TREFOIL_TWIST,
-                       FOUR_KNOT_TWIST, CYCLIC_TORUS, TWIST_KNOTS):
-        return p[0]
-    if spec.family == TWO_RIBBON:
-        return p[0] + p[1]
-    if spec.family in (THREE_RIBBON_P, THREE_RIBBON_G):
-        return p[0] + p[1] + p[2]
-    if spec.family == CLOSED_CHAIN:
-        return 2 * p[0]
-    if spec.family == K_RIBBON_CYCLIC:
-        return p[0] * p[1]
-    if spec.family == CHAINED_CYCLIC:
-        return 2 * p[0] + p[1]
-    raise FamilyError(f"unknown family {spec.family!r}")
+    return _BY_TAG[spec.family].vertices(*spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -277,60 +277,12 @@ def _pierce_waist(d: Diagram, edge_a: int, edge_b: int) -> Diagram:
 
 def generate(spec: FamilySpec) -> Diagram:
     """Build the diagram selected by `spec` through ribbon surgery."""
-    total = vertex_count(spec)
-    if total > max_vertices():
+    total, cap = vertex_count(spec), max_vertices()
+    if total > cap:
         raise FamilyError(
-            f"{spec} has {total} vertices, above the cap {max_vertices()} "
+            f"{spec} has {total} vertices, above the cap {cap} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    p = spec.params
-    if spec.family == CYCLIC_TORUS:
-        return _cyclic_torus_diagram(p[0])
-    if spec.family == TWIST_CHAIN:
-        return _twist_chain_diagram(p[0])
-    if spec.family == HOPF_TWIST:
-        return _grow_twist(_cyclic_torus_diagram(2), p[0] - 2)
-    if spec.family == TREFOIL_TWIST:
-        return _grow_twist(_cyclic_torus_diagram(3), p[0] - 3)
-    if spec.family == FOUR_KNOT_TWIST:
-        four = _cross_ribbon(_cyclic_torus_diagram(3), 0, 2)
-        return _grow_twist(four, p[0] - 4)
-    if spec.family == TWIST_KNOTS:
-        return generate(FamilySpec(TWO_RIBBON, (p[0] - 2, 2)))
-    if spec.family == TWO_RIBBON:
-        j, k = p
-        return _cross_ribbon(_cyclic_torus_diagram(j + 1), 0, k)
-    if spec.family == THREE_RIBBON_P:
-        k, l, m = p
-        d = _cyclic_torus_diagram(m + 2)
-        d = _cross_ribbon(d, 0, k)
-        return _cross_ribbon(d, 1, l)
-    if spec.family == THREE_RIBBON_G:
-        k, l, m = p
-        d = _cyclic_torus_diagram(3)
-        for base, length in enumerate((k, l, m)):
-            d = _cross_ribbon(d, base, length)
-        return d
-    if spec.family == CLOSED_CHAIN:
-        return generate(FamilySpec(K_RIBBON_CYCLIC, (p[0], 2)))
-    if spec.family == K_RIBBON_CYCLIC:
-        k, m = p
-        if k == 1:
-            # a single ribbon closed on itself is the twisted circle
-            return _twist_chain_diagram(m)
-        d = _cyclic_torus_diagram(k)
-        for base in range(k):
-            d = _cross_ribbon(d, base, m)
-        return d
-    if spec.family == CHAINED_CYCLIC:
-        k, n = p
-        d = _cyclic_torus_diagram(n)
-        for i in range(k):
-            # the first ring grips the knot; each later ring grips the
-            # newest ring's own circle (its parallel pair is appended last)
-            target = 0 if i == 0 else len(d.edge_darts()) - 1
-            d = _pierce(d, target)
-        return d
-    raise FamilyError(f"unknown family {spec.family!r}")
+    return _BY_TAG[spec.family].build(*spec.params)
 
 
 def _grow_twist(seed: Diagram, extra: int) -> Diagram:
@@ -341,6 +293,42 @@ def _grow_twist(seed: Diagram, extra: int) -> Diagram:
     carrier = d.vertex_count - 1
     for _ in range(extra - 1):
         d, carrier = _extend_twist(d, carrier)
+    return d
+
+
+def _two_ribbon_diagram(j: int, k: int) -> Diagram:
+    return _cross_ribbon(_cyclic_torus_diagram(j + 1), 0, k)
+
+
+def _three_ribbon_p_diagram(k: int, l: int, m: int) -> Diagram:
+    d = _cross_ribbon(_cyclic_torus_diagram(m + 2), 0, k)
+    return _cross_ribbon(d, 1, l)
+
+
+def _three_ribbon_g_diagram(k: int, l: int, m: int) -> Diagram:
+    d = _cyclic_torus_diagram(3)
+    for base, length in enumerate((k, l, m)):
+        d = _cross_ribbon(d, base, length)
+    return d
+
+
+def _k_ribbon_cyclic_diagram(k: int, m: int) -> Diagram:
+    if k == 1:
+        # a single ribbon closed on itself is the twisted circle
+        return _twist_chain_diagram(m)
+    d = _cyclic_torus_diagram(k)
+    for base in range(k):
+        d = _cross_ribbon(d, base, m)
+    return d
+
+
+def _chained_cyclic_diagram(k: int, n: int) -> Diagram:
+    d = _cyclic_torus_diagram(n)
+    for i in range(k):
+        # the first ring grips the knot; each later ring grips the
+        # newest ring's own circle (its parallel pair is appended last)
+        target = 0 if i == 0 else len(d.edge_darts()) - 1
+        d = _pierce(d, target)
     return d
 
 
@@ -387,43 +375,68 @@ _FOUR_KNOT_SEEDS = (IntPoly((0, -4, -2, 0, 1)),      # x^4 - 2x^2 - 4x
                     IntPoly((-2, 1, 0, -2, -1, 1)))  # x^5 - x^4 - 2x^3 + x - 2
 
 
+def _four_knot_twist_poly(v: int) -> IntPoly:
+    prev, cur = _FOUR_KNOT_SEEDS
+    if v == 4:
+        return prev
+    for _ in range(v - 5):
+        prev, cur = cur, X * cur - prev
+    return cur
+
+
 def closed_form(spec: FamilySpec) -> IntPoly:
     """The member's characteristic polynomial as an exact formula."""
-    p = spec.params
-    if spec.family == TWIST_CHAIN:
-        return (X - 2) * jpoly(p[0] - 1)
-    if spec.family == HOPF_TWIST:
-        v = p[0]
-        return (X - 2) * ((X + 2) * jpoly(v - 2) - X * jpoly(v - 3))
-    if spec.family == TREFOIL_TWIST:
-        v = p[0]
-        return (X - 2) * (X + 1) * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4))
-    if spec.family == FOUR_KNOT_TWIST:
-        prev, cur = _FOUR_KNOT_SEEDS
-        if p[0] == 4:
-            return prev
-        for _ in range(p[0] - 5):
-            prev, cur = cur, X * cur - prev
-        return cur
-    if spec.family == CYCLIC_TORUS:
-        return cyclic_poly(p[0])
-    if spec.family == TWIST_KNOTS:
-        v = p[0]
-        return ((X ** 3 - X - 2) * jpoly(v - 3) - X * X * jpoly(v - 4) - 2 * X)
-    if spec.family == TWO_RIBBON:
-        return two_ribbon_poly(*p)
-    if spec.family == THREE_RIBBON_P:
-        return three_ribbon_p_poly(*p)
-    if spec.family == THREE_RIBBON_G:
-        return three_ribbon_g_poly(*p)
-    if spec.family == CLOSED_CHAIN:
-        return cyclic_poly(p[0]) * X ** p[0]
-    if spec.family == K_RIBBON_CYCLIC:
-        k, m = p
-        return cyclic_poly(k) * jpoly(m - 1) ** k
-    if spec.family == CHAINED_CYCLIC:
-        return chained_cyclic_poly(*p)
-    raise FamilyError(f"unknown family {spec.family!r}")
+    return _BY_TAG[spec.family].formula(*spec.params)
+
+
+# ---------------------------------------------------------------------------
+# The registry: one record per family, in verify sweep order
+# ---------------------------------------------------------------------------
+
+def _total(*params: int) -> int:
+    return sum(params)
+
+
+FAMILIES: tuple[Family, ...] = (
+    Family(CYCLIC_TORUS, "cyclic", ("V",), (1,), _total,
+           _cyclic_torus_diagram, cyclic_poly),
+    Family(TWIST_CHAIN, "twistchain", ("V",), (1,), _total,
+           _twist_chain_diagram, lambda v: (X - 2) * jpoly(v - 1)),
+    Family(HOPF_TWIST, "hopftwist", ("V",), (2,), _total,
+           lambda v: _grow_twist(_cyclic_torus_diagram(2), v - 2),
+           lambda v: (X - 2) * ((X + 2) * jpoly(v - 2) - X * jpoly(v - 3))),
+    Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,), _total,
+           lambda v: _grow_twist(_cyclic_torus_diagram(3), v - 3),
+           lambda v: ((X - 2) * (X + 1)
+                      * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4)))),
+    Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
+           lambda v: _grow_twist(_two_ribbon_diagram(2, 2), v - 4),
+           _four_knot_twist_poly),
+    Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
+           lambda v: _two_ribbon_diagram(v - 2, 2),
+           lambda v: ((X ** 3 - X - 2) * jpoly(v - 3)
+                      - X * X * jpoly(v - 4) - 2 * X)),
+    Family(TWO_RIBBON, "f", ("j", "k"), (1, 1), _total,
+           _two_ribbon_diagram, two_ribbon_poly, descending=True),
+    Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1), _total,
+           _three_ribbon_p_diagram, three_ribbon_p_poly),
+    Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1), _total,
+           _three_ribbon_g_diagram, three_ribbon_g_poly, descending=True),
+    Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: 2 * k,
+           lambda k: _k_ribbon_cyclic_diagram(k, 2),
+           lambda k: cyclic_poly(k) * X ** k),
+    Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1), lambda k, m: k * m,
+           _k_ribbon_cyclic_diagram,
+           lambda k, m: cyclic_poly(k) * jpoly(m - 1) ** k),
+    # k = 0 degenerates to the bare cyclic knot (the formula then needs the
+    # convention J_{-1} = 0)
+    Family(CHAINED_CYCLIC, "lchain", ("k", "n"), (0, 1),
+           lambda k, n: 2 * k + n, _chained_cyclic_diagram,
+           chained_cyclic_poly),
+)
+
+_BY_TAG = {f.tag: f for f in FAMILIES}
+_BY_PREFIX = {f.prefix: f for f in FAMILIES}
 
 
 # ---------------------------------------------------------------------------
@@ -683,34 +696,16 @@ def lookup(label: str) -> list[CatalogEntry]:
 # CLI spec strings
 # ---------------------------------------------------------------------------
 
-SPEC_PREFIXES = {
-    "cyclic": CYCLIC_TORUS,
-    "f": TWO_RIBBON,
-    "p": THREE_RIBBON_P,
-    "g": THREE_RIBBON_G,
-    "chain": CLOSED_CHAIN,
-    "kribbon": K_RIBBON_CYCLIC,
-    "lchain": CHAINED_CYCLIC,
-    "twistchain": TWIST_CHAIN,
-    "hopftwist": HOPF_TWIST,
-    "trefoiltwist": TREFOIL_TWIST,
-    "fourknottwist": FOUR_KNOT_TWIST,
-    "twistknot": TWIST_KNOTS,
-}
-
-_PREFIX_OF_FAMILY = {fam: pre for pre, fam in SPEC_PREFIXES.items()}
-
-
 def parse_spec_string(text: str) -> FamilySpec:
     """Parse strings like ``cyclic:V=5`` or ``p:k=3,l=2,m=2``."""
     head, sep, rest = text.strip().partition(":")
-    if not sep or head not in SPEC_PREFIXES:
-        known = ", ".join(sorted(SPEC_PREFIXES))
+    if not sep or head not in _BY_PREFIX:
+        known = ", ".join(sorted(_BY_PREFIX))
         raise FamilyError(
             f"cannot parse family spec {text!r}; expected one of: {known}, "
             "as in 'cyclic:V=5'")
-    family = SPEC_PREFIXES[head]
-    names, _ = FAMILY_PARAMS[family]
+    family = _BY_PREFIX[head]
+    names = family.names
     given: dict[str, int] = {}
     for item in rest.split(","):
         item = item.strip()
@@ -728,10 +723,11 @@ def parse_spec_string(text: str) -> FamilySpec:
     missing = [n for n in names if n not in given]
     if missing:
         raise FamilyError(f"{head} is missing parameters {missing}")
-    return FamilySpec(family, tuple(given[n] for n in names))
+    return FamilySpec(family.tag, tuple(given[n] for n in names))
 
 
 def spec_string(spec: FamilySpec) -> str:
-    names, _ = FAMILY_PARAMS[spec.family]
-    inner = ",".join(f"{n}={v}" for n, v in zip(names, spec.params))
-    return f"{_PREFIX_OF_FAMILY[spec.family]}:{inner}"
+    """The spec in CLI syntax, as in ``p:k=3,l=2,m=2``."""
+    family = _BY_TAG[spec.family]
+    inner = ",".join(f"{n}={v}" for n, v in zip(family.names, spec.params))
+    return f"{family.prefix}:{inner}"

@@ -62,11 +62,16 @@ class AdjMatrix:
 
 
 def parse_matrix(text: str) -> AdjMatrix:
-    """Accepts rows of space-separated integers, or a JSON array of arrays."""
+    """Accepts rows of space-separated integers, or a JSON array of arrays
+    of integers; anything else in JSON (a bare number, a float, a boolean)
+    raises ValueError rather than being coerced."""
     stripped = text.strip()
     if stripped.startswith("["):
         data = json.loads(stripped)
-        return AdjMatrix(tuple(tuple(int(v) for v in row) for row in data))
+        if not all(isinstance(row, list) and all(type(v) is int for v in row)
+                   for row in data):
+            raise ValueError("a JSON matrix must be a list of rows of integers")
+        return AdjMatrix(tuple(tuple(row) for row in data))
     rows = []
     for line in stripped.splitlines():
         line = line.strip()

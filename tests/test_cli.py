@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from altknot import families as fam
 from altknot import spectra as sp
 from altknot.cli import main
+from altknot.limits import max_vertices
 from altknot.polynomials import charpoly
 
 
@@ -84,6 +86,20 @@ def test_charpoly_missing_input(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["charpoly", "components", "decompose"])
+@pytest.mark.parametrize("doc", [
+    "[1, 2]",              # rows that are not lists
+    "[[0,2],[2,0.9]]",     # a float, once truncated to another matrix
+    "[[0,2],[2,true]]",    # a boolean, once read as 1
+])
+def test_json_matrix_entries_must_be_integers(capsys, tmp_path, command, doc):
+    path = tmp_path / "m.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "rows of integers" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -114,6 +130,28 @@ def test_verify_identities(capsys):
 def test_verify_two_ribbon(capsys):
     code, out, _ = run(capsys, "verify", "--family", "f", "--max", "5")
     assert code == 0
+
+
+def test_verify_all_csv_golden(capsys):
+    # pins the whole sweep: family order, member order, spec strings, the V
+    # column, both polynomials and the identity rows (268 lines)
+    code, out, _ = run(capsys, "verify", "--max", "5", "--report", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 268
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4b00271bbb709ddd8aba91564cf7161c6d635eee57bfa4edc0e8327aad2cfcf")
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_bad_vertex_cap_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ALTKNOT_MAX_V", value)
+    with pytest.raises(ValueError, match="ALTKNOT_MAX_V"):
+        max_vertices()
+    for argv in (["verify", "--family", "cyclic", "--max", "3"],
+                 ["charpoly", "cyclic:V=3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ALTKNOT_MAX_V") and repr(value) in err
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,38 @@ def test_spec_strings():
 def test_spec_string_round_trip(member_specs):
     for s in member_specs:
         assert fam.parse_spec_string(fam.spec_string(s)) == s
+        assert str(s) == fam.spec_string(s)
+
+
+def test_registry_order_and_keys():
+    assert [f.prefix for f in fam.FAMILIES] == [
+        "cyclic", "twistchain", "hopftwist", "trefoiltwist", "fourknottwist",
+        "twistknot", "f", "p", "g", "chain", "kribbon", "lchain"]
+    tags = [f.tag for f in fam.FAMILIES]
+    assert len(set(tags)) == len(tags) == 12
+    assert fam.CHAINED_CYCLIC in tags and fam.TWIST_CHAIN in tags
+    for f in fam.FAMILIES:
+        assert len(f.names) == len(f.minima)
+        lowest = fam.FamilySpec(f.tag, f.minima)
+        assert fam.vertex_count(lowest) == fam.generate(lowest).vertex_count
+
+
+def test_registry_sweeps(monkeypatch):
+    by_prefix = {f.prefix: f for f in fam.FAMILIES}
+    assert [s.params for s in by_prefix["f"].sweep(3)] == [
+        (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+    assert len(by_prefix["g"].sweep(4)) == 20       # k >= l >= m
+    assert len(by_prefix["p"].sweep(4)) == 64       # every (k, l, m)
+    assert by_prefix["lchain"].sweep(2)[0].params == (0, 1)
+    assert by_prefix["hopftwist"].sweep(1) == []
+    monkeypatch.setenv("ALTKNOT_MAX_V", "6")
+    assert [s.params for s in by_prefix["chain"].sweep(9)] == [(1,), (2,), (3,)]
+
+
+def test_cap_error_uses_spec_syntax(monkeypatch):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "10")
+    with pytest.raises(fam.FamilyError, match=r"^p:k=5,l=4,m=2 has 11 "):
+        fam.generate(spec(fam.THREE_RIBBON_P, 5, 4, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,25 @@ def _load_spec_or_diagram(text: str) -> dg.Diagram:
 
 
 def _load_matrix_source(text: str) -> sp.AdjMatrix:
-    """Family spec, diagram JSON path, or matrix file (text or JSON rows)."""
+    """Family spec, diagram JSON path, or matrix file (text or JSON rows).
+
+    A matrix file must hold an adjacency matrix (square, nonempty,
+    nonnegative, every row and column summing to 2) like the ones diagrams
+    give.
+    """
     try:
         return sp.adjacency(_load_spec_or_diagram(text))
     except _NotADiagram:
         pass
     try:
-        return sp.parse_matrix(Path(text).read_text())
+        m = sp.parse_matrix(Path(text).read_text())
     except (ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"{text}: not a diagram or matrix: {exc}") from exc
+    problems = m.problems()
+    if problems:
+        raise InputError(f"{text}: not an adjacency matrix: "
+                         + "; ".join(problems))
+    return m
 
 
 # ---------------------------------------------------------------------------

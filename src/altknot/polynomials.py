@@ -3,12 +3,18 @@
 Everything here is arbitrary-precision: coefficients are Python ints and
 all algorithms are division-free or use only provably exact integer
 divisions.  Floating point never enters.
+
+Hot paths build tuples from lists (``tuple([...])``), not from generators:
+``tuple()`` of an iterator of unknown length grows a 10-slot tuple, and
+over a long run that parks megabytes of freed tuples on CPython's per-size
+free lists, which stay resident.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .limits import max_vertices
@@ -25,7 +31,7 @@ class IntPoly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c = tuple(int(v) for v in self.coeffs)
+        c = tuple([int(v) for v in self.coeffs])
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -64,7 +70,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-v for v in self.coeffs))
+        return IntPoly(tuple([-v for v in self.coeffs]))
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
         return self + (-_coerce(other))
@@ -74,7 +80,7 @@ class IntPoly:
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if isinstance(other, int):
-            return IntPoly(tuple(other * v for v in self.coeffs))
+            return IntPoly(tuple([other * v for v in self.coeffs]))
         if self.is_zero() or other.is_zero():
             return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -167,20 +173,33 @@ def monomial(power: int, coeff: int = 1) -> IntPoly:
 # J_{-1} = 0, J_0 = 1, J_{k+2} = x*J_{k+1} - J_k.
 # ---------------------------------------------------------------------------
 
+# J_0, J_1, ... as far as any caller has asked.  Grown by the recurrence
+# and replaced whole, never mutated, so threads sharing the module at worst
+# recompute a few terms, never read a torn table.
+_jtable: tuple[IntPoly, ...] = (ONE, X)
+
+
 def jpoly(k: int) -> IntPoly:
     """The k-th normalized Chebyshev polynomial of the second kind, U_k(x/2).
 
     Defined for k >= -1 with jpoly(-1) = 0; computed by the three-term
-    recurrence J_{k+2} = x*J_{k+1} - J_k.
+    recurrence J_{k+2} = x*J_{k+1} - J_k into a shared table, so each J_k
+    is built once per process.
     """
+    global _jtable
     if k < -1:
         raise ValueError(f"jpoly index must be >= -1, got {k}")
     if k == -1:
         return ZERO
-    prev, cur = ZERO, ONE
-    for _ in range(k):
-        prev, cur = cur, X * cur - prev
-    return cur
+    table = _jtable
+    if k >= len(table):
+        grown = list(table)
+        while len(grown) <= k:
+            grown.append(X * grown[-1] - grown[-2])
+        table = tuple(grown)
+        if len(table) > len(_jtable):
+            _jtable = table
+    return table[k]
 
 
 def jpoly_explicit(k: int) -> IntPoly:
@@ -243,13 +262,41 @@ def check_generating_function(k_max: int, t_terms: int | None = None) -> bool:
 # Characteristic polynomials, exactly.
 # ---------------------------------------------------------------------------
 
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row's nonzero entries as (column, value) pairs."""
+    return tuple([tuple([(j, v) for j, v in enumerate(row) if v])
+                  for row in rows])
+
+
+def sparse_product(sparse, a: Matrix, n: int) -> Matrix:
+    """M * a for M given by :func:`sparse_rows`, a an n x n matrix of tuples.
+
+    Row i of the product is the combination of a's rows weighted by row i
+    of M.  A row of M with a single entry 1 yields that row of ``a``
+    itself, not a copy; an empty row yields zeros.
+    """
+    out = []
+    for row in sparse:
+        acc = None
+        for t, v in row:
+            term = a[t] if v == 1 else [v * x for x in a[t]]
+            acc = term if acc is None else [*map(add, acc, term)]
+        out.append((0,) * n if acc is None else tuple(acc))
+    return tuple(out)
+
+
 def charpoly(matrix) -> IntPoly:
     """det(x*I - M) of an integer matrix, exact.
 
     Uses the Faddeev-LeVerrier recurrence: every division it performs is
     by the step index and is provably exact over the integers, so the
-    result is computed without fractions.  Matrix rows are consumed as any
-    sequence of sequences of ints (an AdjMatrix works too).
+    result is computed without fractions.  Each product M*M_k is a
+    :func:`sparse_product`, O(n^2) for a matrix with O(1) entries per row.
+    Matrix rows are consumed as any sequence of sequences of ints (an
+    AdjMatrix works too).
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
@@ -264,14 +311,14 @@ def charpoly(matrix) -> IntPoly:
         raise ValueError("matrix is not square")
 
     # Sparse view of m: adjacency matrices have at most two entries per row.
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m]
+    sparse = sparse_rows(m)
 
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_1 = I
+    aux = tuple([tuple([int(i == j) for j in range(n)])  # M_1 = I
+                 for i in range(n)])
     for k in range(1, n + 1):
-        prod = [[sum(v * aux[j][col] for j, v in sparse[i]) for col in range(n)]
-                for i in range(n)]
+        prod = sparse_product(sparse, aux, n)
         trace = sum(prod[i][i] for i in range(n))
         q, r = divmod(trace, k)
         if r:
@@ -280,9 +327,11 @@ def charpoly(matrix) -> IntPoly:
         c = -q
         coeffs[n - k] = c
         if k < n:
-            aux = prod
-            for i in range(n):
-                aux[i][i] += c
+            # M_{k+1} = M*M_k + c*I; prod's rows may be rows of aux, so the
+            # shifted diagonal goes into new rows.
+            aux = prod if not c else tuple([
+                row[:i] + (row[i] + c,) + row[i + 1:]
+                for i, row in enumerate(prod)])
     return IntPoly(tuple(coeffs))
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import add
 
 from .diagram import OUT, Diagram
-
-Matrix = tuple[tuple[int, ...], ...]
+from .polynomials import Matrix, sparse_product, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,9 @@ class AdjMatrix:
     rows: Matrix
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(v) for v in row) for row in self.rows))
+        # tuple([...]) rather than tuple(genexpr): see altknot.polynomials
+        object.__setattr__(self, "rows", tuple([tuple([int(v) for v in row])
+                                                for row in self.rows]))
 
     @property
     def n(self) -> int:
@@ -36,6 +35,8 @@ class AdjMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def problems(self) -> list[str]:
+        if not self.n:
+            return ["matrix is empty"]
         out = []
         if any(len(row) != self.n for row in self.rows):
             out.append("matrix is not square")
@@ -91,7 +92,7 @@ def adjacency(d: Diagram) -> AdjMatrix:
     for dart in d.darts:
         if dart.direction == OUT:
             rows[dart.vertex][d.vertex_of(dart.twin)] += 1
-    return AdjMatrix(tuple(tuple(row) for row in rows))
+    return AdjMatrix(tuple([tuple(row) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +243,6 @@ def all_ones_check(m: AdjMatrix) -> bool:
             and all(sum(row[j] for row in m.rows) == 2 for j in range(m.n)))
 
 
-def _combine_rows(row: tuple[tuple[int, int], ...], power: Matrix,
-                  n: int) -> tuple[int, ...]:
-    """Row of M * power: the sum of v * power[t] over M's entries (t, v)."""
-    out = None
-    for t, v in row:
-        term = power[t] if v == 1 else tuple(v * x for x in power[t])
-        out = term if out is None else tuple(map(add, out, term))
-    return (0,) * n if out is None else out
-
-
 # The last matrix swept by closed_path_count: (rows, sparse rows, M^j,
 # (trace M^1, ..., trace M^j)).  Replaced whole, never mutated, so threads
 # sharing the module at worst recompute a power, never read a torn one.
@@ -275,15 +266,14 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
         raise ValueError("path length must be >= 1")
     slot = _paths_slot
     if slot is None or slot[0] != m.rows:
-        sparse = tuple(tuple((j, v) for j, v in enumerate(row) if v)
-                       for row in m.rows)
+        sparse = sparse_rows(m.rows)
         slot = (m.rows, sparse, m.rows, (m.trace(),))
     rows, sparse, power, traces = slot
     if k > len(traces):
         n = len(rows)
         traces = list(traces)
         for _ in range(k - len(traces)):
-            power = tuple(_combine_rows(row, power, n) for row in sparse)
+            power = sparse_product(sparse, power, n)
             traces.append(sum(power[i][i] for i in range(n)))
         slot = (rows, sparse, power, tuple(traces))
     _paths_slot = slot

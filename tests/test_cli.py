@@ -100,6 +100,22 @@ def test_json_matrix_entries_must_be_integers(capsys, tmp_path, command, doc):
     assert err.startswith("error:") and "rows of integers" in err
 
 
+@pytest.mark.parametrize("command", ["charpoly", "components", "decompose"])
+@pytest.mark.parametrize("doc,problem", [
+    ("[[0,2],[2,5]]", "row 1 sums to 7"),  # square integers, not 2-in/2-out
+    ("[]", "matrix is empty"),
+    ("", "matrix is empty"),                  # an empty text matrix
+])
+def test_matrix_file_must_be_adjacency(capsys, tmp_path, command, doc,
+                                       problem):
+    path = tmp_path / "m.txt"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not an adjacency matrix" in err
+    assert problem in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 
 from altknot import families as fam
+from altknot import polynomials
 from altknot import spectra as sp
 from altknot.polynomials import (IntPoly, ONE, X, ZERO, charpoly,
                                  charpoly_cofactor, check_generating_function,
@@ -87,6 +91,46 @@ def test_recurrence_equals_explicit_sum_up_to_50():
         assert jpoly(k) == jpoly_explicit(k), f"J_{k}"
 
 
+def test_jpoly_table_any_order(monkeypatch):
+    # the table grows only when a larger index is asked for; smaller ones
+    # afterwards, in any order, read it
+    monkeypatch.setattr(polynomials, "_jtable", (ONE, X))
+    indices = list(range(200, -2, -1))
+    for k in indices:
+        assert jpoly(k) == jpoly_explicit(k), f"J_{k}"
+    random.Random(7).shuffle(indices)
+    for k in indices:
+        assert jpoly(k) == jpoly_explicit(k), f"J_{k}"
+
+
+def test_jpoly_table_threads(monkeypatch):
+    expected = [jpoly_explicit(k) for k in range(120)]
+    monkeypatch.setattr(polynomials, "_jtable", (ONE, X))  # threads grow it
+    errors = []
+
+    def ask(order):
+        for k in order:
+            if jpoly(k) != expected[k]:
+                errors.append(k)
+
+    orders = [list(range(120)), list(range(119, -1, -1)),
+              random.Random(1).sample(range(120), 120),
+              [k for k in range(0, 120, 7)] * 5]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(order,))
+                   for order in orders]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+
+
 def test_degree_and_parity():
     for k in range(0, 30):
         p = jpoly(k)
@@ -150,6 +194,73 @@ def test_charpoly_invariant_under_relabeling(v, rng):
     rows = tuple(tuple(m.rows[perm[i]][perm[j]] for j in range(v))
                  for i in range(v))
     assert charpoly(rows) == charpoly(m)
+
+
+def reference_charpoly(matrix):
+    """The Faddeev-LeVerrier loop with a per-entry sparse product over
+    mutable list rows, kept verbatim as a stateless reference."""
+    rows = getattr(matrix, "rows", matrix)
+    n = len(rows)
+    m = [[int(v) for v in row] for row in rows]
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_1 = I
+    for k in range(1, n + 1):
+        prod = [[sum(v * aux[j][col] for j, v in sparse[i]) for col in range(n)]
+                for i in range(n)]
+        trace = sum(prod[i][i] for i in range(n))
+        q, r = divmod(trace, k)
+        if r:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier division not exact: trace {trace} at k={k}")
+        c = -q
+        coeffs[n - k] = c
+        if k < n:
+            aux = prod
+            for i in range(n):
+                aux[i][i] += c
+    return IntPoly(tuple(coeffs))
+
+
+def test_charpoly_kernel_dense_random():
+    rng = random.Random(4)
+    for n in range(1, 17):
+        for _ in range(3):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert charpoly(m) == reference_charpoly(m), m
+
+
+def test_charpoly_kernel_permutations_and_identity():
+    # single unit entries per row: the product's rows are the previous
+    # matrix's own rows, so a shift written into a shared row would show
+    rng = random.Random(5)
+    for n in (1, 2, 3, 5, 8, 13, 16):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert charpoly(identity) == (X - 1) ** n
+        for _ in range(3):
+            perm = rng.sample(range(n), n)
+            m = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            assert charpoly(m) == reference_charpoly(m), perm
+            doubled = [[2 * v for v in row] for row in m]
+            assert charpoly(doubled) == reference_charpoly(doubled), perm
+
+
+def test_charpoly_kernel_zero_rows():
+    assert charpoly([[0] * 4 for _ in range(4)]) == X ** 4
+    rng = random.Random(6)
+    for n in (2, 5, 9, 16):
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), n // 2):
+            m[i] = [0] * n
+        assert charpoly(m) == reference_charpoly(m), m
+
+
+def test_charpoly_kernel_criteria_corpus():
+    for spec in _sweep_specs():
+        m = sp.adjacency(fam.generate(spec))
+        assert charpoly(m) == reference_charpoly(m), str(spec)
 
 
 def test_divide_out():

@@ -37,6 +37,12 @@ def test_matrix_problems():
     assert not sp.AdjMatrix(((0, 2), (2, 0))).problems()
 
 
+def test_empty_matrix_is_not_adjacency():
+    assert sp.AdjMatrix(()).problems() == ["matrix is empty"]
+    with pytest.raises(ValueError, match="matrix is empty"):
+        sp.trace_strands(sp.AdjMatrix(()))
+
+
 # ---------------------------------------------------------------------------
 # Strand tracing
 # ---------------------------------------------------------------------------

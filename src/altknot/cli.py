@@ -90,7 +90,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     d = fam.generate(fam.parse_spec_string(args.spec))
     text = dg.to_json(d, indent=2) + "\n" if args.format == "json" else dg.to_dot(d)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -223,10 +223,12 @@ def validate(d: Diagram) -> list[str]:
     if len(d.rotation) != d.vertex_count:
         problems.append("rotation: one ring per vertex required")
         return problems
+    darts_at: list[list[int]] = [[] for _ in range(d.vertex_count)]
+    for dart in d.darts:
+        darts_at[dart.vertex].append(dart.id)
     for v in range(d.vertex_count):
         ring = d.rotation[v]
-        at_v = [dart.id for dart in d.darts if dart.vertex == v]
-        if sorted(ring) != sorted(at_v) or len(ring) != 4:
+        if sorted(ring) != darts_at[v] or len(ring) != 4:
             problems.append(
                 f"rotation: ring of vertex {v} does not list its 4 darts")
             continue
@@ -304,19 +306,21 @@ class FaceCensus:
 
 
 def _trace_faces(d: Diagram) -> list[tuple[int, ...]]:
-    remaining = set(range(len(d.darts)))
+    """Faces in order of their smallest dart, each traced from it."""
+    seen = [False] * len(d.darts)
     faces = []
-    while remaining:
-        start = min(remaining)
+    for start in range(len(d.darts)):
+        if seen[start]:
+            continue
         trace = []
         cur = start
         while True:
             trace.append(cur)
-            remaining.discard(cur)
+            seen[cur] = True
             cur = d.next_in_face(cur)
             if cur == start:
                 break
-            if cur not in remaining:
+            if seen[cur]:
                 raise DiagramError("face tracing revisited a dart; the "
                                    "rotation system is inconsistent")
         faces.append(tuple(trace))
@@ -397,13 +401,14 @@ def component_count(d: Diagram) -> int:
         return ring[(pos + 2) % 4]  # the opposite dart shares the lane
 
     count = 0
-    unseen = set(range(len(tails)))
-    while unseen:
-        start = min(unseen)
+    seen = [False] * len(tails)
+    for start in range(len(tails)):
+        if seen[start]:
+            continue
         count += 1
         cur, via_tail = start, True
         while True:
-            unseen.discard(cur)
+            seen[cur] = True
             tail_dart, head_dart = tails[cur]
             mate = lane_mate(tail_dart if via_tail else head_dart)
             mate_tail = mate if d.direction(mate) == OUT else d.twin(mate)
@@ -434,26 +439,52 @@ def canonical_code(d: Diagram) -> tuple:
     """Label-independent code: minimum over all root darts of the BFS
     relabeling code.  Two connected diagrams are isomorphic as oriented
     sphere maps iff their codes are equal.  Mirror images are distinct.
+
+    Entry i of a root's code, (label of twin, label of rotation successor,
+    is outgoing) for the i-th dart reached, is known as soon as that dart
+    is processed, so each entry is compared with the best code's at once:
+    a root is dropped at its first greater entry, and after a smaller one
+    its code is only finished.  No code is a proper prefix of another,
+    even on a disconnected map: if a code's first m entries name only
+    labels below m, its BFS closed after m darts.  So two different codes
+    differ at an entry both have, and that entry decides tuple order.
     """
     n = len(d.darts)
-    best: tuple | None = None
-    for root in range(n):
-        label = {root: 0}
-        order = [root]
-        for cur in order:
-            for nxt in (d.twin(cur), d.rotation_successor(cur)):
-                if nxt not in label:
-                    label[nxt] = len(order)
-                    order.append(nxt)
-        code = tuple((label[d.twin(dart)],
-                      label[d.rotation_successor(dart)],
-                      d.direction(dart) == OUT)
-                     for dart in order)
-        if best is None or code < best:
-            best = code
-    if best is None:
+    if not n:
         raise DiagramError("canonical code of a diagram with no darts")
-    return best
+    twin = [dart.twin for dart in d.darts]
+    out = [dart.direction == OUT for dart in d.darts]
+    succ = [0] * n
+    for ring in d.rotation:
+        for pos, dart in enumerate(ring):
+            succ[dart] = ring[(pos + 1) % 4]
+
+    best: list[tuple[int, int, bool]] = []
+    for root in range(n):
+        label = [-1] * n
+        label[root] = 0
+        order = [root]
+        code = []
+        tied = bool(best)  # every entry so far equals best's
+        for i, cur in enumerate(order):
+            t = twin[cur]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+            s = succ[cur]
+            if label[s] < 0:
+                label[s] = len(order)
+                order.append(s)
+            entry = (label[t], label[s], out[cur])
+            if tied and entry != best[i]:
+                if entry > best[i]:
+                    break
+                tied = False
+            code.append(entry)
+        else:
+            if not tied:
+                best = code
+    return tuple(best)
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:

@@ -40,6 +40,13 @@ def test_gen_json(capsys, tmp_path):
     assert doc["version"] == 1
 
 
+def test_gen_unwritable_out_is_input_error(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "gen", "cyclic:V=3", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output:") and str(target) in err
+
+
 def test_gen_out_of_range(capsys):
     code, _, err = run(capsys, "gen", "cyclic:V=0")
     assert code == 2
@@ -134,6 +141,16 @@ def test_verify_empty_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max", "0")
     assert code == 0
     assert "0 rows" in out
+
+
+@pytest.mark.parametrize("maximum", ["0", "-3"])
+def test_verify_checks_nothing_below_one(capsys, maximum):
+    # every identity's index range is empty there, so none may read "ok"
+    for family in ("all", "identities", *(f.prefix for f in fam.FAMILIES)):
+        code, out, _ = run(capsys, "verify", "--family", family,
+                           "--max", maximum)
+        assert code == 0
+        assert out == "0 rows, all match\n", family
 
 
 def test_verify_identities(capsys):

@@ -1,6 +1,9 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -207,6 +210,131 @@ def test_different_members_have_different_codes():
     a = fam.generate(fam.FamilySpec(fam.CYCLIC_TORUS, (4,)))
     b = fam.generate(fam.FamilySpec(fam.TWO_RIBBON, (2, 2)))
     assert not dg.isomorphic(a, b)
+
+
+def reference_canonical_code(d):
+    """The brute-force canonical code: every root's whole BFS code built,
+    then the minimum taken (verbatim from before the pruned version)."""
+    n = len(d.darts)
+    best = None
+    for root in range(n):
+        label = {root: 0}
+        order = [root]
+        for cur in order:
+            for nxt in (d.twin(cur), d.rotation_successor(cur)):
+                if nxt not in label:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+        code = tuple((label[d.twin(dart)],
+                      label[d.rotation_successor(dart)],
+                      d.direction(dart) == dg.OUT)
+                     for dart in order)
+        if best is None or code < best:
+            best = code
+    if best is None:
+        raise dg.DiagramError("canonical code of a diagram with no darts")
+    return best
+
+
+def relabel(d, rng):
+    """The same oriented map with vertex and dart ids permuted and every
+    ring started at a random dart."""
+    n = len(d.darts)
+    new_dart = rng.sample(range(n), n)
+    new_vertex = rng.sample(range(d.vertex_count), d.vertex_count)
+    darts = [None] * n
+    for dart in d.darts:
+        darts[new_dart[dart.id]] = dg.Dart(
+            new_dart[dart.id], new_vertex[dart.vertex], new_dart[dart.twin],
+            dart.direction)
+    rotation = [None] * d.vertex_count
+    for v, ring in enumerate(d.rotation):
+        shift = rng.randrange(4)
+        rotation[new_vertex[v]] = tuple(new_dart[x]
+                                        for x in ring[shift:] + ring[:shift])
+    return dg.Diagram(d.kind, d.vertex_count, tuple(darts), tuple(rotation))
+
+
+def disjoint_union(*parts):
+    """One map holding each part as a separate component, in order."""
+    darts, rotation, vertices = [], [], 0
+    for part in parts:
+        off = len(darts)
+        darts += [dg.Dart(x.id + off, x.vertex + vertices, x.twin + off,
+                          x.direction) for x in part.darts]
+        rotation += [tuple(x + off for x in ring) for ring in part.rotation]
+        vertices += part.vertex_count
+    return dg.Diagram("link", vertices, tuple(darts), tuple(rotation))
+
+
+def spec_diagram(text):
+    return fam.generate(fam.parse_spec_string(text))
+
+
+def disconnected_maps():
+    """Unions of equal and of different-sized components, in both orders,
+    so the least code lies in the first, a middle or the last component."""
+    three, two, one = trefoil(), hopf(), one_vertex_twist()
+    return {
+        "trefoil+trefoil": disjoint_union(three, three),
+        "trefoil+mirror": disjoint_union(three, dg.mirror(three)),
+        "trefoil+hopf": disjoint_union(three, two),
+        "hopf+trefoil": disjoint_union(two, three),
+        "trefoil+loop+hopf": disjoint_union(three, one, two),
+        "twistknot+loop+hopftwist": disjoint_union(
+            spec_diagram("twistknot:V=5"), one,
+            spec_diagram("hopftwist:V=3")),
+    }
+
+
+def test_canonical_code_matches_reference_on_sweep():
+    rng = random.Random(20061)
+    count = 0
+    for family in fam.FAMILIES:
+        for spec in family.sweep(8):
+            d = fam.generate(spec)
+            for x in (d, dg.mirror(d)):
+                expected = reference_canonical_code(x)
+                assert dg.canonical_code(x) == expected, str(spec)
+                assert dg.canonical_code(relabel(x, rng)) == expected, str(spec)
+                count += 1
+    assert count == 2 * 852
+
+
+LOOPS_AND_UNIONS = {
+    **{text: spec_diagram(text) for text in (
+        "cyclic:V=1", "twistchain:V=1", "hopftwist:V=2", "hopftwist:V=7")},
+    **disconnected_maps(),
+}
+
+
+@pytest.mark.parametrize("name", LOOPS_AND_UNIONS)
+def test_canonical_code_matches_reference_on_loops_and_unions(name):
+    d = LOOPS_AND_UNIONS[name]
+    rng = random.Random(name)
+    expected = reference_canonical_code(d)
+    assert dg.canonical_code(d) == expected
+    for _ in range(5):
+        assert dg.canonical_code(relabel(d, rng)) == expected
+
+
+RELABEL_CORPUS = [spec_diagram(text) for text in (
+    "cyclic:V=1", "cyclic:V=6", "hopftwist:V=4", "twistknot:V=6",
+    "f:j=3,k=2", "g:k=2,l=2,m=1", "chain:k=3", "lchain:k=1,n=2")]
+RELABEL_CORPUS += disconnected_maps().values()
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, len(RELABEL_CORPUS) - 1),
+       rng=st.randoms(use_true_random=False))
+def test_canonical_code_stable_under_relabeling(index, rng):
+    d = RELABEL_CORPUS[index]
+    assert dg.canonical_code(relabel(d, rng)) == dg.canonical_code(d)
+
+
+def test_canonical_code_of_dartless_map_raises():
+    with pytest.raises(dg.DiagramError, match="no darts"):
+        dg.canonical_code(dg.Diagram("knot", 0, (), ()))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,13 @@ def test_identities_all_pass():
     assert all(report.values()), report
 
 
+def test_identities_without_instances_are_left_out():
+    assert fam.check_identities(0) == {}
+    # composition_of_cyclic starts at index 2
+    assert "composition_of_cyclic" not in fam.check_identities(1)
+    assert list(fam.check_identities(2)) == list(fam.check_identities(6))
+
+
 def test_hopf_twist_triples():
     polys = family_polys(fam.HOPF_TWIST, (2, 3, 4))
     assert fam.check_family_recurrence(*polys).homogeneous

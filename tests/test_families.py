@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from altknot import diagram as dg
 from altknot import families as fam
 from altknot import spectra as sp
+from altknot import surgery as sg
 from altknot.polynomials import IntPoly, X, charpoly
 
 
@@ -311,3 +314,63 @@ def test_generators_are_deterministic(member_specs):
     # no randomness anywhere: repeated generation is bit-identical
     for s in member_specs:
         assert fam.generate(s) == fam.generate(s), str(s)
+
+
+# ---------------------------------------------------------------------------
+# Golden generator output: every member dart for dart, and its kind
+# ---------------------------------------------------------------------------
+
+# Face ids, and with them contract_bigon(face_id), depend on dart order, so
+# the generators must reproduce these maps exactly.  Each digest is the
+# sha256 of one line per diagram: spec (sweeps only), kind and the sha256
+# of to_json(d).
+GOLDEN_SWEEP_8 = {
+    "cyclic": "d19419daa06a8934266bdae191cb74ee5831cd19ae9badfeee5abf639a269036",
+    "twistchain": "e662e0dcb6aaf597301807616347d726eab81a1b77ac1e69290b58942c9c21e1",
+    "hopftwist": "c2e617f63765453970a8f2140ed76235a848acb646d90e5dcd8904ccfa864716",
+    "trefoiltwist": "afb20fdad46e81745ea734a1db250a4623e134c337cbde10b532a200b0bdc9bd",
+    "fourknottwist": "66bd161759d0b49eb6e26475b8d9a8529d93570f84923cc017dc3b0ddcdb68f9",
+    "twistknot": "a484d2b81e7f4f507a4513124e539ae6c1b3187157968eb09cd55fdf512046c5",
+    "f": "173c60619cf34cc3970cc831c8966700d99adf357105cbdef08365259e934f44",
+    "p": "55b44282b1125c1d2022d96c6faa88e57b3371f7ffd25fb08a33c950efb40b21",
+    "g": "10f2266c961e86ef5ad6441de70047a9872b356009c60ab329af1b877b2de2bf",
+    "chain": "3db4efb5bb9cf21b8b965ebf35a6ca1b32cd283f8bea7b73063daf534673bd1e",
+    "kribbon": "a7be804b3fd9a7795940d0a042ca4fcd9e91396ad0f760b1ac9f78c0a37ff2aa",
+    "lchain": "dd936e39a803453f0a0b677627e05a4630af6d32b082f60684423fa935b0a179",
+}
+GOLDEN_WAIST_RING_5_9 = {
+    "chain": "16ef749559f1171012f20b1e1b1d3c6061487f7212381d0c1f98fe1c973a4a2e",
+    "clasp": "d0950991e6224a2f0c5b15b356d581e3f99dd6215125ecf3319f0a97d58a6a1a",
+}
+GOLDEN_COMPOSE_3_4 = (
+    "06a5317e96e80f7c85be30ab23bafaa2d832c2fc9b3ab5595c4a7f0060fca374")
+
+
+def golden_line(d):
+    text = dg.to_json(d).encode()
+    return f"{d.kind}\t{hashlib.sha256(text).hexdigest()}\n"
+
+
+def golden_digest(lines):
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
+def test_generated_members_are_golden(family, monkeypatch):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    lines = [f"{s}\t" + golden_line(fam.generate(s)) for s in family.sweep(8)]
+    assert golden_digest(lines) == GOLDEN_SWEEP_8[family.prefix]
+
+
+def test_waist_rings_are_golden():
+    for growth, expected in GOLDEN_WAIST_RING_5_9.items():
+        lines = [golden_line(fam.waist_ring_diagram(v, growth))
+                 for v in range(5, 10)]
+        assert golden_digest(lines) == expected, growth
+
+
+def test_compose_twist_is_golden():
+    a = fam.generate(spec(fam.CYCLIC_TORUS, 3))
+    b = fam.generate(spec(fam.CYCLIC_TORUS, 4))
+    lines = [golden_line(sg.compose_twist(a, 1, b, 2, t)) for t in range(4)]
+    assert golden_digest(lines) == GOLDEN_COMPOSE_3_4

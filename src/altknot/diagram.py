@@ -18,6 +18,7 @@ OUT = "out"
 IN = "in"
 
 KINDS = ("knot", "link", "twist")
+_EDGE = ((OUT, IN), (IN, OUT))  # the directions of an edge's two darts
 
 
 class DiagramError(Exception):
@@ -71,14 +72,6 @@ class Diagram:
         ring = self.rotation[self.vertex_of(dart_id)]
         return ring[(ring.index(dart_id) + 1) % 4]
 
-    def rotation_predecessor(self, dart_id: int) -> int:
-        ring = self.rotation[self.vertex_of(dart_id)]
-        return ring[(ring.index(dart_id) - 1) % 4]
-
-    def next_in_face(self, dart_id: int) -> int:
-        """Face-trace step: rotation successor of the twin."""
-        return self.rotation_successor(self.twin(dart_id))
-
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (tail_vertex, head_vertex), one per edge,
         ordered by tail dart id."""
@@ -90,11 +83,35 @@ class Diagram:
         return [(d.id, d.twin) for d in self.darts if d.direction == OUT]
 
     def loop_count(self) -> int:
-        return sum(1 for d in self.darts
-                   if d.direction == OUT and self.vertex_of(d.twin) == d.vertex)
+        darts = self.darts
+        return sum(1 for d in darts
+                   if d.direction == OUT and darts[d.twin].vertex == d.vertex)
 
     def __str__(self) -> str:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
+
+
+def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
+    """twin, rotation successor, is-outgoing and vertex of every dart, as
+    lists indexed by dart id: what the analysis layers read instead of
+    the Dart objects.  Built per call; a ring that is not four dart ids
+    is skipped, so malformed input still reaches `validate`'s report."""
+    darts = d.darts
+    twin = [x.twin for x in darts]
+    out = [x.direction == OUT for x in darts]
+    vertex = [x.vertex for x in darts]
+    return twin, _successors(d.rotation, len(darts)), out, vertex
+
+
+def _successors(rotation: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Rotation successor of each of n darts; -1 for a dart in no ring."""
+    succ = [-1] * n
+    for ring in rotation:
+        if len(ring) == 4:
+            a, b, c, e = ring
+            if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
+                succ[a], succ[b], succ[c], succ[e] = b, c, e, a
+    return succ
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +164,6 @@ def build_diagram(kind: str,
     return diagram
 
 
-def _rebuild(kind: str,
-             vertex_count: int,
-             dart_fields: dict[int, tuple[int, int, str]],
-             rotation_by_vertex: Sequence[Sequence[int]],
-             check: bool = True) -> Diagram:
-    """Re-assemble a diagram from surviving darts with arbitrary old ids.
-
-    `dart_fields` maps old dart id -> (vertex, old twin id, direction);
-    ids are compacted densely preserving order.
-    """
-    old_ids = sorted(dart_fields)
-    new_id = {old: new for new, old in enumerate(old_ids)}
-    darts = tuple(
-        Dart(new_id[old], dart_fields[old][0], new_id[dart_fields[old][1]],
-             dart_fields[old][2])
-        for old in old_ids)
-    rotation = tuple(tuple(new_id[d] for d in ring)
-                     for ring in rotation_by_vertex)
-    diagram = Diagram(kind, vertex_count, darts, rotation)
-    if check:
-        problems = validate(diagram)
-        if problems:
-            raise DiagramError("invalid rebuild: " + "; ".join(problems))
-    return diagram
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -205,65 +196,69 @@ def validate(d: Diagram) -> list[str]:
             problems.append(f"dart {i}: twin {dart.twin} out of range")
             return problems
 
-    for dart in d.darts:
-        if dart.twin == dart.id:
-            problems.append(f"twin involution: dart {dart.id} is its own twin")
-        elif d.darts[dart.twin].twin != dart.id:
+    twin, succ, out, vertex = _flat(d)
+    for i, t in enumerate(twin):
+        if t == i:
+            problems.append(f"twin involution: dart {i} is its own twin")
+        elif twin[t] != i:
+            problems.append(f"twin involution: twin({t}) != {i}")
+        elif i < t and (d.darts[i].direction, d.darts[t].direction) not in _EDGE:
             problems.append(
-                f"twin involution: twin({dart.twin}) != {dart.id}")
-        elif dart.id < dart.twin:
-            other = d.darts[dart.twin]
-            if {dart.direction, other.direction} != {OUT, IN}:
-                problems.append(
-                    f"twin directions: edge ({dart.id},{other.id}) must have "
-                    "one out and one in dart")
+                f"twin directions: edge ({i},{t}) must have "
+                "one out and one in dart")
     if problems:
         return problems
 
+    # every direction is OUT or IN from here on, so `out` says it all
     if len(d.rotation) != d.vertex_count:
         problems.append("rotation: one ring per vertex required")
         return problems
     darts_at: list[list[int]] = [[] for _ in range(d.vertex_count)]
-    for dart in d.darts:
-        darts_at[dart.vertex].append(dart.id)
-    for v in range(d.vertex_count):
-        ring = d.rotation[v]
+    for i, v in enumerate(vertex):
+        darts_at[v].append(i)
+    for v, ring in enumerate(d.rotation):
         if sorted(ring) != darts_at[v] or len(ring) != 4:
             problems.append(
                 f"rotation: ring of vertex {v} does not list its 4 darts")
             continue
-        outs = sum(1 for i in ring if d.direction(i) == OUT)
+        a, b, c, e = ring
+        if out[a] == out[c] != out[b] == out[e]:
+            continue  # alternates, so two out darts
+        outs = out[a] + out[b] + out[c] + out[e]
         if outs != 2:
             problems.append(
                 f"in/out balance: vertex {v} has {outs} out darts, needs 2")
-            continue
-        if any(d.direction(ring[i]) == d.direction(ring[(i + 1) % 4])
-               for i in range(4)):
+        else:
             problems.append(
                 f"rotation alternation: vertex {v} does not alternate "
                 "out/in around the vertex")
     if problems:
         return problems
 
-    seen = {0}
-    stack = [0]
+    # every ring now holds exactly its vertex's darts, so the darts are
+    # connected iff the vertices are
+    seen = [False] * d.vertex_count
+    seen[vertex[0]] = True
+    stack = [vertex[0]]
+    reached = 1
     while stack:
-        cur = stack.pop()
-        for nxt in (d.twin(cur), d.rotation_successor(cur)):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    if len(seen) != n_darts:
+        for dart in d.rotation[stack.pop()]:
+            w = vertex[twin[dart]]
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    if reached != d.vertex_count:
         problems.append("connectivity: the map is not connected")
         return problems
 
-    face_list = _trace_faces(d)
-    if len(face_list) != d.vertex_count + 2:
+    face_count = len(_traces(twin, succ))
+    if face_count != d.vertex_count + 2:
         problems.append(
-            f"euler: face tracing gives {len(face_list)} faces, a sphere "
+            f"euler: face tracing gives {face_count} faces, a sphere "
             f"map with V={d.vertex_count} must have {d.vertex_count + 2}")
 
-    loops = d.loop_count()
+    loops = _loop_count(twin, out, vertex)
     if loops and d.kind != "twist":
         problems.append(
             f"kind: {loops} loop(s) present but kind is {d.kind!r}; loops "
@@ -271,7 +266,7 @@ def validate(d: Diagram) -> list[str]:
     if d.kind == "twist" and not loops:
         problems.append("kind: flagged twist but the diagram has no loops")
     if d.kind in ("knot", "link") and not loops:
-        strands = component_count(d)
+        strands = _strand_count(twin, succ, out)
         expected = "knot" if strands == 1 else "link"
         if d.kind != expected:
             problems.append(
@@ -307,9 +302,16 @@ class FaceCensus:
 
 def _trace_faces(d: Diagram) -> list[tuple[int, ...]]:
     """Faces in order of their smallest dart, each traced from it."""
-    seen = [False] * len(d.darts)
+    twin, succ, _, _ = _flat(d)
+    return _traces(twin, succ)
+
+
+def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
+    """_trace_faces on flat arrays: a face steps from a dart to the
+    rotation successor of its twin."""
+    seen = [False] * len(twin)
     faces = []
-    for start in range(len(d.darts)):
+    for start in range(len(twin)):
         if seen[start]:
             continue
         trace = []
@@ -317,7 +319,7 @@ def _trace_faces(d: Diagram) -> list[tuple[int, ...]]:
         while True:
             trace.append(cur)
             seen[cur] = True
-            cur = d.next_in_face(cur)
+            cur = succ[twin[cur]]
             if cur == start:
                 break
             if seen[cur]:
@@ -392,43 +394,48 @@ def face_of_dart(d: Diagram) -> dict[int, int]:
 def component_count(d: Diagram) -> int:
     """Number of closed curves, by pairing each edge with the co-tail edge
     at its tail and the co-head edge at its head."""
-    tails = d.edge_darts()
-    edge_of_tail = {t: i for i, (t, _) in enumerate(tails)}
+    twin, succ, out, _ = _flat(d)
+    return _strand_count(twin, succ, out)
 
-    def lane_mate(dart_id: int) -> int:
-        ring = d.rotation[d.vertex_of(dart_id)]
-        pos = ring.index(dart_id)
-        return ring[(pos + 2) % 4]  # the opposite dart shares the lane
 
+def _strand_count(twin: list[int], succ: list[int], out: list[bool]) -> int:
+    """component_count on flat arrays.  An edge is named by its tail dart;
+    the dart opposite an edge end in its ring (two successor steps away)
+    shares the lane, and the walk leaves through it, alternately at the
+    tail and at the head."""
     count = 0
-    seen = [False] * len(tails)
-    for start in range(len(tails)):
-        if seen[start]:
+    seen = [False] * len(twin)
+    for start in range(len(twin)):
+        if not out[start] or seen[start]:
             continue
         count += 1
         cur, via_tail = start, True
         while True:
             seen[cur] = True
-            tail_dart, head_dart = tails[cur]
-            mate = lane_mate(tail_dart if via_tail else head_dart)
-            mate_tail = mate if d.direction(mate) == OUT else d.twin(mate)
-            cur = edge_of_tail[mate_tail]
+            mate = succ[succ[cur if via_tail else twin[cur]]]
+            cur = mate if out[mate] else twin[mate]
             via_tail = not via_tail
             if cur == start and via_tail:
                 break
     return count
 
 
+def _loop_count(twin: list[int], out: list[bool], vertex: list[int]) -> int:
+    return sum(1 for i, t in enumerate(twin)
+               if out[i] and vertex[t] == vertex[i])
+
+
 def derive_kind(d: Diagram) -> str:
     """knot / link / twist as dictated by the structure itself."""
-    if d.loop_count():
+    return _kind(*_flat(d))
+
+
+def _kind(twin: list[int], succ: list[int], out: list[bool],
+          vertex: list[int]) -> str:
+    """derive_kind on flat arrays."""
+    if _loop_count(twin, out, vertex):
         return "twist"
-    return "knot" if component_count(d) == 1 else "link"
-
-
-def with_kind(d: Diagram, kind: str | None = None) -> Diagram:
-    """Copy of d carrying the given kind (derived from structure if None)."""
-    return Diagram(kind or derive_kind(d), d.vertex_count, d.darts, d.rotation)
+    return "knot" if _strand_count(twin, succ, out) == 1 else "link"
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +459,7 @@ def canonical_code(d: Diagram) -> tuple:
     n = len(d.darts)
     if not n:
         raise DiagramError("canonical code of a diagram with no darts")
-    twin = [dart.twin for dart in d.darts]
-    out = [dart.direction == OUT for dart in d.darts]
-    succ = [0] * n
-    for ring in d.rotation:
-        for pos, dart in enumerate(ring):
-            succ[dart] = ring[(pos + 1) % 4]
+    twin, succ, out, _ = _flat(d)
 
     best: list[tuple[int, int, bool]] = []
     for root in range(n):
@@ -522,17 +524,28 @@ def to_json(d: Diagram, indent: int | None = None) -> str:
     return json.dumps(to_json_dict(d), indent=indent)
 
 
+def _json_int(value, what: str) -> int:
+    """`value` when it is a JSON integer; a float or a boolean is refused
+    rather than truncated into another diagram."""
+    if type(value) is not int:
+        raise DiagramFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> Diagram:
     try:
-        if data["version"] != 1:
+        if _json_int(data["version"], "version") != 1:
             raise DiagramFormatError(
                 f"unsupported diagram version {data['version']!r}")
-        darts = tuple(Dart(int(item["id"]), int(item["vertex"]),
-                           int(item["twin"]), str(item["dir"]))
+        darts = tuple(Dart(_json_int(item["id"], "dart id"),
+                           _json_int(item["vertex"], "dart vertex"),
+                           _json_int(item["twin"], "dart twin"),
+                           str(item["dir"]))
                       for item in data["darts"])
-        rotation = tuple(tuple(int(x) for x in ring)
+        rotation = tuple(tuple(_json_int(x, "rotation entry") for x in ring)
                          for ring in data["rotation"])
-        d = Diagram(str(data["kind"]), int(data["vertex_count"]),
+        d = Diagram(str(data["kind"]),
+                    _json_int(data["vertex_count"], "vertex_count"),
                     darts, rotation)
     except DiagramFormatError:
         raise

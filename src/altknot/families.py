@@ -3,13 +3,15 @@
 Each family is produced operationally from a small seed diagram: cyclic
 necklaces are built directly, twist families grow by extending the bigon
 chain at a loop-carrying vertex, ribbon families grow cross ribbons out of
-necklace vertices, and chained families thread rings around edges.  The
-closed forms are combinations of the Chebyshev-type basis in
-:mod:`altknot.polynomials`; ``verify_member`` checks a generator against
-its formula by exact characteristic-polynomial equality.  The registry
-``FAMILIES`` holds one ``Family`` record per family (tag, spec prefix,
-parameters, size, generator, closed form); everything that dispatches on a
-family, the CLI included, reads it from there.
+necklace vertices, and chained families thread rings around edges.  All
+moves of one member edit one ``surgery._Builder``; its kind is derived
+and it is validated once, when ``generate`` finishes it.  The closed forms
+are combinations of the Chebyshev-type basis in :mod:`altknot.polynomials`;
+``verify_member`` checks a generator against its formula by exact
+characteristic-polynomial equality.  The registry ``FAMILIES`` holds one
+``Family`` record per family (tag, spec prefix, parameters, size,
+generator, closed form); everything that dispatches on a family, the CLI
+included, reads it from there.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
-from .diagram import (IN, OUT, Diagram, build_diagram, faces, validate,
-                      with_kind, _rebuild)
+from .diagram import Diagram, build_diagram
 from .limits import max_vertices
 from .polynomials import IntPoly, X, jpoly
-from .surgery import LANE_IN, LANE_OUT, _expand, lane_preserving_face
+from .surgery import LANE_IN, LANE_OUT, _Builder
 
 TWIST_CHAIN = "TWIST_CHAIN"
 HOPF_TWIST = "HOPF_TWIST"
@@ -71,7 +72,8 @@ class FamilySpec:
 class Family:
     """One named family: its tag, CLI prefix, parameters, size, generator
     and closed form.  `vertices`, `build` and `formula` take the member's
-    parameters in the order of `names`.
+    parameters in the order of `names`; `build` returns the member as an
+    unfinished `surgery._Builder`, which `generate` finishes.
 
     The verify sweep runs every parameter from its minimum up to the sweep
     maximum; a `descending` family, symmetric in its ribbons, keeps only
@@ -83,7 +85,7 @@ class Family:
     names: tuple[str, ...]
     minima: tuple[int, ...]
     vertices: Callable[..., int]
-    build: Callable[..., Diagram]
+    build: Callable[..., _Builder]
     formula: Callable[..., IntPoly]
     descending: bool = False
 
@@ -103,10 +105,16 @@ def vertex_count(spec: FamilySpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Seed builders
+# Seeds, assembled unchecked straight into a builder
 # ---------------------------------------------------------------------------
 
-def _cyclic_torus_diagram(v: int) -> Diagram:
+def _seed(vertex_count: int, edges, rotations) -> _Builder:
+    # "link" is a placeholder: finishing derives the kind and validates
+    return _Builder(build_diagram("link", vertex_count, edges, rotations,
+                                  check=False))
+
+
+def _cyclic_torus(v: int) -> _Builder:
     """Necklace of v crossings: antiparallel bigons in a cycle, two v-gon
     faces.  v = 1 is the one-vertex two-loop twist."""
     edges = [(i, (i + 1) % v) for i in range(v)]          # forward cycle
@@ -115,15 +123,14 @@ def _cyclic_torus_diagram(v: int) -> Diagram:
     for i in range(v):
         rot.append([(i, "T"), (v + i, "H"),
                     (v + (i - 1) % v, "T"), ((i - 1) % v, "H")])
-    kind = "twist" if v == 1 else ("knot" if v % 2 else "link")
-    return build_diagram(kind, v, edges, rot)
+    return _seed(v, edges, rot)
 
 
-def _twist_chain_diagram(v: int) -> Diagram:
+def _twist_chain(v: int) -> _Builder:
     """A circle twisted v times: loops at both chain ends, v-1 bigons."""
     if v == 1:
-        return build_diagram("twist", 1, [(0, 0), (0, 0)],
-                             [[(0, "T"), (0, "H"), (1, "T"), (1, "H")]])
+        return _seed(1, [(0, 0), (0, 0)],
+                     [[(0, "T"), (0, "H"), (1, "T"), (1, "H")]])
     edges = [(i, i + 1) for i in range(v - 1)]
     edges += [(i + 1, i) for i in range(v - 1)]
     l0, l1 = len(edges), len(edges) + 1
@@ -133,142 +140,7 @@ def _twist_chain_diagram(v: int) -> Diagram:
         rot.append([(i, "T"), (v - 1 + i, "H"),
                     (v - 1 + i - 1, "T"), (i - 1, "H")])
     rot.append([(l1, "T"), (l1, "H"), (2 * v - 3, "T"), (v - 2, "H")])
-    return build_diagram("twist", v, edges, rot)
-
-
-# ---------------------------------------------------------------------------
-# Growth moves shared by the generators
-# ---------------------------------------------------------------------------
-
-def _finish(raw: Diagram) -> Diagram:
-    """Derive the kind of a freshly assembled diagram and insist it is valid."""
-    out = with_kind(raw)
-    problems = validate(out)
-    if problems:
-        raise FamilyError("generator produced an invalid diagram: "
-                          + "; ".join(problems))
-    return out
-
-
-def _curl(d: Diagram, edge_index: int) -> Diagram:
-    """One-crossing kink in the middle of an edge (first twist of the edge)."""
-    tail, head = d.edge_darts()[edge_index]
-    z = d.vertex_count
-    base = len(d.darts)
-    in_d, out_d, loop_t, loop_h = base, base + 1, base + 2, base + 3
-    fields = {dart.id: (dart.vertex, dart.twin, dart.direction)
-              for dart in d.darts}
-    fields[tail] = (fields[tail][0], in_d, OUT)
-    fields[in_d] = (z, tail, IN)
-    fields[out_d] = (z, head, OUT)
-    fields[head] = (fields[head][0], out_d, IN)
-    fields[loop_t] = (z, loop_h, OUT)
-    fields[loop_h] = (z, loop_t, IN)
-    rot = [d.rotation[i] for i in range(d.vertex_count)]
-    rot.append((in_d, loop_t, loop_h, out_d))
-    return _finish(_rebuild("twist", z + 1, fields, rot, check=False))
-
-
-def _has_loop(d: Diagram, v: int) -> bool:
-    return any(d.vertex_of(d.twin(x)) == v for x in d.rotation[v])
-
-
-def _extend_twist(d: Diagram, loop_vertex: int) -> tuple[Diagram, int]:
-    """Push the loop at `loop_vertex` one bigon further out.
-
-    Expands along the lane that keeps the loop's one-edge face intact, so
-    the twist ribbon grows by one; returns the new loop carrier.
-    """
-    face_list, _ = faces(d)
-    loop_face = next(t for t in face_list
-                     if len(t) == 1 and d.vertex_of(t[0]) == loop_vertex)
-    out, new_v, _ = _expand(d, loop_vertex, lane_preserving_face(d, loop_face))
-    carrier = new_v if _has_loop(out, new_v) else loop_vertex
-    return out, carrier
-
-
-def _cross_ribbon(d: Diagram, base_vertex: int, length: int) -> Diagram:
-    """Grow a ribbon of `length` crossings out of a necklace vertex,
-    orthogonally to the necklace's own chain."""
-    cur = base_vertex
-    for _ in range(length - 1):
-        d, cur, _ = _expand(d, cur, LANE_IN)
-    return d
-
-
-def _pierce(d: Diagram, edge_index: int) -> Diagram:
-    """Thread a fresh circle around one edge (the circle crosses it twice;
-    its own two edges form a parallel pair)."""
-    tail, head = d.edge_darts()[edge_index]
-    z1, z2 = d.vertex_count, d.vertex_count + 1
-    base = len(d.darts)
-    a_in = base                        # head at z1, from the old tail side
-    mid_t, mid_h = base + 1, base + 2  # z2 -> z1
-    d_out = base + 3                   # tail at z2, toward the old head side
-    r1t, r1h = base + 4, base + 5      # ring edge z1 -> z2
-    r2t, r2h = base + 6, base + 7      # ring edge z1 -> z2
-    fields = {dart.id: (dart.vertex, dart.twin, dart.direction)
-              for dart in d.darts}
-    fields[tail] = (fields[tail][0], a_in, OUT)
-    fields[a_in] = (z1, tail, IN)
-    fields[mid_t] = (z2, mid_h, OUT)
-    fields[mid_h] = (z1, mid_t, IN)
-    fields[d_out] = (z2, head, OUT)
-    fields[head] = (fields[head][0], d_out, IN)
-    fields[r1t] = (z1, r1h, OUT)
-    fields[r1h] = (z2, r1t, IN)
-    fields[r2t] = (z1, r2h, OUT)
-    fields[r2h] = (z2, r2t, IN)
-    rot = [d.rotation[i] for i in range(d.vertex_count)]
-    rot.append((a_in, r1t, mid_h, r2t))
-    rot.append((mid_t, r1h, d_out, r2h))
-    return _finish(_rebuild("link", z2 + 1, fields, rot, check=False))
-
-
-def _pierce_waist(d: Diagram, edge_a: int, edge_b: int) -> Diagram:
-    """Thread a fresh circle around two edges together (4 new crossings)."""
-    tail_a, head_a = d.edge_darts()[edge_a]
-    tail_b, head_b = d.edge_darts()[edge_b]
-    v = d.vertex_count
-    a_l, a_r, b_l, b_r = v, v + 1, v + 2, v + 3
-    base = len(d.darts)
-    a1 = base                           # head at a_l on strand a
-    ma_t, ma_h = base + 1, base + 2     # a_r -> a_l
-    ao_t = base + 3                     # tail at a_r toward a's old head
-    b1 = base + 4                       # head at b_r on strand b
-    mb_t, mb_h = base + 5, base + 6     # b_l -> b_r
-    bo_t = base + 7                     # tail at b_l toward b's old head
-    r1t, r1h = base + 8, base + 9       # ring a_l -> b_l
-    r2t, r2h = base + 10, base + 11     # ring b_r -> b_l
-    r3t, r3h = base + 12, base + 13     # ring b_r -> a_r
-    r4t, r4h = base + 14, base + 15     # ring a_l -> a_r
-    f = {dart.id: (dart.vertex, dart.twin, dart.direction) for dart in d.darts}
-    f[tail_a] = (f[tail_a][0], a1, OUT)
-    f[a1] = (a_l, tail_a, IN)
-    f[ma_t] = (a_r, ma_h, OUT)
-    f[ma_h] = (a_l, ma_t, IN)
-    f[ao_t] = (a_r, head_a, OUT)
-    f[head_a] = (f[head_a][0], ao_t, IN)
-    f[tail_b] = (f[tail_b][0], b1, OUT)
-    f[b1] = (b_r, tail_b, IN)
-    f[mb_t] = (b_l, mb_h, OUT)
-    f[mb_h] = (b_r, mb_t, IN)
-    f[bo_t] = (b_l, head_b, OUT)
-    f[head_b] = (f[head_b][0], bo_t, IN)
-    f[r1t] = (a_l, r1h, OUT)
-    f[r1h] = (b_l, r1t, IN)
-    f[r2t] = (b_r, r2h, OUT)
-    f[r2h] = (b_l, r2t, IN)
-    f[r3t] = (b_r, r3h, OUT)
-    f[r3h] = (a_r, r3t, IN)
-    f[r4t] = (a_l, r4h, OUT)
-    f[r4h] = (a_r, r4t, IN)
-    rot = [d.rotation[i] for i in range(d.vertex_count)]
-    rot.append((a1, r1t, ma_h, r4t))
-    rot.append((ma_t, r3h, ao_t, r4h))
-    rot.append((bo_t, r2h, mb_t, r1h))
-    rot.append((mb_h, r2t, b1, r3t))
-    return _finish(_rebuild("link", v + 4, f, rot, check=False))
+    return _seed(v, edges, rot)
 
 
 # ---------------------------------------------------------------------------
@@ -282,54 +154,54 @@ def generate(spec: FamilySpec) -> Diagram:
         raise FamilyError(
             f"{spec} has {total} vertices, above the cap {cap} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    return _BY_TAG[spec.family].build(*spec.params)
+    b = _BY_TAG[spec.family].build(*spec.params)
+    return b.finish("generator", FamilyError)
 
 
-def _grow_twist(seed: Diagram, extra: int) -> Diagram:
-    """Twist the first edge of `seed` `extra` times (curl, then lengthen)."""
-    if extra == 0:
-        return seed
-    d = _curl(seed, 0)
-    carrier = d.vertex_count - 1
-    for _ in range(extra - 1):
-        d, carrier = _extend_twist(d, carrier)
-    return d
+def _grow_twist(b: _Builder, extra: int) -> _Builder:
+    """Twist the first edge of the seed `extra` times (curl, then lengthen)."""
+    if extra:
+        b.twist(b.tail(0), extra)
+    return b
 
 
-def _two_ribbon_diagram(j: int, k: int) -> Diagram:
-    return _cross_ribbon(_cyclic_torus_diagram(j + 1), 0, k)
+def _two_ribbon(j: int, k: int) -> _Builder:
+    b = _cyclic_torus(j + 1)
+    b.ribbon(0, k)
+    return b
 
 
-def _three_ribbon_p_diagram(k: int, l: int, m: int) -> Diagram:
-    d = _cross_ribbon(_cyclic_torus_diagram(m + 2), 0, k)
-    return _cross_ribbon(d, 1, l)
+def _three_ribbon_p(k: int, l: int, m: int) -> _Builder:
+    b = _cyclic_torus(m + 2)
+    b.ribbon(0, k)
+    b.ribbon(1, l)
+    return b
 
 
-def _three_ribbon_g_diagram(k: int, l: int, m: int) -> Diagram:
-    d = _cyclic_torus_diagram(3)
+def _three_ribbon_g(k: int, l: int, m: int) -> _Builder:
+    b = _cyclic_torus(3)
     for base, length in enumerate((k, l, m)):
-        d = _cross_ribbon(d, base, length)
-    return d
+        b.ribbon(base, length)
+    return b
 
 
-def _k_ribbon_cyclic_diagram(k: int, m: int) -> Diagram:
+def _k_ribbon_cyclic(k: int, m: int) -> _Builder:
     if k == 1:
         # a single ribbon closed on itself is the twisted circle
-        return _twist_chain_diagram(m)
-    d = _cyclic_torus_diagram(k)
+        return _twist_chain(m)
+    b = _cyclic_torus(k)
     for base in range(k):
-        d = _cross_ribbon(d, base, m)
-    return d
+        b.ribbon(base, m)
+    return b
 
 
-def _chained_cyclic_diagram(k: int, n: int) -> Diagram:
-    d = _cyclic_torus_diagram(n)
+def _chained_cyclic(k: int, n: int) -> _Builder:
+    b = _cyclic_torus(n)
     for i in range(k):
         # the first ring grips the knot; each later ring grips the
         # newest ring's own circle (its parallel pair is appended last)
-        target = 0 if i == 0 else len(d.edge_darts()) - 1
-        d = _pierce(d, target)
-    return d
+        b.pierce(b.tail(0 if i == 0 else -1))
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -399,39 +271,39 @@ def _total(*params: int) -> int:
 
 FAMILIES: tuple[Family, ...] = (
     Family(CYCLIC_TORUS, "cyclic", ("V",), (1,), _total,
-           _cyclic_torus_diagram, cyclic_poly),
+           _cyclic_torus, cyclic_poly),
     Family(TWIST_CHAIN, "twistchain", ("V",), (1,), _total,
-           _twist_chain_diagram, lambda v: (X - 2) * jpoly(v - 1)),
+           _twist_chain, lambda v: (X - 2) * jpoly(v - 1)),
     Family(HOPF_TWIST, "hopftwist", ("V",), (2,), _total,
-           lambda v: _grow_twist(_cyclic_torus_diagram(2), v - 2),
+           lambda v: _grow_twist(_cyclic_torus(2), v - 2),
            lambda v: (X - 2) * ((X + 2) * jpoly(v - 2) - X * jpoly(v - 3))),
     Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,), _total,
-           lambda v: _grow_twist(_cyclic_torus_diagram(3), v - 3),
+           lambda v: _grow_twist(_cyclic_torus(3), v - 3),
            lambda v: ((X - 2) * (X + 1)
                       * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4)))),
     Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
-           lambda v: _grow_twist(_two_ribbon_diagram(2, 2), v - 4),
+           lambda v: _grow_twist(_two_ribbon(2, 2), v - 4),
            _four_knot_twist_poly),
     Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
-           lambda v: _two_ribbon_diagram(v - 2, 2),
+           lambda v: _two_ribbon(v - 2, 2),
            lambda v: ((X ** 3 - X - 2) * jpoly(v - 3)
                       - X * X * jpoly(v - 4) - 2 * X)),
     Family(TWO_RIBBON, "f", ("j", "k"), (1, 1), _total,
-           _two_ribbon_diagram, two_ribbon_poly, descending=True),
+           _two_ribbon, two_ribbon_poly, descending=True),
     Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1), _total,
-           _three_ribbon_p_diagram, three_ribbon_p_poly),
+           _three_ribbon_p, three_ribbon_p_poly),
     Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1), _total,
-           _three_ribbon_g_diagram, three_ribbon_g_poly, descending=True),
+           _three_ribbon_g, three_ribbon_g_poly, descending=True),
     Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: 2 * k,
-           lambda k: _k_ribbon_cyclic_diagram(k, 2),
+           lambda k: _k_ribbon_cyclic(k, 2),
            lambda k: cyclic_poly(k) * X ** k),
     Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1), lambda k, m: k * m,
-           _k_ribbon_cyclic_diagram,
+           _k_ribbon_cyclic,
            lambda k, m: cyclic_poly(k) * jpoly(m - 1) ** k),
     # k = 0 degenerates to the bare cyclic knot (the formula then needs the
     # convention J_{-1} = 0)
     Family(CHAINED_CYCLIC, "lchain", ("k", "n"), (0, 1),
-           lambda k, n: 2 * k + n, _chained_cyclic_diagram,
+           lambda k, n: 2 * k + n, _chained_cyclic,
            chained_cyclic_poly),
 )
 
@@ -467,12 +339,10 @@ def waist_ring_diagram(v: int, growth: str = "chain") -> Diagram:
         raise FamilyError("waist-ring family starts at V = 5")
     if v > max_vertices():
         raise FamilyError(f"V={v} above the cap {max_vertices()}")
-    d = _pierce_waist(_twist_chain_diagram(1), 0, 1)
-    lane = LANE_OUT if growth == "chain" else LANE_IN
-    cur = 0
-    for _ in range(v - 5):
-        d, cur, _ = _expand(d, cur, lane)
-    return d
+    b = _twist_chain(1)
+    b.pierce_waist(b.tail(0), b.tail(1))
+    b.ribbon(0, v - 4, LANE_OUT if growth == "chain" else LANE_IN)
+    return b.finish("generator", FamilyError)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +598,8 @@ def parse_spec_string(text: str) -> FamilySpec:
         if not eq or key not in names:
             raise FamilyError(
                 f"{head} takes parameters {names}, cannot parse {item!r}")
+        if key in given:
+            raise FamilyError(f"{head}: parameter {key} is given twice")
         try:
             given[key] = int(val)
         except ValueError as exc:

@@ -164,10 +164,6 @@ def _coerce(v: IntPoly | int) -> IntPoly:
     return v if isinstance(v, IntPoly) else IntPoly((v,))
 
 
-def monomial(power: int, coeff: int = 1) -> IntPoly:
-    return IntPoly((0,) * power + (coeff,))
-
-
 # ---------------------------------------------------------------------------
 # Chebyshev-type basis: J_k(x) = U_k(x/2), the normalized second-kind family.
 # J_{-1} = 0, J_0 = 1, J_{k+2} = x*J_{k+1} - J_k.

@@ -89,9 +89,10 @@ def adjacency(d: Diagram) -> AdjMatrix:
     """
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]
-    for dart in d.darts:
-        if dart.direction == OUT:
-            rows[dart.vertex][d.vertex_of(dart.twin)] += 1
+    darts = d.darts
+    for x in darts:
+        if x.direction == OUT:
+            rows[x.vertex][darts[x.twin].vertex] += 1
     return AdjMatrix(tuple([tuple(row) for row in rows]))
 
 

@@ -242,6 +242,43 @@ def test_invalid_diagram_is_input_error(capsys, tmp_path, command):
     assert "invalid diagram" in err and "vertex 7 out of range" in err
 
 
+@pytest.mark.parametrize("command", ["charpoly", "census"])
+@pytest.mark.parametrize("edit,message", [
+    # 1e400 parses as an infinite float, once an OverflowError traceback
+    pytest.param(lambda doc: doc["darts"][1].update(id=1e400),
+                 "dart id must be an integer", id="id-1e400"),
+    # floats and booleans were once truncated into another diagram
+    pytest.param(lambda doc: doc["darts"][1].update(vertex=1.9),
+                 "dart vertex must be an integer", id="vertex-1.9"),
+    pytest.param(lambda doc: doc["darts"][1].update(twin=True),
+                 "dart twin must be an integer", id="twin-true"),
+    pytest.param(lambda doc: doc["rotation"][0].__setitem__(0, 0.5),
+                 "rotation entry must be an integer", id="rotation-0.5"),
+    pytest.param(lambda doc: doc.update(vertex_count=3.0),
+                 "vertex_count must be an integer", id="vertex_count-3.0"),
+    pytest.param(lambda doc: doc.update(version=True),
+                 "version must be an integer", id="version-true"),
+])
+def test_diagram_json_numbers_must_be_integers(capsys, tmp_path, command,
+                                               edit, message):
+    path = tmp_path / "d.json"
+    assert run(capsys, "gen", "cyclic:V=3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    # charpoly goes on to try the file as a matrix, and reports both failed
+    expected = message if command == "census" else "not a diagram or matrix"
+    assert err.startswith("error:") and expected in err
+
+
+def test_repeated_spec_parameter_is_input_error(capsys):
+    code, out, err = run(capsys, "gen", "p:k=1,l=1,m=1,k=2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "parameter k is given twice" in err
+
+
 def test_closed_stdout_exits_quietly():
     # more output than a pipe buffer holds, so the reader closes it mid-write
     src = str(Path(__file__).resolve().parents[1] / "src")

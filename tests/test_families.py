@@ -50,6 +50,12 @@ def test_spec_strings():
             fam.parse_spec_string(text)
 
 
+def test_spec_string_rejects_repeated_parameter():
+    for text in ("p:k=1,l=1,m=1,k=2", "cyclic:V=3,V=3", "f:j=2,j=2,k=1"):
+        with pytest.raises(fam.FamilyError, match="given twice"):
+            fam.parse_spec_string(text)
+
+
 def test_spec_string_round_trip(member_specs):
     for s in member_specs:
         assert fam.parse_spec_string(fam.spec_string(s)) == s
@@ -374,3 +380,26 @@ def test_compose_twist_is_golden():
     b = fam.generate(spec(fam.CYCLIC_TORUS, 4))
     lines = [golden_line(sg.compose_twist(a, 1, b, 2, t)) for t in range(4)]
     assert golden_digest(lines) == GOLDEN_COMPOSE_3_4
+
+
+def test_generate_validates_each_member_once(monkeypatch):
+    # growth moves edit one builder; only finishing derives the kind and
+    # validates, so the cost of a member stays linear in its size
+    calls = []
+    real = sg.validate
+    monkeypatch.setattr(sg, "validate", lambda d: calls.append(d) or real(d))
+    for text in ("hopftwist:V=9", "p:k=3,l=4,m=2", "lchain:k=3,n=2",
+                 "kribbon:k=3,m=3", "cyclic:V=4"):
+        calls.clear()
+        d = fam.generate(fam.parse_spec_string(text))
+        assert calls == [d], text
+    calls.clear()
+    d = fam.waist_ring_diagram(8, "clasp")
+    assert calls == [d]
+
+
+def test_generator_failure_names_the_generator(monkeypatch):
+    monkeypatch.setattr(sg, "validate", lambda d: ["made up"])
+    with pytest.raises(fam.FamilyError,
+                       match="generator produced an invalid diagram: made up"):
+        fam.generate(spec(fam.CYCLIC_TORUS, 3))

@@ -229,6 +229,24 @@ def test_decompose_multi_component(capsys):
     assert "canonical decompositions: 2" in out
 
 
+# sha256 of the whole `decompose` output: the strand count, the pair count
+# and every pair in enumeration order
+@pytest.mark.parametrize("source,digest", [
+    ("chain:k=8",
+     "3255edaff5396c1b6ff8a72c2d84d4943c24d4e4b0f83a73a9a7ac5e83b64043"),
+    ("lchain:k=3,n=4",
+     "e32c7fb24d1a912ce5ded65eb84e2bddb9609a92802366efd4a7d9203fe55c49"),
+    ("cyclic:V=2",
+     "487b912ce7741d3f66ce3dc6ff27f03a9ebecad664c4886eafce72ed0a68f1bd"),
+    ("hopftwist:V=6",
+     "5faaa887759c093439229e401d5a44385ed63903165a3f3808ada5b7cb3f5b8e"),
+])
+def test_decompose_output_is_golden(capsys, source, digest):
+    code, out, _ = run(capsys, "decompose", source)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["charpoly", "components", "decompose",
                                      "census"])
 def test_invalid_diagram_is_input_error(capsys, tmp_path, command):

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -95,6 +96,37 @@ def test_strand_count_invariant_under_relabeling(v, rng):
                  for i in range(v))
     assert (sp.trace_strands(sp.AdjMatrix(rows)).count
             == sp.trace_strands(m).count)
+
+
+# The edge numbering, the walk's starting edges and the order of every
+# cycle are all part of the output, so the tracer must reproduce these
+# exactly.  Each digest is the sha256 of one line per `sweep(8)` member:
+# spec and the sha256 of repr(trace_strands(adjacency(d))).
+GOLDEN_STRANDS_8 = {
+    "cyclic": "64855ef10cec92706d82a8d0cc45c12595ee1070e09230350bd5e646e3218f69",
+    "twistchain": "07fbe9bc2adc101f4f58f9aa37bb0eb48cf1a06631215b5d91b297412baf859b",
+    "hopftwist": "c7d5df9d99f479dbaaba57a92a21ce56d865fbdca9c3d46baca1f4f5ea2f0cab",
+    "trefoiltwist": "b68aaaa1a1abb88f024cad12aefe2a7100b092b3644e904011ca5a08c7094773",
+    "fourknottwist": "698ebb50322a592189be7a7e199d312210b7acc335b4562ef20b2133ad849a77",
+    "twistknot": "85e1ca00fbd4736824045e56bb5fcd0adb9de446875bd4b269e6c9f0b739afd0",
+    "f": "497c612e1d51b92cdc26166870fed7335d8f28ce4e0a69e3120702b289d470bb",
+    "p": "cae5e31d3d6957fd3e77415e696648cbd1aa3aae30be48ec0736fc478cc320d6",
+    "g": "be6b7918b5c61534168ed3641bd78d901341c699e937140c38be763dbf9a120e",
+    "chain": "d9ed762417a6e9b4012024c187de0a57ff5a34c8c435ae5b2ef9fbd025c0bf25",
+    "kribbon": "6c42560ad970776ba4eaf35b896b8b167478df8faba54d3d416d6cfc5a192124",
+    "lchain": "4710b2d60c788eb85bc55b62fd49d800140ae69840bcb30775a4021f8b5e2c46",
+}
+
+
+@pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
+def test_traced_strands_are_golden(family, monkeypatch):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    lines = []
+    for s in family.sweep(8):
+        dec = sp.trace_strands(sp.adjacency(fam.generate(s)))
+        lines.append(f"{s}\t{hashlib.sha256(repr(dec).encode()).hexdigest()}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_STRANDS_8[family.prefix]
 
 
 # ---------------------------------------------------------------------------

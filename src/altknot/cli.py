@@ -30,15 +30,18 @@ class InputError(Exception):
     pass
 
 
-class _NotADiagram(InputError):
-    """The source is an existing file that does not parse as a diagram."""
+def _load_source(text: str,
+                 matrix: bool = False) -> dg.Diagram | sp.AdjMatrix:
+    """Family spec string or path to a diagram JSON document; with
+    `matrix`, also a path to a matrix file (text or JSON rows).
 
-
-def _load_spec_or_diagram(text: str) -> dg.Diagram:
-    """Family spec string or path to a diagram JSON document.
-
-    A document that parses is validated before use, so a malformed one is
-    an input error rather than a crash further down the pipeline.
+    A file is classified once: a document starting with `{` is a diagram,
+    and with `matrix` any other is a matrix, so a parse error is always
+    that of the file's own kind.  A diagram is validated before use, so a
+    malformed one is an input error rather than a crash further down the
+    pipeline.  A matrix must be an adjacency matrix (square, nonempty,
+    nonnegative, every row and column summing to 2) like the ones diagrams
+    give.
     """
     try:
         return fam.generate(fam.parse_spec_string(text))
@@ -49,11 +52,24 @@ def _load_spec_or_diagram(text: str) -> dg.Diagram:
     if not path.exists():
         raise InputError(f"{text!r} is neither a family spec nor a file")
     try:
-        d = dg.from_json(path.read_text())
+        doc = path.read_text()
     except OSError as exc:
         raise InputError(f"{text}: {exc}") from exc
+    failure = "not a diagram or matrix: " if matrix else ""
+    if matrix and not doc.lstrip().startswith("{"):
+        try:
+            m = sp.parse_matrix(doc)
+        except (ValueError, json.JSONDecodeError) as exc:
+            raise InputError(f"{text}: {failure}{exc}") from exc
+        problems = m.problems()
+        if problems:
+            raise InputError(f"{text}: not an adjacency matrix: "
+                             + "; ".join(problems))
+        return m
+    try:
+        d = dg.from_json(doc)
     except dg.DiagramFormatError as exc:
-        raise _NotADiagram(f"{text}: {exc}") from exc
+        raise InputError(f"{text}: {failure}{exc}") from exc
     problems = dg.validate(d)
     if problems:
         raise InputError(f"{text}: invalid diagram: " + "; ".join(problems))
@@ -61,25 +77,8 @@ def _load_spec_or_diagram(text: str) -> dg.Diagram:
 
 
 def _load_matrix_source(text: str) -> sp.AdjMatrix:
-    """Family spec, diagram JSON path, or matrix file (text or JSON rows).
-
-    A matrix file must hold an adjacency matrix (square, nonempty,
-    nonnegative, every row and column summing to 2) like the ones diagrams
-    give.
-    """
-    try:
-        return sp.adjacency(_load_spec_or_diagram(text))
-    except _NotADiagram:
-        pass
-    try:
-        m = sp.parse_matrix(Path(text).read_text())
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"{text}: not a diagram or matrix: {exc}") from exc
-    problems = m.problems()
-    if problems:
-        raise InputError(f"{text}: not an adjacency matrix: "
-                         + "; ".join(problems))
-    return m
+    source = _load_source(text, matrix=True)
+    return source if isinstance(source, sp.AdjMatrix) else sp.adjacency(source)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    d = _load_spec_or_diagram(args.source)
+    d = _load_source(args.source)
     _, census = dg.faces(d)
     loops = d.loop_count()
     parts = [" ".join(f"C_{j}={c}" for j, c in sorted(census.counts.items()))]

@@ -115,56 +115,6 @@ def _successors(rotation: Sequence[Sequence[int]], n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Construction
-# ---------------------------------------------------------------------------
-
-def build_diagram(kind: str,
-                  vertex_count: int,
-                  edges: Sequence[tuple[int, int]],
-                  rotations: Sequence[Sequence[tuple[int, str]]],
-                  check: bool = True) -> Diagram:
-    """Assemble a diagram from directed edges and per-vertex edge-end orders.
-
-    `rotations[v]` lists four `(edge_index, end)` pairs, `end` being "T"
-    for the tail of the edge or "H" for its head.  Edge i gets tail dart 2i
-    and head dart 2i+1.
-    """
-    darts: list[Dart | None] = [None] * (4 * vertex_count)
-    if len(edges) != 2 * vertex_count:
-        raise DiagramError(
-            f"need {2 * vertex_count} edges for {vertex_count} vertices, "
-            f"got {len(edges)}")
-    rotation: list[tuple[int, int, int, int]] = []
-    for v, ring in enumerate(rotations):
-        ids = []
-        for edge_idx, end in ring:
-            u, w = edges[edge_idx]
-            if end == "T":
-                dart_id, vert, direction = 2 * edge_idx, u, OUT
-            elif end == "H":
-                dart_id, vert, direction = 2 * edge_idx + 1, w, IN
-            else:
-                raise DiagramError(f"edge end must be 'T' or 'H', got {end!r}")
-            if vert != v:
-                raise DiagramError(
-                    f"edge {edge_idx} end {end} belongs to vertex {vert}, "
-                    f"listed under vertex {v}")
-            darts[dart_id] = Dart(dart_id, v, dart_id ^ 1, direction)
-            ids.append(dart_id)
-        if len(ids) != 4:
-            raise DiagramError(f"vertex {v} lists {len(ids)} darts, needs 4")
-        rotation.append(tuple(ids))
-    if any(d is None for d in darts):
-        raise DiagramError("some edge ends are not placed in any rotation")
-    diagram = Diagram(kind, vertex_count, tuple(darts), tuple(rotation))
-    if check:
-        problems = validate(diagram)
-        if problems:
-            raise DiagramError("invalid construction: " + "; ".join(problems))
-    return diagram
-
-
-# ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
-from .diagram import Diagram, build_diagram
+from .diagram import IN, OUT, Diagram
 from .limits import max_vertices
-from .polynomials import IntPoly, X, jpoly
-from .surgery import LANE_IN, LANE_OUT, _Builder
+from .polynomials import IntPoly, X, charpoly, divide_out, jpoly
+from .spectra import adjacency
+from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
 
 TWIST_CHAIN = "TWIST_CHAIN"
 HOPF_TWIST = "HOPF_TWIST"
@@ -91,12 +92,15 @@ class Family:
 
     def sweep(self, maximum: int) -> list[FamilySpec]:
         """Members with every parameter at most `maximum` and no more
-        vertices than the cap, in lexicographic parameter order."""
+        vertices than the cap, in lexicographic parameter order.  A member
+        has at least as many vertices as each of its parameters, so no
+        parameter range runs past the cap."""
         cap = max_vertices()
-        grid = product(*(range(lo, maximum + 1) for lo in self.minima))
-        specs = [FamilySpec(self.tag, p) for p in grid
-                 if not self.descending or list(p) == sorted(p, reverse=True)]
-        return [s for s in specs if vertex_count(s) <= cap]
+        top = min(maximum, cap)
+        grid = product(*(range(lo, top + 1) for lo in self.minima))
+        return [FamilySpec(self.tag, p) for p in grid
+                if (not self.descending or list(p) == sorted(p, reverse=True))
+                and self.vertices(*p) <= cap]
 
 
 def vertex_count(spec: FamilySpec) -> int:
@@ -108,39 +112,42 @@ def vertex_count(spec: FamilySpec) -> int:
 # Seeds, assembled unchecked straight into a builder
 # ---------------------------------------------------------------------------
 
-def _seed(vertex_count: int, edges, rotations) -> _Builder:
-    # "link" is a placeholder: finishing derives the kind and validates
-    return _Builder(build_diagram("link", vertex_count, edges, rotations,
-                                  check=False))
+def _seed(rotation: list[tuple[int, int, int, int]]) -> _Builder:
+    """A builder for the rings of dart ids `rotation`, one per vertex.
+    Edge i has tail dart 2i and head dart 2i + 1, so a dart's ring places
+    it and its id gives its twin and direction."""
+    vertex = [0] * (4 * len(rotation))
+    for v, ring in enumerate(rotation):
+        for x in ring:
+            vertex[x] = v
+    b = _Builder()
+    b._add(*[(v, i ^ 1, IN if i & 1 else OUT) for i, v in enumerate(vertex)])
+    b.rotation = rotation
+    return b
 
 
 def _cyclic_torus(v: int) -> _Builder:
     """Necklace of v crossings: antiparallel bigons in a cycle, two v-gon
-    faces.  v = 1 is the one-vertex two-loop twist."""
-    edges = [(i, (i + 1) % v) for i in range(v)]          # forward cycle
-    edges += [((i + 1) % v, i) for i in range(v)]          # backward cycle
-    rot = []
+    faces.  v = 1 is the one-vertex two-loop twist.  Edge i runs from
+    crossing i to i + 1 and edge v + i back, both modulo v."""
+    rings = []
     for i in range(v):
-        rot.append([(i, "T"), (v + i, "H"),
-                    (v + (i - 1) % v, "T"), ((i - 1) % v, "H")])
-    return _seed(v, edges, rot)
+        p = (i - 1) % v
+        rings.append((2 * i, 2 * (v + i) + 1, 2 * (v + p), 2 * p + 1))
+    return _seed(rings)
 
 
 def _twist_chain(v: int) -> _Builder:
-    """A circle twisted v times: loops at both chain ends, v-1 bigons."""
+    """A circle twisted v times: loops at both chain ends, v-1 bigons.
+    Edge i runs from crossing i to i + 1 and edge v - 1 + i back; edges
+    2v - 2 and 2v - 1 are the loops at crossings 0 and v - 1."""
     if v == 1:
-        return _seed(1, [(0, 0), (0, 0)],
-                     [[(0, "T"), (0, "H"), (1, "T"), (1, "H")]])
-    edges = [(i, i + 1) for i in range(v - 1)]
-    edges += [(i + 1, i) for i in range(v - 1)]
-    l0, l1 = len(edges), len(edges) + 1
-    edges += [(0, 0), (v - 1, v - 1)]
-    rot = [[(l0, "T"), (l0, "H"), (0, "T"), (v - 1, "H")]]
-    for i in range(1, v - 1):
-        rot.append([(i, "T"), (v - 1 + i, "H"),
-                    (v - 1 + i - 1, "T"), (i - 1, "H")])
-    rot.append([(l1, "T"), (l1, "H"), (2 * v - 3, "T"), (v - 2, "H")])
-    return _seed(v, edges, rot)
+        return _seed([(0, 1, 2, 3)])
+    rings = [(4 * v - 4, 4 * v - 3, 0, 2 * v - 1)]
+    rings += [(2 * i, 2 * (v + i) - 1, 2 * (v + i) - 4, 2 * i - 1)
+              for i in range(1, v - 1)]
+    rings.append((4 * v - 2, 4 * v - 1, 4 * v - 6, 2 * v - 3))
+    return _seed(rings)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +367,6 @@ class VerifyResult:
 def verify_member(spec: FamilySpec) -> VerifyResult:
     """Exact comparison of the generated diagram's characteristic polynomial
     with the family's closed form."""
-    from .polynomials import charpoly
-    from .spectra import adjacency
     generated = charpoly(adjacency(generate(spec)))
     formula = closed_form(spec)
     return VerifyResult(spec, generated == formula, generated, formula)
@@ -383,7 +388,6 @@ def check_family_recurrence(p0: IntPoly, p1: IntPoly,
     residue = p2 - X * p1 + p0
     if residue.is_zero():
         return RecurrenceCheck(True, None)
-    from .polynomials import divide_out
     quotient, exact = divide_out(residue, X - 2)
     if not exact:
         raise FamilyError("not a family triple: the recurrence residue is "
@@ -408,10 +412,6 @@ def check_identities(max_index: int) -> dict[str, bool]:
     reports each named identity separately and leaves out an identity
     with no instance in that range, so nothing unchecked reads as a pass.
     """
-    from .polynomials import charpoly
-    from .spectra import adjacency
-    from .surgery import compose_twist
-
     def rng(lo: int = 1) -> range:
         return range(lo, max_index + 1)
 

@@ -24,8 +24,7 @@ class AdjMatrix:
 
     def __post_init__(self) -> None:
         # tuple([...]) rather than tuple(genexpr): see altknot.polynomials
-        object.__setattr__(self, "rows", tuple([tuple([int(v) for v in row])
-                                                for row in self.rows]))
+        object.__setattr__(self, "rows", tuple([tuple(row) for row in self.rows]))
 
     @property
     def n(self) -> int:
@@ -119,52 +118,41 @@ class StrandDecomposition:
         return len(self.components)
 
 
-def _edge_list(m: AdjMatrix) -> list[tuple[int, int]]:
-    edges = []
-    for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
-            edges.extend([(i, j)] * v)
-    return edges
-
-
 def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     """Walk the matrix row/column-alternately until each subgraph closes.
 
-    Starting from the lexicographically smallest untraversed edge, step to
-    the other edge in the same row, then the other edge in the same column,
-    and so on; the closed cycles are the link components.  A diagram is a
-    knot exactly when there is one component.
+    Starting from the smallest untraversed edge, step to the other edge in
+    the same row, then the other edge in the same column, and so on; the
+    closed cycles are the link components.  A diagram is a knot exactly
+    when there is one component.  Every row holds two edges, so row i
+    owns edges 2i and 2i + 1 and a row step is `e ^ 1`.
     """
     problems = m.problems()
     if problems:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
-    edges = _edge_list(m)
-    row_slots: dict[int, list[int]] = {}
-    col_slots: dict[int, list[int]] = {}
-    for e, (i, j) in enumerate(edges):
-        row_slots.setdefault(i, []).append(e)
-        col_slots.setdefault(j, []).append(e)
+    edges = [(i, j) for i, row in enumerate(m.rows)
+             for j, v in enumerate(row) for _ in range(v)]
+    col_mate = [0] * len(edges)
+    first_in_col = [-1] * m.n
+    for e, (_, j) in enumerate(edges):
+        other = first_in_col[j]
+        if other < 0:
+            first_in_col[j] = e
+        else:
+            col_mate[e], col_mate[other] = other, e
 
-    def row_mate(e: int) -> int:
-        a, b = row_slots[edges[e][0]]
-        return b if e == a else a
-
-    def col_mate(e: int) -> int:
-        a, b = col_slots[edges[e][1]]
-        return b if e == a else a
-
-    unseen = set(range(len(edges)))
+    seen = [False] * len(edges)
     components = []
     splits = []
-    while unseen:
-        start = min(unseen)
+    for start in range(len(edges)):
+        if seen[start]:
+            continue
         cycle = []
-        cur, via_row = start, True
+        cur = start
         while True:
-            cycle.append(cur)
-            unseen.discard(cur)
-            cur = row_mate(cur) if via_row else col_mate(cur)
-            via_row = not via_row
+            cycle += (cur, cur ^ 1)
+            seen[cur] = seen[cur ^ 1] = True
+            cur = col_mate[cur ^ 1]
             if cur == start:
                 break
         components.append(tuple(cycle))
@@ -185,16 +173,19 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
     """All canonical splittings of the matrix into two permutation matrices.
 
     Components flip independently; the pair count is canonicalized by
-    sending the class holding the smallest edge of component 0 to the first
-    matrix, and identical pairs (possible when a component's two classes
-    coincide, e.g. a 2-entry circle) are deduplicated.  A knot therefore
-    has exactly one decomposition.
+    sending the class holding the smallest edge of component 0 (its first
+    class, where the walk starts) to the first matrix, and identical pairs
+    (possible when a component's two classes coincide, e.g. a 2-entry
+    circle) are deduplicated.  A knot therefore has exactly one
+    decomposition.
 
     Every row and column of the matrix belongs to exactly one component, so
     a pair is a per-row choice between the two class rows of that row's
-    component.  Flipping a component whose classes coincide repeats a pair
-    and flipping any other gives a new one, so only flips of the distinct
-    components are enumerated, in the order of their first occurrence.
+    component.  Each row step of the walk pairs a row's two edges, one in
+    each class, so the two class columns of every row are read directly.
+    Flipping a component whose classes coincide repeats a pair and flipping
+    any other gives a new one, so only flips of the distinct components are
+    enumerated, in the order of their first occurrence.
     """
     dec = trace_strands(m)
     n = m.n
@@ -203,20 +194,17 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
     second_rows: list[tuple[int, ...]] = [()] * n
     flip_bit = [0] * n  # of each row's component; component 0 is pinned
     free = 0  # flip bits of the components whose two classes differ
-    for c, (class_a, class_b) in enumerate(dec.permutation_split):
-        first = class_a if min(class_a) < min(class_b) else class_b
-        second = class_b if first is class_a else class_a
-        cells = [sorted(dec.edges[e] for e in cls) for cls in (first, second)]
-        rows = sorted({i for i, _ in cells[0] + cells[1]})
-        cols = sorted({j for _, j in cells[0] + cells[1]})
-        for cls in cells:
-            if [i for i, _ in cls] != rows or sorted(j for _, j in cls) != cols:
-                raise ValueError(f"component {c}: a class is not a "
-                                 "permutation of its rows and columns")
+    for c, (first, second) in enumerate(dec.permutation_split):
+        cols = [dec.edges[e][1] for e in first]
+        mates = [dec.edges[e][1] for e in second]
+        if len(set(cols)) < len(cols) or sorted(cols) != sorted(mates):
+            raise ValueError(f"component {c}: a class is not a "
+                             "permutation of its rows and columns")
         bit = 1 << (c - 1) if c else 0
-        for (i, j), (_, k) in zip(*cells):
+        for e, j, k in zip(first, cols, mates):
+            i = e >> 1
             first_rows[i], second_rows[i], flip_bit[i] = units[j], units[k], bit
-        if cells[0] != cells[1]:
+        if cols != mates:
             free |= bit
 
     results: list[tuple[Matrix, Matrix]] = []

@@ -76,15 +76,16 @@ class _Builder:
     only `drop` renumbers darts.
     """
 
-    def __init__(self, d: Diagram) -> None:
-        self.vertex = [x.vertex for x in d.darts]
-        self.twin = [x.twin for x in d.darts]
-        self.direction = [x.direction for x in d.darts]
-        self.rotation = list(d.rotation)
+    def __init__(self, d: Diagram | None = None) -> None:
+        """A builder holding d, or holding nothing yet."""
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
-        self.darts = d.darts
+        self.darts = d.darts if d else ()
+        self.vertex = [x.vertex for x in self.darts]
+        self.twin = [x.twin for x in self.darts]
+        self.direction = [x.direction for x in self.darts]
+        self.rotation = list(d.rotation) if d else []
 
     def disjoint(self, d: Diagram) -> int:
         """Add a copy of d, its dart and vertex ids shifted past the

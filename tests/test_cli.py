@@ -291,6 +291,29 @@ def test_diagram_json_numbers_must_be_integers(capsys, tmp_path, command,
     assert err.startswith("error:") and expected in err
 
 
+@pytest.mark.parametrize("command", ["charpoly", "components", "decompose"])
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(lambda doc: doc["darts"][1].update(vertex=1.9),
+                 "dart vertex must be an integer, got 1.9", id="vertex-1.9"),
+    pytest.param(lambda doc: doc["rotation"][0].__setitem__(0, 0.5),
+                 "rotation entry must be an integer, got 0.5",
+                 id="rotation-0.5"),
+    pytest.param(lambda doc: doc.pop("kind"),
+                 "malformed diagram document: 'kind'", id="no-kind"),
+])
+def test_matrix_commands_report_the_diagram_error(capsys, tmp_path, command,
+                                                  edit, message):
+    # a document starting with "{" is a diagram, never a text matrix
+    path = tmp_path / "d.json"
+    assert run(capsys, "gen", "cyclic:V=3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(" \n" + json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not a diagram or matrix: {message}\n"
+
+
 def test_repeated_spec_parameter_is_input_error(capsys):
     code, out, err = run(capsys, "gen", "p:k=1,l=1,m=1,k=2")
     assert code == 2 and out == ""

@@ -87,6 +87,14 @@ def test_registry_sweeps(monkeypatch):
     assert [s.params for s in by_prefix["chain"].sweep(9)] == [(1,), (2,), (3,)]
 
 
+@pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
+def test_sweep_ranges_stop_at_the_cap(family, monkeypatch):
+    # every parameter is at most the vertex count, so a maximum past the
+    # cap adds no member
+    monkeypatch.setenv("ALTKNOT_MAX_V", "12")
+    assert family.sweep(40) == family.sweep(12)
+
+
 def test_cap_error_uses_spec_syntax(monkeypatch):
     monkeypatch.setenv("ALTKNOT_MAX_V", "10")
     with pytest.raises(fam.FamilyError, match=r"^p:k=5,l=4,m=2 has 11 "):

@@ -38,6 +38,39 @@ def test_matrix_problems():
     assert not sp.AdjMatrix(((0, 2), (2, 0))).problems()
 
 
+# Malformed matrices with the exact `problems()` list and the
+# `all_ones_check` verdict of each: message text and order are pinned.
+MATRIX_VERDICTS = [
+    ((), ["matrix is empty"], True),
+    (((), ()), ["matrix is not square"], False),
+    (((1, 1), (2,)), ["matrix is not square"], False),
+    (((1, 1, 0), (1, 1, 0)), ["matrix is not square"], False),
+    (((-1, 2), (2, 1)),
+     ["negative entry", "row 0 sums to 1, not 2", "row 1 sums to 3, not 2",
+      "column 0 sums to 1, not 2", "column 1 sums to 3, not 2"], False),
+    (((-1, 3), (3, -1)), ["negative entry"], True),
+    (((1, 0), (1, 2)),
+     ["row 0 sums to 1, not 2", "row 1 sums to 3, not 2"], False),
+    (((1, 1), (0, 2)),
+     ["column 0 sums to 1, not 2", "column 1 sums to 3, not 2"], False),
+    (((0, 0, 3), (2, 0, 0), (0, 1, 1)),
+     ["row 0 sums to 3, not 2", "column 1 sums to 1, not 2",
+      "column 2 sums to 4, not 2"], False),
+    (((1, 0), (0, 1)),
+     ["row 0 sums to 1, not 2", "row 1 sums to 1, not 2",
+      "column 0 sums to 1, not 2", "column 1 sums to 1, not 2"], False),
+    (((2,),), [], True),
+    (((0, 2), (2, 0)), [], True),
+]
+
+
+@pytest.mark.parametrize("rows,problems,all_ones", MATRIX_VERDICTS)
+def test_matrix_problems_and_sums_are_pinned(rows, problems, all_ones):
+    m = sp.AdjMatrix(rows)
+    assert m.problems() == problems
+    assert sp.all_ones_check(m) is all_ones
+
+
 def test_empty_matrix_is_not_adjacency():
     assert sp.AdjMatrix(()).problems() == ["matrix is empty"]
     with pytest.raises(ValueError, match="matrix is empty"):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -198,6 +199,74 @@ def test_ribbon_unwinds_back_to_seed():
                     or dg.isomorphic(d, dg.mirror(previous))), \
                 (family, d.vertex_count)
         assert isinstance(sg.eliminate_crossing(d, 0, sg.LANE_IN), sg.Unknot)
+
+
+# Every outcome of eliminate_crossing, pinned: one line per (diagram,
+# vertex, lane) holding the result's kind and the sha256 of its JSON, the
+# `Unknot` text, or the exception's type and message.  Each digest is the
+# sha256 of those lines over every `sweep(5)` member of a family, or over
+# the waist rings V = 5..9 of one growth.
+GOLDEN_ELIMINATE_5 = {
+    "cyclic": "5ed32c51a2b5d3a4c90b529fa8d32bb28815063e5532aa2d0bc9faaf1ba0840d",
+    "twistchain": "c0a71c7db68a2965b41829d283551db6edfb7a8aff62909d5bfac15446630f0d",
+    "hopftwist": "fffe3dd06075ad46a080e173122b906f6a0313df8c692062ca5e369f901e81ce",
+    "trefoiltwist": "d1df4b5c0134ba233961b4ac5cf102655a0b454bb8405d0c57fc558975fbc618",
+    "fourknottwist": "582bf0ec49f481966bee02562ed6a4e9cd893d2fce486f38d94242d6f6dfb07f",
+    "twistknot": "b8f568e8b3a9f3b24f8665ce41058370800cc6f03b9946e0006680916e7e58bb",
+    "f": "6042167ac53d2b28c40b62cfc5619ff07ea2a87a74dd2238e5ddaf5b45143a86",
+    "p": "709e01c294729c0682eb620a8c1c572305da825ef65a42fb8909cc8f6ef2a588",
+    "g": "f425d9cb77618acdb108f2444f946658c6f03e2e4b2f9e1e7089edd27f77f496",
+    "chain": "c757e05e4c188d1cd00220031cdd9d87fb15b6b0b3e6604e368e903930577a91",
+    "kribbon": "2d3f7ef87c65b09afe33d82ff78d96d53a2d61eb21b42e0de9fa597132c6a3ba",
+    "lchain": "538722799704843cdf1b88fd5cbdb249363a7456eb6c3fe5bad2971e988cbf96",
+}
+GOLDEN_ELIMINATE_WAIST_RING_5_9 = {
+    "chain": "36ef3a3c9ccce1ae81e549f0c87459aa5dce418c8b6f08c89be7182cac797413",
+    "clasp": "ebb88094e05b52fef3c1c5b32362ce91fd1e52c359c142ade7da0accd74b8ff7",
+}
+
+
+def elimination_lines(label, d):
+    lines = []
+    for v in range(d.vertex_count):
+        for lane in sg.LANES:
+            try:
+                r = sg.eliminate_crossing(d, v, lane)
+            except Exception as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            else:
+                out = (str(r) if isinstance(r, sg.Unknot) else
+                       f"{r.kind}\t"
+                       + hashlib.sha256(dg.to_json(r).encode()).hexdigest())
+            lines.append(f"{label}\t{v}\t{lane}\t{out}\n")
+    return lines
+
+
+@pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
+def test_eliminate_outcomes_are_golden(family):
+    lines = []
+    for s in family.sweep(5):
+        lines += elimination_lines(s, fam.generate(s))
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_ELIMINATE_5[family.prefix]
+
+
+def test_eliminate_waist_ring_outcomes_are_golden():
+    for growth, expected in GOLDEN_ELIMINATE_WAIST_RING_5_9.items():
+        lines = []
+        for v in range(5, 10):
+            lines += elimination_lines(v, fam.waist_ring_diagram(v, growth))
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == expected, growth
+
+
+def test_eliminate_rejects_bad_arguments():
+    d = member(fam.CYCLIC_TORUS, 3)
+    for v in (-1, 3):
+        with pytest.raises(sg.SurgeryError, match=f"^no vertex {v}$"):
+            sg.eliminate_crossing(d, v, sg.LANE_OUT)
+    with pytest.raises(sg.SurgeryError, match="^lane must be one of"):
+        sg.eliminate_crossing(d, 0, "sideways")
 
 
 # ---------------------------------------------------------------------------

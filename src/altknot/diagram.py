@@ -224,10 +224,6 @@ def validate(d: Diagram) -> list[str]:
     return problems
 
 
-def is_valid(d: Diagram) -> bool:
-    return not validate(d)
-
-
 # ---------------------------------------------------------------------------
 # Faces
 # ---------------------------------------------------------------------------
@@ -241,7 +237,6 @@ class FaceCensus:
 
     counts: dict[int, int]
     largest: int
-    sea_included: bool = True
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -516,9 +511,9 @@ def from_json(text: str) -> Diagram:
     return from_json_dict(data)
 
 
-def to_dot(d: Diagram, name: str = "altknot") -> str:
+def to_dot(d: Diagram) -> str:
     """GraphViz digraph: one node per vertex, one arc per edge."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph altknot {"]
     for v in range(d.vertex_count):
         lines.append(f"  {v};")
     for u, w in d.edges():

@@ -412,32 +412,30 @@ def check_identities(max_index: int) -> dict[str, bool]:
     reports each named identity separately and leaves out an identity
     with no instance in that range, so nothing unchecked reads as a pass.
     """
-    def rng(lo: int = 1) -> range:
-        return range(lo, max_index + 1)
-
+    ks = range(1, max_index + 1)
     # every g-polynomial the checks below compare, each computed once
-    g = {idx: three_ribbon_g_poly(*idx) for idx in product(rng(), repeat=3)}
+    g = {idx: three_ribbon_g_poly(*idx) for idx in product(ks, repeat=3)}
     report: dict[str, bool | None] = {}
     report["odd_cyclic_square"] = _verdict(
         2 * (jpoly(2 * k + 1) - 1) - X * jpoly(2 * k)
         == (X - 2) * (jpoly(k) + jpoly(k - 1)) ** 2
-        for k in rng())
+        for k in ks)
     report["even_cyclic_square"] = _verdict(
         2 * (jpoly(2 * k) - 1) - X * jpoly(2 * k - 1)
         == (X * X - 4) * jpoly(k - 1) ** 2
-        for k in rng())
+        for k in ks)
     report["equal_indices_cube"] = _verdict(
         g[k, k, k]
         == (X - 2) * (1 + X) ** 2 * jpoly(k - 1) ** 3
-        for k in rng())
+        for k in ks)
     report["p_matches_g_at_one"] = _verdict(
         three_ribbon_p_poly(k, l, 1) == g[k, l, 1]
-        for k in rng() for l in rng())
+        for k in ks for l in ks)
     report["two_ribbon_vs_cyclic"] = _verdict(
-        two_ribbon_poly(j, 1) == cyclic_poly(j + 1) for j in rng())
+        two_ribbon_poly(j, 1) == cyclic_poly(j + 1) for j in ks)
     report["two_ribbon_symmetry"] = _verdict(
         two_ribbon_poly(j, k) == two_ribbon_poly(k, j)
-        for j in rng() for k in rng())
+        for j in ks for k in ks)
     report["three_ribbon_g_symmetry"] = _verdict(
         g[k, l, m] == g[l, k, m] == g[m, l, k] == g[k, m, l]
         for k, l, m in g)
@@ -446,12 +444,12 @@ def check_identities(max_index: int) -> dict[str, bool]:
         == cyclic_poly(k) * X ** k
         and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 2)))
         == cyclic_poly(k) * X ** k
-        for k in rng())
+        for k in ks)
     report["k_ribbon_form"] = _verdict(
         closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, m)))
         == cyclic_poly(k) * jpoly(m - 1) ** k
         and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 1))) == cyclic_poly(k)
-        for k in rng() for m in rng())
+        for k in ks for m in ks)
     comp_max = min(max_index, 5)
     report["composition_of_cyclic"] = _verdict(
         charpoly(adjacency(compose_twist(

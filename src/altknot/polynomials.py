@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import Sequence
 
@@ -104,12 +105,6 @@ class IntPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shift(self, k: int) -> IntPoly:
-        """Multiply by x**k."""
-        if self.is_zero():
-            return ZERO
-        return IntPoly((0,) * k + self.coeffs)
 
     def __call__(self, x: int) -> int:
         """Evaluate at an integer by Horner's rule."""
@@ -243,14 +238,12 @@ def invert_power_series(denominator: Sequence[IntPoly | int],
     return out
 
 
-def check_generating_function(k_max: int, t_terms: int | None = None) -> bool:
+def check_generating_function(k_max: int) -> bool:
     """Expand 1/(1 - t*x + t^2) in t and compare each coefficient to jpoly.
 
     Returns True iff coefficients of t^0..t^k_max all equal J_0..J_{k_max}.
     """
-    if t_terms is None:
-        t_terms = k_max
-    terms = invert_power_series([ONE, -X, ONE], max(k_max, t_terms))
+    terms = invert_power_series([ONE, -X, ONE], k_max)
     return all(terms[k] == jpoly(k) for k in range(k_max + 1))
 
 
@@ -292,7 +285,8 @@ def charpoly(matrix) -> IntPoly:
     result is computed without fractions.  Each product M*M_k is a
     :func:`sparse_product`, O(n^2) for a matrix with O(1) entries per row.
     Matrix rows are consumed as any sequence of sequences of ints (an
-    AdjMatrix works too).
+    AdjMatrix works too); an entry of any other type, `bool` and `float`
+    included, raises ValueError rather than being truncated.
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
@@ -302,12 +296,13 @@ def charpoly(matrix) -> IntPoly:
         raise ValueError(
             f"matrix dimension {n} above the cap {max_vertices()} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    m = [[int(v) for v in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        raise ValueError("matrix entries must be integers")
 
-    # Sparse view of m: adjacency matrices have at most two entries per row.
-    sparse = sparse_rows(m)
+    # Sparse view: adjacency matrices have at most two entries per row.
+    sparse = sparse_rows(rows)
 
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -428,12 +423,11 @@ def coefficient_report(p: IntPoly, census, loops: int) -> CoefficientReport:
     a_{V-3} = -C_3.  Rules whose power falls below x^0 report None (vacuous).
     """
     v = p.degree
-    counts = getattr(census, "counts", census)
     loop_rule = p[v - 1] == -loops if v >= 1 else loops == 0
     bigon_rule = triangle_rule = None
-    if loops == 0 and not counts.get(1, 0):
+    if loops == 0 and not census.counts.get(1, 0):
         if v >= 2:
-            bigon_rule = p[v - 2] == -counts.get(2, 0)
+            bigon_rule = p[v - 2] == -census.counts.get(2, 0)
         if v >= 3:
-            triangle_rule = p[v - 3] == -counts.get(3, 0)
+            triangle_rule = p[v - 3] == -census.counts.get(3, 0)
     return CoefficientReport(loop_rule, bigon_rule, triangle_rule)

@@ -16,6 +16,11 @@ from .diagram import OUT, Diagram
 from .polynomials import Matrix, sparse_product, sparse_rows
 
 
+def _line_sums(rows: Matrix) -> tuple[list[int], list[int]]:
+    """Row sums and column sums of a square matrix, each in one pass."""
+    return list(map(sum, rows)), list(map(sum, zip(*rows)))
+
+
 @dataclass(frozen=True)
 class AdjMatrix:
     """Square nonnegative integer matrix with all row and column sums 2."""
@@ -36,19 +41,12 @@ class AdjMatrix:
     def problems(self) -> list[str]:
         if not self.n:
             return ["matrix is empty"]
-        out = []
         if any(len(row) != self.n for row in self.rows):
-            out.append("matrix is not square")
-            return out
-        if any(v < 0 for row in self.rows for v in row):
-            out.append("negative entry")
-        for i, row in enumerate(self.rows):
-            if sum(row) != 2:
-                out.append(f"row {i} sums to {sum(row)}, not 2")
-        for j in range(self.n):
-            s = sum(row[j] for row in self.rows)
-            if s != 2:
-                out.append(f"column {j} sums to {s}, not 2")
+            return ["matrix is not square"]
+        out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
+        for name, line in zip(("row", "column"), _line_sums(self.rows)):
+            out += [f"{name} {i} sums to {s}, not 2"
+                    for i, s in enumerate(line) if s != 2]
         return out
 
     def is_valid(self) -> bool:
@@ -228,8 +226,7 @@ def all_ones_check(m: AdjMatrix) -> bool:
     eigenvalue 2, i.e. all row and column sums equal 2."""
     if any(len(row) != m.n for row in m.rows):
         return False
-    return (all(sum(row) == 2 for row in m.rows)
-            and all(sum(row[j] for row in m.rows) == 2 for j in range(m.n)))
+    return all(s == 2 for line in _line_sums(m.rows) for s in line)
 
 
 # The last matrix swept by closed_path_count: (rows, sparse rows, M^j,

@@ -362,55 +362,40 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
     _check_lane(direction)
     if not 0 <= vertex_id < d.vertex_count:
         raise SurgeryError(f"no vertex {vertex_id}")
-    ring = d.rotation[vertex_id]
+    b = _Builder(d)
+    ring, twin, vertex = b.rotation[vertex_id], b.twin, b.vertex
     step = 1 if direction == LANE_OUT else -1
-    pairing = {}
-    for i, dart in enumerate(ring):
-        if d.direction(dart) == IN:
-            pairing[dart] = ring[(i + step) % 4]
 
-    at_v = set(ring)
-    splices: list[tuple[int, int]] = []
-    consumed: set[int] = set()
-    for h in pairing:
-        tail = d.twin(h)
-        if tail in at_v:
-            continue  # loop edge; reached by chain-following below
-        cur = h
-        while True:
-            consumed.add(cur)
-            out_dart = pairing[cur]
-            head = d.twin(out_dart)
-            if head in at_v:
-                cur = head
-            else:
-                break
-        splices.append((tail, head))
+    def onward(head: int) -> int:
+        """Where an arc entering at in dart `head` arrives next."""
+        return twin[ring[(ring.index(head) + step) % 4]]
 
-    vanished = 0
-    for h in pairing:
-        if h in consumed or d.twin(h) not in at_v:
-            continue
-        # internal cycle: a closed curve with no vertex left on it
-        cur = h
-        while cur not in consumed:
-            consumed.add(cur)
-            nxt = d.twin(pairing[cur])
-            cur = nxt
-        vanished += 1
+    heads = [x for x in ring if b.direction[x] == IN]
+    loops = [h for h in heads if vertex[twin[h]] == vertex_id]
+    for h in [h for h in heads if h not in loops]:
+        # an arc entering from outside runs on through the vertex's loops;
+        # only darts away from the vertex are rewired
+        tail, head = twin[h], onward(h)
+        while vertex[head] == vertex_id:
+            loops.remove(head)
+            head = onward(head)
+        twin[tail], twin[head] = head, tail
 
+    # the loop heads no outside arc reached close vertexless circles
+    circles = 0
+    while loops:
+        h = cur = loops.pop()
+        while onward(cur) != h:
+            cur = onward(cur)
+            loops.remove(cur)
+        circles += 1
     if d.vertex_count == 1:
-        return Unknot(circles=vanished)
-    if vanished:
+        return Unknot(circles=circles)
+    if circles:
         raise SurgeryError(
             "splice closes a vertexless circle while other crossings remain; "
             "the result would be a split diagram")
-
-    b = _Builder(d)
-    for tail, head in splices:
-        b.twin[tail] = head
-        b.twin[head] = tail
-    b.drop(at_v, vertex_id)
+    b.drop(set(ring), vertex_id)
     return b.finish("elimination")
 
 

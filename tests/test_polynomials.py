@@ -170,6 +170,15 @@ def test_charpoly_rejects_bad_input():
         charpoly(((1, 2),))
 
 
+@pytest.mark.parametrize("entry", [2.9, 0.5, "2", True])
+def test_charpoly_rejects_non_integer_entries(entry):
+    # each of these was once truncated through int(): 2.9 gave x - 2
+    with pytest.raises(ValueError, match="entries must be integers"):
+        charpoly(((entry,),))
+    with pytest.raises(ValueError, match="entries must be integers"):
+        charpoly(((0, 2), (2, entry)))
+
+
 def test_charpoly_against_cofactor_oracle_random():
     rng = random.Random(20240801)
     for _ in range(25):

@@ -347,7 +347,9 @@ def _strand_count(twin: list[int], succ: list[int], out: list[bool]) -> int:
     """component_count on flat arrays.  An edge is named by its tail dart;
     the dart opposite an edge end in its ring (two successor steps away)
     shares the lane, and the walk leaves through it, alternately at the
-    tail and at the head."""
+    tail and at the head.  On a consistent map a walk visits each (edge,
+    end) pair at most once, so it closes within one step per dart; a walk
+    that does not has met an inconsistent map and raises DiagramError."""
     count = 0
     seen = [False] * len(twin)
     for start in range(len(twin)):
@@ -355,13 +357,17 @@ def _strand_count(twin: list[int], succ: list[int], out: list[bool]) -> int:
             continue
         count += 1
         cur, via_tail = start, True
-        while True:
+        for _ in range(len(twin)):
             seen[cur] = True
             mate = succ[succ[cur if via_tail else twin[cur]]]
             cur = mate if out[mate] else twin[mate]
             via_tail = not via_tail
             if cur == start and via_tail:
                 break
+        else:
+            raise DiagramError(
+                f"the strand from dart {start} does not close: "
+                "inconsistent map")
     return count
 
 

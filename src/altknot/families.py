@@ -55,7 +55,11 @@ class FamilySpec:
         if self.family not in _BY_TAG:
             raise FamilyError(f"unknown family {self.family!r}")
         family = _BY_TAG[self.family]
-        values = tuple(int(v) for v in self.params)
+        values = tuple(self.params)
+        for v in values:
+            if type(v) is not int:  # bool and float included: never coerced
+                raise FamilyError(
+                    f"{self.family}: parameters must be integers, got {v!r}")
         object.__setattr__(self, "params", values)
         if len(values) != len(family.names):
             raise FamilyError(

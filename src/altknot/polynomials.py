@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import add
+from itertools import chain, compress, repeat
+from operator import add, and_, mul, rshift
 from typing import Sequence
 
 from .limits import max_vertices
@@ -251,39 +251,35 @@ def check_generating_function(k_max: int) -> bool:
 # Characteristic polynomials, exactly.
 # ---------------------------------------------------------------------------
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each row's nonzero entries as (column, value) pairs."""
-    return tuple([tuple([(j, v) for j, v in enumerate(row) if v])
-                  for row in rows])
-
-
-def sparse_product(sparse, a: Matrix, n: int) -> Matrix:
-    """M * a for M given by :func:`sparse_rows`, a an n x n matrix of tuples.
-
-    Row i of the product is the combination of a's rows weighted by row i
-    of M.  A row of M with a single entry 1 yields that row of ``a``
-    itself, not a copy; an empty row yields zeros.
-    """
-    out = []
-    for row in sparse:
-        acc = None
-        for t, v in row:
-            term = a[t] if v == 1 else [v * x for x in a[t]]
-            acc = term if acc is None else [*map(add, acc, term)]
-        out.append((0,) * n if acc is None else tuple(acc))
-    return tuple(out)
-
-
 def charpoly(matrix) -> IntPoly:
     """det(x*I - M) of an integer matrix, exact.
 
-    Uses the Faddeev-LeVerrier recurrence: every division it performs is
-    by the step index and is provably exact over the integers, so the
-    result is computed without fractions.  Each product M*M_k is a
-    :func:`sparse_product`, O(n^2) for a matrix with O(1) entries per row.
+    The power sums p_k = trace(M^k), k = 1..n, give the coefficients of
+    det(x*I - M) = x^n + c_1*x^(n-1) + ... + c_n by Newton's identities,
+    k*c_k = -(c_(k-1)*p_1 + c_(k-2)*p_2 + ... + c_0*p_k) with c_0 = 1.  The
+    division by k is exact because the c_k are integers; a remainder
+    raises ArithmeticError.
+
+    The powers are computed on packed rows (Kronecker substitution): row i
+    of M^k is one Python int, sum over j of (M^k)_ij * 2^(w*j), so entry j
+    sits in the w-bit slot j.  Row i of M * M^(k-1) is the sum over the
+    nonzero M_ij of M_ij times packed row j of M^(k-1).  It is formed by
+    C-level passes over the list of rows: pass l adds, to every row i, the
+    packed row named by row i's l-th nonzero column (a row with fewer
+    reads an appended 0), and each entry v != 1 then adds (v - 1) times
+    its row.  For an adjacency matrix that is two passes plus one term per
+    2-entry, with no interpreted step per entry.
+
+    The slot width is sufficient.  Let r = max(1, max_i sum_j |M_ij|), the
+    infinity norm of M.  For every k <= n,
+    |(M^k)_ij| <= ||M^k||_inf <= ||M||_inf^k = r^k <= r^n
+    <= 2^(n*ceil(log2 r)) = 2^(w - 2) for w = n*ceil(log2 r) + 2.  Packing
+    is linear, so the packed row is the exact integer above whatever its
+    entries; only reading needs the bound.  Adding half = 2^(w-1) to every
+    slot makes every digit entry + half lie in [2^(w-2), 3*2^(w-2)], inside
+    [0, 2^w), so these are the row's base-2^w digits with no borrow between
+    slots, and slot i of row i, less half, is (M^k)_ii.
+
     Matrix rows are consumed as any sequence of sequences of ints (an
     AdjMatrix works too); an entry of any other type, `bool` and `float`
     included, raises ValueError rather than being truncated.
@@ -301,28 +297,39 @@ def charpoly(matrix) -> IntPoly:
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         raise ValueError("matrix entries must be integers")
 
-    # Sparse view: adjacency matrices have at most two entries per row.
-    sparse = sparse_rows(rows)
+    r = max(1, *[sum(map(abs, row)) for row in rows])
+    w = n * (r - 1).bit_length() + 2
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    shifts = range(0, n * w, w)
+    bias = sum(map(half.__lshift__, shifts))  # half in every slot
 
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = tuple([tuple([int(i == j) for j in range(n)])  # M_1 = I
-                 for i in range(n)])
+    cols = [list(compress(range(n), row)) for row in rows]
+    layers = [[c[l] if l < len(c) else n for c in cols]
+              for l in range(max(1, *map(len, cols)))]
+    extra = [(i, j, rows[i][j] - 1) for i, c in enumerate(cols) for j in c
+             if rows[i][j] != 1]
+
+    power = [*map((1).__lshift__, shifts), 0]  # M^0 = I, then the zero row
+    coeffs = [1]
+    traces: list[int] = []
     for k in range(1, n + 1):
-        prod = sparse_product(sparse, aux, n)
-        trace = sum(prod[i][i] for i in range(n))
-        q, r = divmod(trace, k)
-        if r:
+        get = power.__getitem__
+        prod = list(map(get, layers[0]))
+        for layer in layers[1:]:
+            prod = list(map(add, prod, map(get, layer)))
+        for i, j, v in extra:
+            prod[i] += v * power[j]
+        prod.append(0)
+        power = prod
+        traces.append(sum(map(and_, map(rshift, map(add, power, repeat(bias)),
+                                        shifts), repeat(mask))) - n * half)
+        q, rem = divmod(sum(map(mul, reversed(coeffs), traces)), k)
+        if rem:
             raise ArithmeticError(
-                f"Faddeev-LeVerrier division not exact: trace {trace} at k={k}")
-        c = -q
-        coeffs[n - k] = c
-        if k < n:
-            # M_{k+1} = M*M_k + c*I; prod's rows may be rows of aux, so the
-            # shifted diagonal goes into new rows.
-            aux = prod if not c else tuple([
-                row[:i] + (row[i] + c,) + row[i + 1:]
-                for i, row in enumerate(prod)])
+                f"Newton's identities: division by {k} not exact")
+        coeffs.append(-q)
+    coeffs.reverse()
     return IntPoly(tuple(coeffs))
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import add
 
 from .diagram import OUT, Diagram
-from .polynomials import Matrix, sparse_product, sparse_rows
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _line_sums(rows: Matrix) -> tuple[list[int], list[int]]:
@@ -229,6 +231,29 @@ def all_ones_check(m: AdjMatrix) -> bool:
     return all(s == 2 for line in _line_sums(m.rows) for s in line)
 
 
+def _sparse_rows(rows: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row's nonzero entries as (column, value) pairs."""
+    return tuple([tuple([(j, v) for j, v in enumerate(row) if v])
+                  for row in rows])
+
+
+def _sparse_product(sparse, a: Matrix, n: int) -> Matrix:
+    """M * a for M given by :func:`_sparse_rows`, a an n x n matrix of tuples.
+
+    Row i of the product is the combination of a's rows weighted by row i
+    of M.  A row of M with a single entry 1 yields that row of ``a``
+    itself, not a copy; an empty row yields zeros.
+    """
+    out = []
+    for row in sparse:
+        acc = None
+        for t, v in row:
+            term = a[t] if v == 1 else [v * x for x in a[t]]
+            acc = term if acc is None else [*map(add, acc, term)]
+        out.append((0,) * n if acc is None else tuple(acc))
+    return tuple(out)
+
+
 # The last matrix swept by closed_path_count: (rows, sparse rows, M^j,
 # (trace M^1, ..., trace M^j)).  Replaced whole, never mutated, so threads
 # sharing the module at worst recompute a power, never read a torn one.
@@ -243,23 +268,27 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     sparse products in all (O(V^3)) instead of V(V - 1)/2.  A call on the
     same matrix returns a stored trace or extends the power from j to k; a
     call on any other matrix starts again from M.  No call does more
-    products than computing M^k from scratch.  Independent of
-    :func:`charpoly`, so comparing the two checks Newton's identities
-    rather than restating them.
+    products than computing M^k from scratch.
+
+    This is the tuple-row trace kernel, kept apart from the packed-row one
+    inside :func:`altknot.polynomials.charpoly` on purpose: the traces that
+    ``power_sums_from_charpoly`` recovers from ``charpoly`` by Newton's
+    identities are checked against these, so two independent ways of
+    forming M^k and two directions of Newton's identities check each other.
     """
     global _paths_slot
     if k < 1:
         raise ValueError("path length must be >= 1")
     slot = _paths_slot
     if slot is None or slot[0] != m.rows:
-        sparse = sparse_rows(m.rows)
+        sparse = _sparse_rows(m.rows)
         slot = (m.rows, sparse, m.rows, (m.trace(),))
     rows, sparse, power, traces = slot
     if k > len(traces):
         n = len(rows)
         traces = list(traces)
         for _ in range(k - len(traces)):
-            power = sparse_product(sparse, power, n)
+            power = _sparse_product(sparse, power, n)
             traces.append(sum(power[i][i] for i in range(n)))
         slot = (rows, sparse, power, tuple(traces))
     _paths_slot = slot

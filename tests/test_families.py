@@ -28,6 +28,16 @@ def test_param_validation():
         fam.FamilySpec("NOT_A_FAMILY", (1,))
 
 
+@pytest.mark.parametrize("param", [2.9, "3", True])
+def test_param_must_be_int(param):
+    # each of these was once coerced through int(): 2.9 gave cyclic:V=2,
+    # "3" cyclic:V=3 and True cyclic:V=1
+    with pytest.raises(fam.FamilyError, match="must be integers"):
+        fam.FamilySpec(fam.CYCLIC_TORUS, (param,))
+    with pytest.raises(fam.FamilyError, match="must be integers"):
+        fam.FamilySpec(fam.TWO_RIBBON, (3, param))
+
+
 def test_vertex_counts(member_specs):
     for s in member_specs:
         assert fam.vertex_count(s) == fam.generate(s).vertex_count, str(s)

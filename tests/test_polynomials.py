@@ -266,6 +266,44 @@ def test_charpoly_kernel_zero_rows():
         assert charpoly(m) == reference_charpoly(m), m
 
 
+SLOT_EDGE_SCALARS = sorted({s * c for j in range(1, 41)
+                             for c in (1, 2 ** j, 2 ** j - 1, 2 ** j + 1)
+                             for s in (1, -1)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_charpoly_packed_slots_at_the_bound(n):
+    # c*I and c*P have every power's largest entry at |c|^k; for c = +-2^j,
+    # |c|^n is exactly the slot bound 2^(w - 2)
+    rng = random.Random(n)
+    perm = rng.sample(range(n), n)
+    for c in SLOT_EDGE_SCALARS:
+        scaled = [[c * (i == j) for j in range(n)] for i in range(n)]
+        assert charpoly(scaled) == (X - c) ** n, c
+        permuted = [[c * (j == perm[i]) for j in range(n)] for i in range(n)]
+        assert charpoly(permuted) == reference_charpoly(permuted), (c, perm)
+
+
+def test_charpoly_packed_large_dense_entries():
+    rng = random.Random(8)
+    for n in range(1, 9):
+        for bound in (10 ** 6, 10 ** 12):
+            m = [[rng.randint(-bound, bound) for _ in range(n)]
+                 for _ in range(n)]
+            assert charpoly(m) == reference_charpoly(m), m
+        extreme = [[rng.choice((-1, 1)) * 10 ** 12 for _ in range(n)]
+                   for _ in range(n)]
+        assert charpoly(extreme) == reference_charpoly(extreme), extreme
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_charpoly_packed_against_cofactor_property(m):
+    assert charpoly(m) == charpoly_cofactor(m)
+
+
 def test_charpoly_kernel_criteria_corpus():
     for spec in _sweep_specs():
         m = sp.adjacency(fam.generate(spec))

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import signal
 
 import pytest
 
@@ -267,6 +269,31 @@ def test_eliminate_rejects_bad_arguments():
             sg.eliminate_crossing(d, v, sg.LANE_OUT)
     with pytest.raises(sg.SurgeryError, match="^lane must be one of"):
         sg.eliminate_crossing(d, 0, "sideways")
+
+
+def _walk_hung(signum, frame):
+    raise TimeoutError("a strand walk on an inconsistent map did not stop")
+
+
+def test_inconsistent_map_raises_instead_of_hanging():
+    # one ring of a member shuffled (seeded): the unvalidated map is
+    # inconsistent, and the strand walk that derives the kind never returns
+    # to its start; an alarm turns a hang into a failure
+    d = member(fam.K_RIBBON_CYCLIC, 4, 4)
+    ring = list(d.rotation[4])
+    random.Random(12).shuffle(ring)
+    bad = dataclasses.replace(
+        d, rotation=d.rotation[:4] + (tuple(ring),) + d.rotation[5:])
+    previous = signal.signal(signal.SIGALRM, _walk_hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(dg.DiagramError, match="does not close"):
+            dg.component_count(bad)
+        with pytest.raises(dg.DiagramError, match="does not close"):
+            sg.eliminate_crossing(bad, 4, sg.LANE_OUT)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------

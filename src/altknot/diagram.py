@@ -100,18 +100,21 @@ def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
     twin = [x.twin for x in darts]
     out = [x.direction == OUT for x in darts]
     vertex = [x.vertex for x in darts]
-    return twin, _successors(d.rotation, len(darts)), out, vertex
+    return twin, _rings(d.rotation, len(darts))[0], out, vertex
 
 
-def _successors(rotation: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Rotation successor of each of n darts; -1 for a dart in no ring."""
-    succ = [-1] * n
-    for ring in rotation:
+def _rings(rotation: Sequence[Sequence[int]],
+           n: int) -> tuple[list[int], list[int]]:
+    """Rotation successor and ring index (the vertex) of each of n darts;
+    -1 for a dart in no ring."""
+    succ, ring_of = [-1] * n, [-1] * n
+    for v, ring in enumerate(rotation):
         if len(ring) == 4:
             a, b, c, e = ring
             if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
                 succ[a], succ[b], succ[c], succ[e] = b, c, e, a
-    return succ
+                ring_of[a] = ring_of[b] = ring_of[c] = ring_of[e] = v
+    return succ, ring_of
 
 
 # ---------------------------------------------------------------------------

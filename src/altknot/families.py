@@ -120,12 +120,8 @@ def _seed(rotation: list[tuple[int, int, int, int]]) -> _Builder:
     """A builder for the rings of dart ids `rotation`, one per vertex.
     Edge i has tail dart 2i and head dart 2i + 1, so a dart's ring places
     it and its id gives its twin and direction."""
-    vertex = [0] * (4 * len(rotation))
-    for v, ring in enumerate(rotation):
-        for x in ring:
-            vertex[x] = v
     b = _Builder()
-    b._add(*[(v, i ^ 1, IN if i & 1 else OUT) for i, v in enumerate(vertex)])
+    b._add(*[(i ^ 1, IN if i & 1 else OUT) for i in range(4 * len(rotation))])
     b.rotation = rotation
     return b
 
@@ -254,17 +250,8 @@ def chained_cyclic_poly(k: int, n: int) -> IntPoly:
             * jpoly(n - 1))
 
 
-_FOUR_KNOT_SEEDS = (IntPoly((0, -4, -2, 0, 1)),      # x^4 - 2x^2 - 4x
-                    IntPoly((-2, 1, 0, -2, -1, 1)))  # x^5 - x^4 - 2x^3 + x - 2
-
-
-def _four_knot_twist_poly(v: int) -> IntPoly:
-    prev, cur = _FOUR_KNOT_SEEDS
-    if v == 4:
-        return prev
-    for _ in range(v - 5):
-        prev, cur = cur, X * cur - prev
-    return cur
+# the four-knot twist's J_{V-4} and J_{V-5} factors, inside (x - 2)
+_FOUR_KNOT_A, _FOUR_KNOT_B = X * (X * X + 2 * X + 2), X ** 3 + 2 * X * X - 1
 
 
 def closed_form(spec: FamilySpec) -> IntPoly:
@@ -294,7 +281,8 @@ FAMILIES: tuple[Family, ...] = (
                       * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4)))),
     Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
            lambda v: _grow_twist(_two_ribbon(2, 2), v - 4),
-           _four_knot_twist_poly),
+           lambda v: (X - 2) * (_FOUR_KNOT_A * jpoly(v - 4)
+                                - _FOUR_KNOT_B * jpoly(v - 5))),
     Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
            lambda v: _two_ribbon(v - 2, 2),
            lambda v: ((X ** 3 - X - 2) * jpoly(v - 3)

@@ -26,13 +26,16 @@ class IntPoly:
     """Dense integer polynomial, ascending coefficients, no trailing zeros.
 
     ``IntPoly((-2, -3, 0, 1))`` is ``x^3 - 3*x - 2``.  The zero polynomial
-    is the empty tuple.
+    is the empty tuple.  A coefficient of any type but `int` (`bool` and
+    `float` included) raises ValueError rather than being truncated.
     """
 
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        c = tuple([int(v) for v in self.coeffs])
+        c = tuple(self.coeffs)
+        if not set(map(type, c)) <= {int}:
+            raise ValueError("polynomial coefficients must be integers")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -147,7 +150,10 @@ class IntPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> IntPoly:
-        return cls(tuple(int(s) for s in data["coeffs"]))
+        """Reads decimal strings only, as `to_json_dict` writes them."""
+        if not set(map(type, data["coeffs"])) <= {str}:
+            raise ValueError("polynomial coefficients must be decimal strings")
+        return cls(tuple([int(s) for s in data["coeffs"]]))
 
 
 ZERO = IntPoly(())

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, faces,
-                      validate, _kind, _successors)
+                      validate, _kind, _rings)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -66,8 +66,9 @@ def lane_splitting_face(d: Diagram, face_darts) -> str:
 # ---------------------------------------------------------------------------
 
 class _Builder:
-    """Mutable `vertex`, `twin` and `direction` lists indexed by dart id,
-    plus the rotation ring of every vertex.
+    """Mutable `twin` and `direction` lists indexed by dart id, plus the
+    rotation ring of every vertex.  A dart's vertex is the ring that
+    lists it; `build` works it out once.
 
     The growth moves append darts and vertices in a fixed order and touch
     only the darts they rewire, in time independent of the diagram's size;
@@ -77,31 +78,35 @@ class _Builder:
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet."""
+        """A builder holding d, or holding nothing yet.  d's rings must
+        list each of its darts exactly once, four per vertex."""
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts if d else ()
-        self.vertex = [x.vertex for x in self.darts]
         self.twin = [x.twin for x in self.darts]
         self.direction = [x.direction for x in self.darts]
         self.rotation = list(d.rotation) if d else []
+        listed = {x for ring in self.rotation if len(ring) == 4 for x in ring}
+        n = len(self.twin)
+        if d and (listed != set(range(n)) or n != 4 * len(self.rotation)
+                  or n != 4 * d.vertex_count):
+            raise SurgeryError("the rotation rings do not list every dart "
+                               "exactly once, four per vertex")
 
     def disjoint(self, d: Diagram) -> int:
-        """Add a copy of d, its dart and vertex ids shifted past the
-        existing ones; returns the dart shift."""
-        shift_d, shift_v = len(self.twin), len(self.rotation)
-        self.vertex += [x.vertex + shift_v for x in d.darts]
-        self.twin += [x.twin + shift_d for x in d.darts]
-        self.direction += [x.direction for x in d.darts]
-        self.rotation += [tuple([x + shift_d for x in ring])
-                          for ring in d.rotation]
-        return shift_d
+        """Add a copy of d, its dart ids shifted past the existing ones;
+        returns the dart shift."""
+        other, shift = _Builder(d), len(self.twin)
+        self.rotation += [tuple([x + shift for x in ring])
+                          for ring in other.rotation]
+        self.twin += [x + shift for x in other.twin]
+        self.direction += other.direction
+        return shift
 
-    def _add(self, *darts: tuple[int, int, str]) -> None:
-        """Append darts given as (vertex, twin, direction), in id order."""
-        vertices, twins, directions = zip(*darts)
-        self.vertex += vertices
+    def _add(self, *darts: tuple[int, str]) -> None:
+        """Append darts given as (twin, direction), in id order."""
+        twins, directions = zip(*darts)
         self.twin += twins
         self.direction += directions
 
@@ -127,10 +132,7 @@ class _Builder:
         new_v, base = len(self.rotation), len(self.twin)
         # two new edges vertex -> new_v and new_v -> vertex
         t1, h1, t2, h2 = base, base + 1, base + 2, base + 3
-        for dart in move:
-            self.vertex[dart] = new_v
-        self._add((vertex, h1, OUT), (new_v, t1, IN),
-                  (new_v, h2, OUT), (vertex, t2, IN))
+        self._add((h1, OUT), (t1, IN), (h2, OUT), (t2, IN))
         if lane == LANE_OUT:
             # arcs run (out, in); appending (t, h) makes the new bigon the
             # incoming-coherent face {h2, h1}
@@ -156,8 +158,7 @@ class _Builder:
         in_d, out_d, loop_t, loop_h = base, base + 1, base + 2, base + 3
         self.twin[tail] = in_d
         self.twin[head] = out_d
-        self._add((z, tail, IN), (z, head, OUT),
-                  (z, loop_h, OUT), (z, loop_t, IN))
+        self._add((tail, IN), (head, OUT), (loop_h, OUT), (loop_t, IN))
         self.rotation.append((in_d, loop_t, loop_h, out_d))
         return z
 
@@ -168,8 +169,8 @@ class _Builder:
         carrier = self.curl(tail)
         for _ in range(crossings - 1):
             new_v, _ = self.expand(carrier, self._loop_lane(carrier))
-            if any(self.vertex[self.twin[x]] == new_v
-                   for x in self.rotation[new_v]):
+            ring = self.rotation[new_v]
+            if any(self.twin[x] in ring for x in ring):
                 carrier = new_v
 
     def _loop_lane(self, vertex: int) -> str:
@@ -183,10 +184,10 @@ class _Builder:
         raise SurgeryError(f"vertex {vertex} carries no loop")
 
     def pierce(self, tail: int) -> None:
-        """Thread a fresh circle around the edge leaving `tail` (the circle
-        crosses it twice; its own two edges form a parallel pair)."""
+        """Thread a fresh circle around the edge leaving `tail`: it crosses
+        the edge at new vertices z1 and z2, and its own two edges form a
+        parallel pair."""
         head = self.twin[tail]
-        z1, z2 = len(self.rotation), len(self.rotation) + 1
         base = len(self.twin)
         a_in = base                        # head at z1, from the old tail side
         mid_t, mid_h = base + 1, base + 2  # z2 -> z1
@@ -195,18 +196,15 @@ class _Builder:
         r2t, r2h = base + 6, base + 7      # ring edge z1 -> z2
         self.twin[tail] = a_in
         self.twin[head] = d_out
-        self._add((z1, tail, IN), (z2, mid_h, OUT), (z1, mid_t, IN),
-                  (z2, head, OUT), (z1, r1h, OUT), (z2, r1t, IN),
-                  (z1, r2h, OUT), (z2, r2t, IN))
+        self._add((tail, IN), (mid_h, OUT), (mid_t, IN), (head, OUT),
+                  (r1h, OUT), (r1t, IN), (r2h, OUT), (r2t, IN))
         self.rotation.append((a_in, r1t, mid_h, r2t))
         self.rotation.append((mid_t, r1h, d_out, r2h))
 
     def pierce_waist(self, tail_a: int, tail_b: int) -> None:
         """Thread a fresh circle around the edges leaving `tail_a` and
-        `tail_b` together (4 new crossings)."""
+        `tail_b` together, at new vertices a_l, a_r, b_l and b_r."""
         head_a, head_b = self.twin[tail_a], self.twin[tail_b]
-        v = len(self.rotation)
-        a_l, a_r, b_l, b_r = v, v + 1, v + 2, v + 3
         base = len(self.twin)
         a1 = base                           # head at a_l on strand a
         ma_t, ma_h = base + 1, base + 2     # a_r -> a_l
@@ -222,12 +220,10 @@ class _Builder:
         self.twin[head_a] = ao_t
         self.twin[tail_b] = b1
         self.twin[head_b] = bo_t
-        self._add((a_l, tail_a, IN), (a_r, ma_h, OUT), (a_l, ma_t, IN),
-                  (a_r, head_a, OUT), (b_r, tail_b, IN), (b_l, mb_h, OUT),
-                  (b_r, mb_t, IN), (b_l, head_b, OUT), (a_l, r1h, OUT),
-                  (b_l, r1t, IN), (b_r, r2h, OUT), (b_l, r2t, IN),
-                  (b_r, r3h, OUT), (a_r, r3t, IN), (a_l, r4h, OUT),
-                  (a_r, r4t, IN))
+        self._add((tail_a, IN), (ma_h, OUT), (ma_t, IN), (head_a, OUT),
+                  (tail_b, IN), (mb_h, OUT), (mb_t, IN), (head_b, OUT),
+                  (r1h, OUT), (r1t, IN), (r2h, OUT), (r2t, IN),
+                  (r3h, OUT), (r3t, IN), (r4h, OUT), (r4t, IN))
         self.rotation.append((a1, r1t, ma_h, r4t))
         self.rotation.append((ma_t, r3h, ao_t, r4h))
         self.rotation.append((bo_t, r2h, mb_t, r1h))
@@ -241,7 +237,6 @@ class _Builder:
         new_id = [-1] * len(self.twin)
         for new, old in enumerate(keep):
             new_id[old] = new
-        self.vertex = [self.vertex[i] - (self.vertex[i] > vertex) for i in keep]
         self.twin = [new_id[self.twin[i]] for i in keep]
         self.direction = [self.direction[i] for i in keep]
         del self.rotation[vertex]
@@ -254,14 +249,15 @@ class _Builder:
         dart is the input's `Dart` object, so only the darts a move adds or
         rewires are made anew."""
         n = len(self.twin)
+        succ, vertex = _rings(self.rotation, n)
         darts = [x if x.vertex == v and x.twin == t
                  else Dart(x.id, v, t, x.direction)
-                 for x, v, t in zip(self.darts, self.vertex, self.twin)]
+                 for x, v, t in zip(self.darts, vertex, self.twin)]
         k = len(darts)
-        darts += map(Dart, range(k, n), self.vertex[k:], self.twin[k:],
+        darts += map(Dart, range(k, n), vertex[k:], self.twin[k:],
                      self.direction[k:])
-        kind = _kind(self.twin, _successors(self.rotation, n),
-                     [r == OUT for r in self.direction], self.vertex)
+        kind = _kind(self.twin, succ, [r == OUT for r in self.direction],
+                     vertex)
         return Diagram(kind, len(self.rotation), tuple(darts),
                        tuple(self.rotation))
 
@@ -319,7 +315,9 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
         raise SurgeryError(
             f"face {face_id} has {len(trace)} edges, contraction needs a bigon")
     p, q = trace
-    v1, v2 = d.vertex_of(p), d.vertex_of(q)
+    b = _Builder(d)
+    _, ring_of = _rings(b.rotation, len(b.twin))
+    v1, v2 = ring_of[p], ring_of[q]
     if v1 == v2:
         raise SurgeryError(
             "bigon closes a double-edge circle on one vertex; contracting "
@@ -329,20 +327,14 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     removed = {p, q, d.twin(p), d.twin(q)}
 
     def remaining_arc(vertex: int) -> tuple[int, int]:
-        ring = d.rotation[vertex]
+        ring = b.rotation[vertex]
         for i in range(4):
             if ring[i] in removed and ring[(i + 1) % 4] in removed:
                 return ring[(i + 2) % 4], ring[(i + 3) % 4]
         raise SurgeryError("bigon darts are not adjacent in the rotation; "
                            "the diagram is not a valid alternating map")
 
-    arc_keep = remaining_arc(keep)
-    arc_gone = remaining_arc(gone)
-
-    b = _Builder(d)
-    for dart in arc_gone:
-        b.vertex[dart] = keep
-    b.rotation[keep] = arc_keep + arc_gone
+    b.rotation[keep] = remaining_arc(keep) + remaining_arc(gone)
     b.drop(removed, gone)
     return b.finish("contraction")
 
@@ -363,21 +355,27 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
     if not 0 <= vertex_id < d.vertex_count:
         raise SurgeryError(f"no vertex {vertex_id}")
     b = _Builder(d)
-    ring, twin, vertex = b.rotation[vertex_id], b.twin, b.vertex
+    ring, twin = b.rotation[vertex_id], b.twin
     step = 1 if direction == LANE_OUT else -1
 
     def onward(head: int) -> int:
         """Where an arc entering at in dart `head` arrives next."""
         return twin[ring[(ring.index(head) + step) % 4]]
 
+    def reach(head: int) -> None:
+        """Strike off a loop head an arc has reached."""
+        if head not in loops:
+            raise SurgeryError(f"splice strays at dart {head}: inconsistent map")
+        loops.remove(head)
+
     heads = [x for x in ring if b.direction[x] == IN]
-    loops = [h for h in heads if vertex[twin[h]] == vertex_id]
+    loops = [h for h in heads if twin[h] in ring]
     for h in [h for h in heads if h not in loops]:
         # an arc entering from outside runs on through the vertex's loops;
         # only darts away from the vertex are rewired
         tail, head = twin[h], onward(h)
-        while vertex[head] == vertex_id:
-            loops.remove(head)
+        while head in ring:
+            reach(head)
             head = onward(head)
         twin[tail], twin[head] = head, tail
 
@@ -387,7 +385,7 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
         h = cur = loops.pop()
         while onward(cur) != h:
             cur = onward(cur)
-            loops.remove(cur)
+            reach(cur)
         circles += 1
     if d.vertex_count == 1:
         return Unknot(circles=circles)
@@ -438,8 +436,7 @@ def compose_twist(d1: Diagram, edge1: int, d2: Diagram, edge2: int,
         # a1: head of edge1's tail-side strand at z, b1: tail toward h1
         m.twin[t1_dart], m.twin[h1_dart] = a1, b1
         m.twin[t2s], m.twin[h2s] = a2, b2
-        m._add((z, t1_dart, IN), (z, h1_dart, OUT),
-               (z, t2s, IN), (z, h2s, OUT))
+        m._add((t1_dart, IN), (h1_dart, OUT), (t2s, IN), (h2s, OUT))
         m.rotation.append((a1, b1, a2, b2))
         m.ribbon(z, twists)
     return m.finish("composition")

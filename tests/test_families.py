@@ -226,6 +226,24 @@ def test_cyclic_recurrence_source_two():
     assert check.source == IntPoly((2,))
 
 
+def former_four_knot_twist_poly(v):
+    """The four-knot twist closed form as a three-term recurrence from
+    its first two members, kept verbatim as an independent check."""
+    prev, cur = (IntPoly((0, -4, -2, 0, 1)),      # x^4 - 2x^2 - 4x
+                 IntPoly((-2, 1, 0, -2, -1, 1)))  # x^5 - x^4 - 2x^3 + x - 2
+    if v == 4:
+        return prev
+    for _ in range(v - 5):
+        prev, cur = cur, X * cur - prev
+    return cur
+
+
+def test_four_knot_twist_form_matches_the_recurrence():
+    for v in range(4, 129):
+        assert (fam.closed_form(spec(fam.FOUR_KNOT_TWIST, v))
+                == former_four_knot_twist_poly(v)), v
+
+
 def test_twist_knot_recurrence_source_two_x():
     p = family_polys(fam.TWIST_KNOTS, (4, 5, 6))
     check = fam.check_family_recurrence(*p)

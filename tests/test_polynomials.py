@@ -58,6 +58,21 @@ def test_json_round_trip():
     assert p.to_json_dict()["coeffs"][0] == "-7"
 
 
+@pytest.mark.parametrize("coeffs", [(0.5,), (True,), ("2",), (2.0,)])
+def test_coefficients_must_be_ints(coeffs):
+    # each was once coerced through int(): to 0, 1, 2 and 2
+    with pytest.raises(ValueError, match="must be integers"):
+        IntPoly(coeffs)
+    with pytest.raises(ValueError, match="must be integers"):
+        IntPoly((1,) + coeffs + (1,))
+
+
+@pytest.mark.parametrize("coeffs", [[1.5], [3], ["1", 2]])
+def test_json_coefficients_must_be_decimal_strings(coeffs):
+    with pytest.raises(ValueError, match="decimal strings"):
+        IntPoly.from_json_dict({"coeffs": coeffs})
+
+
 # ---------------------------------------------------------------------------
 # The Chebyshev-type basis
 # ---------------------------------------------------------------------------

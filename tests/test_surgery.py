@@ -4,6 +4,9 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_diagram import relabel  # the same map, renumbered
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -344,3 +347,125 @@ def test_lane_helpers_pick_growth_direction():
     # starts the orthogonal ribbon
     assert poly_of(sg.expand_vertex(d, 0, keep)) == fam.cyclic_poly(5)
     assert poly_of(sg.expand_vertex(d, 0, split)) == fam.two_ribbon_poly(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# Malformed maps: surgery raises DiagramError subclasses, nothing else
+# ---------------------------------------------------------------------------
+
+def test_eliminate_on_a_non_alternating_ring_raises_surgery_error():
+    # the one-vertex twist with its two in darts side by side: the splice
+    # walk leaves the vertex's loop heads
+    bad = dataclasses.replace(member(fam.CYCLIC_TORUS, 1),
+                              rotation=((1, 3, 0, 2),))
+    for lane in sg.LANES:
+        with pytest.raises(sg.SurgeryError, match="inconsistent map"):
+            sg.eliminate_crossing(bad, 0, lane)
+
+
+@pytest.mark.parametrize("ring", [(0, 1, 2, 99), (-1, 5, 6, 7), (4, 5, 6)])
+def test_rings_that_do_not_list_every_dart_are_refused(ring):
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, rotation=d.rotation[:2] + (ring,))
+    refused = pytest.raises(sg.SurgeryError, match="rotation rings")
+    for v in range(3):
+        for lane in sg.LANES:
+            with refused:
+                sg.expand_vertex(bad, v, lane)
+            with refused:
+                sg.eliminate_crossing(bad, v, lane)
+    for twists in (0, 1):
+        with refused:
+            sg.compose_twist(bad, 0, d, 0, twists)
+        with refused:
+            sg.compose_twist(d, 0, bad, 0, twists)
+    for face in range(5):
+        with pytest.raises(dg.DiagramError):
+            sg.contract_bigon(bad, face)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_vertex_count_must_match_the_rings(count):
+    bad = dataclasses.replace(member(fam.CYCLIC_TORUS, 3), vertex_count=count)
+    for v in range(count):
+        with pytest.raises(sg.SurgeryError, match="rotation rings"):
+            sg.eliminate_crossing(bad, v, sg.LANE_OUT)
+
+
+def test_builder_reads_each_darts_vertex_from_its_ring():
+    # a Dart.vertex that disagrees with the rings changes nothing: the
+    # rings say where every dart sits
+    rng = random.Random(5)
+    for s in [s for f in fam.FAMILIES for s in f.sweep(4)]:
+        d = fam.generate(s)
+        if d.vertex_count < 2:
+            continue
+        darts = list(d.darts)
+        k = rng.randrange(len(darts))
+        wrong = (darts[k].vertex + 1) % d.vertex_count
+        darts[k] = dataclasses.replace(darts[k], vertex=wrong)
+        bad = dataclasses.replace(d, darts=tuple(darts))
+        v, lane = rng.randrange(d.vertex_count), rng.choice(sg.LANES)
+        assert sg.expand_vertex(bad, v, lane) == sg.expand_vertex(d, v, lane)
+        assert (elimination_lines(s, bad) == elimination_lines(s, d)), str(s)
+        assert sg.compose_twist(bad, 0, d, 1, 1) == sg.compose_twist(d, 0, d, 1, 1)
+        for face in range(d.vertex_count + 2):
+            assert contraction(bad, face) == contraction(d, face), str(s)
+
+
+def contraction(d, face):
+    """contract_bigon's result, or the message of its SurgeryError."""
+    try:
+        return sg.contract_bigon(d, face)
+    except sg.SurgeryError as exc:
+        return str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Random surgery keeps every invariant
+# ---------------------------------------------------------------------------
+
+SURGERY_SEEDS = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+SURGERY_MAX_V = 24
+SURGERY_STEP = st.tuples(
+    st.sampled_from(("expand", "compose", "contract", "eliminate")),
+    st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, 2),
+    st.sampled_from(sg.LANES))
+
+
+def surgery_step(d, op, i, j, twists, lane):
+    """One step of a random surgery sequence; None when it does not apply
+    (too many vertices, or an eliminated last crossing)."""
+    v = d.vertex_count
+    if op == "expand":
+        return sg.expand_vertex(d, i % v, lane) if v < SURGERY_MAX_V else None
+    if op == "compose":
+        other = SURGERY_SEEDS[j % len(SURGERY_SEEDS)]
+        if v + other.vertex_count + twists > SURGERY_MAX_V:
+            return None
+        return sg.compose_twist(d, i % (2 * v), other,
+                                j % (2 * other.vertex_count), twists)
+    if op == "contract":
+        return sg.contract_bigon(d, i % (v + 2))
+    out = sg.eliminate_crossing(d, i % v, lane)
+    return None if isinstance(out, sg.Unknot) else out
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, len(SURGERY_SEEDS) - 1),
+       steps=st.lists(SURGERY_STEP, max_size=8),
+       rng=st.randoms(use_true_random=False))
+def test_random_surgery_keeps_invariants(start, steps, rng):
+    d = SURGERY_SEEDS[start]
+    for step in steps:
+        try:
+            out = surgery_step(d, *step)
+        except sg.SurgeryError:
+            continue
+        if out is None:
+            continue
+        d = out
+        assert dg.validate(d) == [], step
+        assert dg.component_count(d) == sp.trace_strands(sp.adjacency(d)).count
+        assert dg.from_json(dg.to_json(d)) == d
+        assert dg.canonical_code(relabel(d, rng)) == dg.canonical_code(d)

@@ -78,10 +78,6 @@ class Diagram:
         return [(d.vertex, self.vertex_of(d.twin))
                 for d in self.darts if d.direction == OUT]
 
-    def edge_darts(self) -> list[tuple[int, int]]:
-        """(tail_dart, head_dart) pairs, ordered by tail dart id."""
-        return [(d.id, d.twin) for d in self.darts if d.direction == OUT]
-
     def loop_count(self) -> int:
         darts = self.darts
         return sum(1 for d in darts
@@ -211,19 +207,10 @@ def validate(d: Diagram) -> list[str]:
             f"euler: face tracing gives {face_count} faces, a sphere "
             f"map with V={d.vertex_count} must have {d.vertex_count + 2}")
 
-    loops = _loop_count(twin, out, vertex)
-    if loops and d.kind != "twist":
+    kind = _kind(twin, succ, out, vertex)
+    if d.kind != kind:
         problems.append(
-            f"kind: {loops} loop(s) present but kind is {d.kind!r}; loops "
-            "are admitted only for twists")
-    if d.kind == "twist" and not loops:
-        problems.append("kind: flagged twist but the diagram has no loops")
-    if d.kind in ("knot", "link") and not loops:
-        strands = _strand_count(twin, succ, out)
-        expected = "knot" if strands == 1 else "link"
-        if d.kind != expected:
-            problems.append(
-                f"kind: {strands} strand(s) traced but kind is {d.kind!r}")
+            f"kind: the structure makes it a {kind}, but kind is {d.kind!r}")
     return problems
 
 
@@ -248,15 +235,10 @@ class FaceCensus:
         return sum(j * c for j, c in self.counts.items())
 
 
-def _trace_faces(d: Diagram) -> list[tuple[int, ...]]:
-    """Faces in order of their smallest dart, each traced from it."""
-    twin, succ, _, _ = _flat(d)
-    return _traces(twin, succ)
-
-
 def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
-    """_trace_faces on flat arrays: a face steps from a dart to the
-    rotation successor of its twin."""
+    """Faces in order of their smallest dart, each traced from it on flat
+    arrays: a face steps from a dart to the rotation successor of its
+    twin."""
     seen = [False] * len(twin)
     faces = []
     for start in range(len(twin)):
@@ -283,7 +265,7 @@ def faces(d: Diagram) -> tuple[list[tuple[int, ...]], FaceCensus]:
     From a dart the boundary continues with the rotation successor of its
     twin; every dart lies on exactly one face.
     """
-    face_list = _trace_faces(d)
+    face_list = _traces(*_flat(d)[:2])
     counts: dict[int, int] = {}
     for trace in face_list:
         counts[len(trace)] = counts.get(len(trace), 0) + 1
@@ -329,7 +311,7 @@ def face_orientations(d: Diagram) -> dict[int, str]:
 def face_of_dart(d: Diagram) -> dict[int, int]:
     """Map each dart id to the index of the face whose trace contains it."""
     mapping: dict[int, int] = {}
-    for idx, trace in enumerate(_trace_faces(d)):
+    for idx, trace in enumerate(_traces(*_flat(d)[:2])):
         for dart in trace:
             mapping[dart] = idx
     return mapping
@@ -503,7 +485,8 @@ def from_json_dict(data: dict) -> Diagram:
                     darts, rotation)
     except DiagramFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # a RecursionError: the repr or str of a too deeply nested value
         raise DiagramFormatError(f"malformed diagram document: {exc}") from exc
     if any(dart.direction not in (OUT, IN) for dart in d.darts):
         raise DiagramFormatError("dart dir must be 'out' or 'in'")
@@ -513,7 +496,7 @@ def from_json_dict(data: dict) -> Diagram:
 def from_json(text: str) -> Diagram:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramFormatError("diagram document must be a JSON object")

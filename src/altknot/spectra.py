@@ -67,7 +67,10 @@ def parse_matrix(text: str) -> AdjMatrix:
     raises ValueError rather than being coerced."""
     stripped = text.strip()
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
         if not all(isinstance(row, list) and all(type(v) is int for v in row)
                    for row in data):
             raise ValueError("a JSON matrix must be a list of rows of integers")

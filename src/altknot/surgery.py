@@ -12,9 +12,10 @@ and turns it into a diagram once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
-from .diagram import (IN, OUT, Dart, Diagram, DiagramError, faces,
-                      validate, _kind, _rings)
+from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
+                      _kind, _rings, _traces)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -79,20 +80,32 @@ class _Builder:
 
     def __init__(self, d: Diagram | None = None) -> None:
         """A builder holding d, or holding nothing yet.  d's rings must
-        list each of its darts exactly once, four per vertex."""
+        list each of its darts exactly once, four per vertex, and its
+        twins must pair each out dart with one in dart; every operation
+        reads its input only through this check."""
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts if d else ()
-        self.twin = [x.twin for x in self.darts]
-        self.direction = [x.direction for x in self.darts]
+        twin = self.twin = [x.twin for x in self.darts]
+        direction = self.direction = [x.direction for x in self.darts]
         self.rotation = list(d.rotation) if d else []
+        if not d:
+            return
         listed = {x for ring in self.rotation if len(ring) == 4 for x in ring}
-        n = len(self.twin)
-        if d and (listed != set(range(n)) or n != 4 * len(self.rotation)
-                  or n != 4 * d.vertex_count):
+        n = len(twin)
+        if (listed != set(range(n)) or n != 4 * len(self.rotation)
+                or n != 4 * d.vertex_count):
             raise SurgeryError("the rotation rings do not list every dart "
                                "exactly once, four per vertex")
+        if n and not 0 <= min(twin) <= max(twin) < n:
+            raise SurgeryError("a dart's twin is out of range")
+        # an involution whose pairs differ in direction has no fixed point
+        if (list(map(twin.__getitem__, twin)) != list(range(n))
+                or not {OUT, IN}.issuperset(direction)
+                or any(map(eq, map(direction.__getitem__, twin), direction))):
+            raise SurgeryError("the twins do not pair each out dart with "
+                               "one in dart")
 
     def disjoint(self, d: Diagram) -> int:
         """Add a copy of d, its dart ids shifted past the existing ones;
@@ -111,8 +124,8 @@ class _Builder:
         self.direction += directions
 
     def tail(self, edge_index: int) -> int:
-        """Tail dart of an edge, edges numbered by tail dart id as in
-        `Diagram.edge_darts`; a negative index counts from the last."""
+        """Tail dart of an edge, edges numbered in order of tail dart id;
+        a negative index counts from the last."""
         return [i for i, x in enumerate(self.direction) if x == OUT][edge_index]
 
     def expand(self, vertex: int, lane: str) -> tuple[int, tuple[int, int]]:
@@ -307,7 +320,9 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     bigon, or when its two edges close a circle on a single vertex (such a
     circle is a whole strand; contracting it would cut the strand off).
     """
-    face_list, _ = faces(d)
+    b = _Builder(d)
+    succ, ring_of = _rings(b.rotation, len(b.twin))
+    face_list = _traces(b.twin, succ)
     if not 0 <= face_id < len(face_list):
         raise SurgeryError(f"no face {face_id}")
     trace = face_list[face_id]
@@ -315,8 +330,6 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
         raise SurgeryError(
             f"face {face_id} has {len(trace)} edges, contraction needs a bigon")
     p, q = trace
-    b = _Builder(d)
-    _, ring_of = _rings(b.rotation, len(b.twin))
     v1, v2 = ring_of[p], ring_of[q]
     if v1 == v2:
         raise SurgeryError(
@@ -324,7 +337,7 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
             "it would disconnect that strand")
 
     keep, gone = min(v1, v2), max(v1, v2)
-    removed = {p, q, d.twin(p), d.twin(q)}
+    removed = {p, q, b.twin[p], b.twin[q]}
 
     def remaining_arc(vertex: int) -> tuple[int, int]:
         ring = b.rotation[vertex]
@@ -351,10 +364,10 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
     the one that precedes it.  Eliminating the last vertex yields an
     `Unknot` result rather than a diagram.
     """
-    _check_lane(direction)
-    if not 0 <= vertex_id < d.vertex_count:
-        raise SurgeryError(f"no vertex {vertex_id}")
     b = _Builder(d)
+    _check_lane(direction)
+    if not 0 <= vertex_id < len(b.rotation):
+        raise SurgeryError(f"no vertex {vertex_id}")
     ring, twin = b.rotation[vertex_id], b.twin
     step = 1 if direction == LANE_OUT else -1
 
@@ -387,7 +400,7 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
             cur = onward(cur)
             reach(cur)
         circles += 1
-    if d.vertex_count == 1:
+    if len(b.rotation) == 1:
         return Unknot(circles=circles)
     if circles:
         raise SurgeryError(
@@ -410,20 +423,18 @@ def compose_twist(d1: Diagram, edge1: int, d2: Diagram, edge2: int,
     twists this is the plain composition; successive twist counts form a
     family obeying the homogeneous three-term recurrence.
     """
-    if twists < 0:
-        raise SurgeryError("twist count must be >= 0")
-    e1 = d1.edge_darts()
-    e2 = d2.edge_darts()
-    if not 0 <= edge1 < len(e1):
-        raise SurgeryError(f"diagram 1 has no edge {edge1}")
-    if not 0 <= edge2 < len(e2):
-        raise SurgeryError(f"diagram 2 has no edge {edge2}")
-    t1_dart, h1_dart = e1[edge1]
-    t2_dart, h2_dart = e2[edge2]
-
     m = _Builder(d1)
     shift = m.disjoint(d2)
-    t2s, h2s = t2_dart + shift, h2_dart + shift
+    if twists < 0:
+        raise SurgeryError("twist count must be >= 0")
+    # the twins pair out with in darts, so half of each diagram's darts
+    # are edge tails, d1's first
+    if not 0 <= edge1 < shift // 2:
+        raise SurgeryError(f"diagram 1 has no edge {edge1}")
+    if not 0 <= edge2 < (len(m.twin) - shift) // 2:
+        raise SurgeryError(f"diagram 2 has no edge {edge2}")
+    t1_dart, t2s = m.tail(edge1), m.tail(shift // 2 + edge2)
+    h1_dart, h2s = m.twin[t1_dart], m.twin[t2s]
     if twists == 0:
         # cross join: tail of edge1 to head of edge2 and vice versa
         m.twin[t1_dart], m.twin[h2s] = h2s, t1_dart

@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from altknot import diagram as dg
 from altknot import families as fam
 from altknot import spectra as sp
 from altknot.cli import main
@@ -312,6 +318,93 @@ def test_matrix_commands_report_the_diagram_error(capsys, tmp_path, command,
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}: not a diagram or matrix: {message}\n"
+
+
+DEEP_JSON = "[" * 100_000  # json.loads raises RecursionError on it
+
+
+@pytest.mark.parametrize("command", ["charpoly", "census", "components",
+                                     "decompose"])
+@pytest.mark.parametrize("doc", [DEEP_JSON, '{"a": ' * 100_000],
+                         ids=["array", "object"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, command, doc):
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any input file exits 0, 1 or 2, with nothing but error lines
+# ---------------------------------------------------------------------------
+
+def gen_output(spec):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gen", spec]) == 0
+    return out.getvalue()
+
+
+FUZZ_GEN = [gen_output(spec) for spec in ("cyclic:V=3", "hopftwist:V=3",
+                                           "twistknot:V=4", "p:k=1,l=1,m=2")]
+FUZZ_MATRICES = [sp.adjacency(dg.from_json(doc)) for doc in FUZZ_GEN]
+FUZZ_BASES = (FUZZ_GEN + [m.to_text() + "\n" for m in FUZZ_MATRICES]
+              + [json.dumps(m.rows) for m in FUZZ_MATRICES])
+FUZZ_EDIT = st.tuples(
+    # mostly integer edits: they keep the text parseable, so the file
+    # reaches validation and the commands rather than the JSON parser
+    st.sampled_from(("number", "number", "number", "insert", "delete",
+                     "replace")),
+    st.integers(0, 1 << 16), st.integers(-3, 99),
+    st.text(alphabet='{}[]:,"-.0123456789eE truefalsnoutin\n', max_size=6))
+
+
+def mutate(text, edits):
+    """text with each edit applied in turn: a chunk inserted, 1-8
+    characters deleted or replaced, or an integer literal set to a
+    value."""
+    for op, at, value, chunk in edits:
+        at %= len(text) + 1
+        cut = at + abs(value) % 8 + 1
+        if op == "insert":
+            text = text[:at] + chunk + text[at:]
+        elif op == "delete":
+            text = text[:at] + text[cut:]
+        elif op == "replace":
+            text = text[:at] + chunk + text[cut:]
+        else:
+            numbers = list(re.finditer(r"-?\d+", text))
+            if numbers:
+                m = numbers[at % len(numbers)]
+                text = text[:m.start()] + str(value) + text[m.end():]
+    return text
+
+
+FUZZ_TEXTS = st.sampled_from(FUZZ_BASES).flatmap(
+    lambda base: st.lists(FUZZ_EDIT, max_size=4).map(
+        lambda edits: mutate(base, edits)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(("charpoly", "census", "components",
+                                "decompose")),
+       text=FUZZ_TEXTS)
+@example(command="census", text=DEEP_JSON)
+@example(command="charpoly", text=DEEP_JSON)
+def test_mutated_inputs_exit_cleanly(fuzz_path, command, text):
+    fuzz_path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(fuzz_path)])
+    assert code in (0, 1, 2)
+    assert all(line.startswith("error: ")
+               for line in err.getvalue().splitlines())
 
 
 def test_repeated_spec_parameter_is_input_error(capsys):

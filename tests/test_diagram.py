@@ -377,6 +377,29 @@ def test_from_json_rejects_garbage():
         dg.from_json(json.dumps([1, 2, 3]))
 
 
+def deeply_nested(depth=100_000):
+    """A list nested `depth` deep, built without recursion."""
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000])
+def test_deeply_nested_json_is_a_format_error(text):
+    # json.loads raises RecursionError on nesting past the recursion limit
+    with pytest.raises(dg.DiagramFormatError, match="not valid JSON"):
+        dg.from_json(text)
+
+
+def test_deeply_nested_value_in_a_document_is_a_format_error():
+    # parsed, but too deep for the repr that names the bad value
+    doc = dg.to_json_dict(trefoil())
+    doc["version"] = deeply_nested()
+    with pytest.raises(dg.DiagramFormatError, match="malformed"):
+        dg.from_json_dict(doc)
+
+
 def test_dot_export():
     dot = dg.to_dot(trefoil())
     assert dot.startswith("digraph")

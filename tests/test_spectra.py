@@ -377,6 +377,12 @@ def test_parse_matrix_json():
     assert m.rows == ((0, 2), (2, 0))
 
 
+def test_deeply_nested_json_matrix_is_a_value_error():
+    # json.loads raises RecursionError on nesting past the recursion limit
+    with pytest.raises(ValueError, match="not valid JSON"):
+        sp.parse_matrix("[" * 100_000)
+
+
 def test_matrix_text_round_trip():
     m = matrix_of(fam.CYCLIC_TORUS, (5,))
     assert sp.parse_matrix(m.to_text()) == m

@@ -413,6 +413,90 @@ def test_builder_reads_each_darts_vertex_from_its_ring():
             assert contraction(bad, face) == contraction(d, face), str(s)
 
 
+@pytest.mark.parametrize("twin", [99, 0, 2])
+def test_twins_that_are_not_an_out_in_involution_are_refused(twin):
+    # dart 0's twin out of range, dart 0 paired with itself, or paired with
+    # a dart whose own twin is elsewhere: the builder refuses the map before
+    # any operation reads it
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = list(d.darts)
+    darts[0] = dataclasses.replace(darts[0], twin=twin)
+    bad = dataclasses.replace(d, darts=tuple(darts))
+    refused = pytest.raises(sg.SurgeryError, match="twin")
+    for lane in sg.LANES:
+        with refused:
+            sg.expand_vertex(bad, 0, lane)
+        with refused:
+            sg.eliminate_crossing(bad, 0, lane)
+    with refused:
+        sg.contract_bigon(bad, 0)
+    for twists in (0, 1):
+        with refused:
+            sg.compose_twist(bad, 0, d, 0, twists)
+        with refused:
+            sg.compose_twist(d, 0, bad, 0, twists)
+
+
+def corrupt(d, rng):
+    """d with one random fault: a twin in -2..n+2, a direction set to out,
+    in or neither, a ring entry in -2..n+2, one ring shuffled, or two
+    entries swapped across two rings."""
+    n, v = len(d.darts), d.vertex_count
+    darts, rotation = list(d.darts), [list(ring) for ring in d.rotation]
+    fault = rng.randrange(5)
+    k = rng.randrange(n)
+    if fault == 0:
+        darts[k] = dataclasses.replace(darts[k], twin=rng.randint(-2, n + 2))
+    elif fault == 1:
+        darts[k] = dataclasses.replace(
+            darts[k], direction=rng.choice((dg.OUT, dg.IN, "sideways")))
+    elif fault == 2:
+        rotation[rng.randrange(v)][rng.randrange(4)] = rng.randint(-2, n + 2)
+    elif fault == 3:
+        rng.shuffle(rotation[rng.randrange(v)])
+    else:
+        a, b = rng.randrange(v), rng.randrange(v)
+        i, j = rng.randrange(4), rng.randrange(4)
+        rotation[a][i], rotation[b][j] = rotation[b][j], rotation[a][i]
+    return dataclasses.replace(d, darts=tuple(darts),
+                               rotation=tuple(map(tuple, rotation)))
+
+
+def _call_hung(signum, frame):
+    raise TimeoutError("a surgery operation on a corrupted map did not stop")
+
+
+def test_corrupted_maps_raise_only_diagram_errors():
+    # a fixed budget of seeded single faults on sweep(4) members, each fed
+    # to all four operations: a call returns or raises a DiagramError
+    # subclass, and an alarm turns a hang into a failure
+    rng = random.Random(11)
+    seeds = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+    previous = signal.signal(signal.SIGALRM, _call_hung)
+    try:
+        for _ in range(1500):
+            d = rng.choice(seeds)
+            bad, good = corrupt(d, rng), rng.choice(seeds)
+            v, lane = rng.randrange(d.vertex_count), rng.choice(sg.LANES)
+            e1, e2 = rng.randrange(2 * v + 2), rng.randrange(8)
+            twists = rng.randrange(3)
+            for call in (
+                    lambda: sg.expand_vertex(bad, v, lane),
+                    lambda: sg.contract_bigon(bad, rng.randrange(v + 2)),
+                    lambda: sg.eliminate_crossing(bad, v, lane),
+                    lambda: sg.compose_twist(bad, e1, good, e2, twists),
+                    lambda: sg.compose_twist(good, e2, bad, e1, twists)):
+                signal.alarm(5)
+                try:
+                    call()
+                except dg.DiagramError:
+                    pass
+                finally:
+                    signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 def contraction(d, face):
     """contract_bigon's result, or the message of its SurgeryError."""
     try:

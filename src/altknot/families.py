@@ -17,6 +17,7 @@ included, reads it from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable
 
@@ -77,8 +78,10 @@ class FamilySpec:
 class Family:
     """One named family: its tag, CLI prefix, parameters, size, generator
     and closed form.  `vertices`, `build` and `formula` take the member's
-    parameters in the order of `names`; `build` returns the member as an
-    unfinished `surgery._Builder`, which `generate` finishes.
+    parameters in the order of `names` (the `chain` and `kribbon`
+    formulas then take a ring (x, J), see `check_identities`); `build`
+    returns the member as an unfinished `surgery._Builder`, which
+    `generate` finishes.
 
     The verify sweep runs every parameter from its minimum up to the sweep
     maximum; a `descending` family, symmetric in its ribbons, keeps only
@@ -215,33 +218,35 @@ def _chained_cyclic(k: int, n: int) -> _Builder:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def cyclic_poly(v: int) -> IntPoly:
+# The formulas `check_identities` reads take their ring as (x, J), X and
+# jpoly by default: each is written once and also evaluated at an integer
+# point and on l1 majorants.
+
+def cyclic_poly(v: int, x=X, J=jpoly) -> IntPoly:
     """2[J_V - 1] - x*J_{V-1}: the cyclic torus family."""
-    return 2 * (jpoly(v) - 1) - X * jpoly(v - 1)
+    return 2 * (J(v) - 1) - x * J(v - 1)
 
 
-def two_ribbon_poly(j: int, k: int) -> IntPoly:
-    return (jpoly(k) * jpoly(j) - jpoly(k - 2) * jpoly(j - 2)
-            - 2 * jpoly(j - 1) - 2 * jpoly(k - 1))
+def two_ribbon_poly(j: int, k: int, x=X, J=jpoly) -> IntPoly:
+    return J(k) * J(j) - J(k - 2) * J(j - 2) - 2 * J(j - 1) - 2 * J(k - 1)
 
 
-def three_ribbon_p_poly(k: int, l: int, m: int) -> IntPoly:
+def three_ribbon_p_poly(k: int, l: int, m: int, x=X, J=jpoly) -> IntPoly:
     """Defined for m >= 0; m = 0 uses the convention J_{-1} = 0."""
-    return ((jpoly(k - 2) * jpoly(l - 2) + jpoly(k) * jpoly(l) - 2) * jpoly(m)
-            - X * (jpoly(k - 1) + jpoly(l - 1)
-                   + jpoly(k - 2) * jpoly(l - 2) - 1) * jpoly(m - 1)
-            - 2 * jpoly(k - 1) * jpoly(l - 1))
+    return ((J(k - 2) * J(l - 2) + J(k) * J(l) - 2) * J(m)
+            - x * (J(k - 1) + J(l - 1) + J(k - 2) * J(l - 2) - 1) * J(m - 1)
+            - 2 * J(k - 1) * J(l - 1))
 
 
-def three_ribbon_g_poly(k: int, l: int, m: int) -> IntPoly:
+def three_ribbon_g_poly(k: int, l: int, m: int, x=X, J=jpoly) -> IntPoly:
     """Symmetric in all three indices; m = 0 gives the composition of two
     cyclic diagrams (with J_{-1} = 0)."""
-    jk, jl, jm = jpoly(k), jpoly(l), jpoly(m)
-    jk1, jl1, jm1 = jpoly(k - 1), jpoly(l - 1), jpoly(m - 1)
-    return (X * (jk1 * jl * jm + jk * jl1 * jm + jk * jl * jm1)
-            - X * X * (jk * jl1 * jm1 + jk1 * jl * jm1 + jk1 * jl1 * jm)
-            + (X ** 3 - 2) * jk1 * jl1 * jm1
-            - X * (jk1 + jl1 + jm1))
+    jk, jl, jm = J(k), J(l), J(m)
+    jk1, jl1, jm1 = J(k - 1), J(l - 1), J(m - 1)
+    return (x * (jk1 * jl * jm + jk * jl1 * jm + jk * jl * jm1)
+            - x * x * (jk * jl1 * jm1 + jk1 * jl * jm1 + jk1 * jl1 * jm)
+            + (x ** 3 - 2) * jk1 * jl1 * jm1
+            - x * (jk1 + jl1 + jm1))
 
 
 def chained_cyclic_poly(k: int, n: int) -> IntPoly:
@@ -295,10 +300,10 @@ FAMILIES: tuple[Family, ...] = (
            _three_ribbon_g, three_ribbon_g_poly, descending=True),
     Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: 2 * k,
            lambda k: _k_ribbon_cyclic(k, 2),
-           lambda k: cyclic_poly(k) * X ** k),
+           lambda k, x=X, J=jpoly: cyclic_poly(k, x, J) * x ** k),
     Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1), lambda k, m: k * m,
            _k_ribbon_cyclic,
-           lambda k, m: cyclic_poly(k) * jpoly(m - 1) ** k),
+           lambda k, m, x=X, J=jpoly: cyclic_poly(k, x, J) * J(m - 1) ** k),
     # k = 0 degenerates to the bare cyclic knot (the formula then needs the
     # convention J_{-1} = 0)
     Family(CHAINED_CYCLIC, "lchain", ("k", "n"), (0, 1),
@@ -387,6 +392,99 @@ def check_family_recurrence(p0: IntPoly, p1: IntPoly,
     return RecurrenceCheck(False, quotient)
 
 
+# ---------------------------------------------------------------------------
+# Cross-family identities, each decided by one exact evaluation per side
+# ---------------------------------------------------------------------------
+
+def _jvalues(x0: int, top: int) -> Callable[[int], int]:
+    """J_k at the integer x0, k = -1..top, from the integer recurrence:
+    the J of the ring (x0, J), which maps jpoly(k) to jpoly(k)(x0)."""
+    table = [0, 1]  # J_{-1}, J_0; J_k sits at k + 1
+    for _ in range(top):
+        table.append(x0 * table[-1] - table[-2])
+
+    def J(k: int) -> int:
+        if k < -1:  # never let k + 1 wrap round to the end of the table
+            raise ValueError(f"jpoly index must be >= -1, got {k}")
+        return table[k + 1]
+    return J
+
+
+class _L1:
+    """An upper bound on the l1 norm of a polynomial (see
+    `check_identities`): a sum or a difference adds bounds, a product
+    multiplies them, and a constant counts by its absolute value."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __add__(self, other: _L1 | int) -> _L1:
+        return _L1(self.n + (other.n if type(other) is _L1 else abs(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other: _L1 | int) -> _L1:
+        return _L1(self.n * (other.n if type(other) is _L1 else abs(other)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> _L1:
+        return _L1(self.n ** e)
+
+
+def _jl1(k: int) -> _L1:
+    """F_{k+1} (Fibonacci, F_0 = 0), a bound on l1(J_k): the J of the
+    majorant ring (_L1(1), _jl1)."""
+    if k < -1:
+        raise ValueError(f"jpoly index must be >= -1, got {k}")
+    a, b = 0, 1
+    for _ in range(k + 1):
+        a, b = b, a + b
+    return _L1(a)
+
+
+def _g_of(x, J) -> Callable[[int, int, int], object]:
+    """three_ribbon_g_poly over the ring (x, J), each value made once."""
+    return lru_cache(maxsize=None)(
+        lambda k, l, m: three_ribbon_g_poly(k, l, m, x, J))
+
+
+# name, number of indices (each runs over 1..max_index), and the pairs
+# (L, R) whose equality is the identity, over a ring (x, J) with g the
+# g-polynomial over the same ring
+_Sides = Callable[..., list]
+_IDENTITIES: tuple[tuple[str, int, _Sides], ...] = (
+    ("odd_cyclic_square", 1, lambda x, J, g, k: [
+        (2 * (J(2 * k + 1) - 1) - x * J(2 * k),
+         (x - 2) * (J(k) + J(k - 1)) ** 2)]),
+    ("even_cyclic_square", 1, lambda x, J, g, k: [
+        (2 * (J(2 * k) - 1) - x * J(2 * k - 1),
+         (x * x - 4) * J(k - 1) ** 2)]),
+    ("equal_indices_cube", 1, lambda x, J, g, k: [
+        (g(k, k, k), (x - 2) * (1 + x) ** 2 * J(k - 1) ** 3)]),
+    ("p_matches_g_at_one", 2, lambda x, J, g, k, l: [
+        (three_ribbon_p_poly(k, l, 1, x, J), g(k, l, 1))]),
+    ("two_ribbon_vs_cyclic", 1, lambda x, J, g, j: [
+        (two_ribbon_poly(j, 1, x, J), cyclic_poly(j + 1, x, J))]),
+    ("two_ribbon_symmetry", 2, lambda x, J, g, j, k: [
+        (two_ribbon_poly(j, k, x, J), two_ribbon_poly(k, j, x, J))]),
+    ("three_ribbon_g_symmetry", 3, lambda x, J, g, k, l, m: [
+        (g(k, l, m), g(l, k, m)), (g(l, k, m), g(m, l, k)),
+        (g(m, l, k), g(k, m, l))]),
+    ("closed_chain_form", 1, lambda x, J, g, k: [
+        (_BY_TAG[CLOSED_CHAIN].formula(k, x, J),
+         cyclic_poly(k, x, J) * x ** k),
+        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 2, x, J),
+         cyclic_poly(k, x, J) * x ** k)]),
+    ("k_ribbon_form", 2, lambda x, J, g, k, m: [
+        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, m, x, J),
+         cyclic_poly(k, x, J) * J(m - 1) ** k),
+        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 1, x, J), cyclic_poly(k, x, J))]),
+)
+
+
 def _verdict(instances: Iterable[bool]) -> bool | None:
     """all(instances), or None when there is no instance to check."""
     checked = False
@@ -397,51 +495,66 @@ def _verdict(instances: Iterable[bool]) -> bool | None:
     return True if checked else None
 
 
+def _identity_holds(sides: _Sides, arity: int, max_index: int) -> bool | None:
+    """The verdict of one identity on every index tuple in 1..max_index,
+    each instance decided at the integer point x0 = 2^w that its majorant
+    at the largest indices proves safe; None when there is no instance."""
+    if max_index < 1:
+        return None
+    one = _L1(1)
+    top = (max_index,) * arity
+    bound = max(l.n + r.n for l, r in
+                sides(one, _jl1, _g_of(one, _jl1), *top))
+    x0 = 1 << bound.bit_length()
+    J = _jvalues(x0, 2 * max_index + 1)  # odd_cyclic_square reads J_{2m+1}
+    g = _g_of(x0, J)
+    return _verdict(
+        all([l == r for l, r in sides(x0, J, g, *idx)])
+        for idx in product(range(1, max_index + 1), repeat=arity))
+
+
 def check_identities(max_index: int) -> dict[str, bool]:
     """Exact polynomial identities tying the families together.
 
     Every entry is checked for all indices up to `max_index`; the mapping
     reports each named identity separately and leaves out an identity
     with no instance in that range, so nothing unchecked reads as a pass.
+
+    Each instance L == R is decided by one integer comparison
+    L(x0) == R(x0), the formulas evaluated over the ring of x0 and the
+    table of J_k(x0).  Evaluation at x0 is a ring homomorphism, so L == R
+    implies L(x0) == R(x0).  Conversely, let D = L - R have coefficients
+    d_i with every |d_i| < x0.  If D != 0, take the lowest j with d_j != 0:
+    D(x0) = x0^j * (d_j + x0 * Q(x0)) for an integer polynomial Q, and
+    d_j + x0 * Q(x0) is congruent to d_j, which is nonzero modulo x0
+    because 0 < |d_j| < x0; so D(x0) != 0.
+
+    The bound on |d_i| is proven, never read off a computed polynomial:
+    |d_i| <= l1(D) <= l1(L) + l1(R), where l1 is the sum of the absolute
+    values of the coefficients.  l1 is subadditive and submultiplicative,
+    l1(x) = 1 and l1(c) = |c|; and l1(J_{-1}) = 0, l1(J_0) = 1 and
+    l1(J_{k+1}) <= l1(J_k) + l1(J_{k-1}), so l1(J_k) <= F_{k+1}
+    (Fibonacci).  Evaluating the same formula bodies with x -> 1,
+    J_k -> F_{k+1}, every minus read as plus and every constant by its
+    absolute value (the `_L1` type) therefore bounds l1 of each side, and
+    x0 = 2^w, with w the bit length of the largest sum of the two sides'
+    bounds over the identity's pairs, exceeds every |d_i|.
+
+    One majorant per identity, taken at its largest indices, bounds all
+    of that identity's instances.  A majorant lives in the semiring of
+    nonnegative integers under + and *, built from F_{k+1}, which is
+    nondecreasing for k >= -1, at J indices that are nondecreasing in the
+    identity's indices; sums and products of nondecreasing nonnegative
+    terms are nondecreasing, and the only index-dependent powers are x^k
+    and J_{m-1}^k, whose bases 1 and F_m (m >= 1) are at least 1.  So the
+    majorant is nondecreasing in every index.
+
+    `composition_of_cyclic` compares a computed characteristic polynomial,
+    on which any bound would have to be read off the result, so it stays
+    an `IntPoly` equality.
     """
-    ks = range(1, max_index + 1)
-    # every g-polynomial the checks below compare, each computed once
-    g = {idx: three_ribbon_g_poly(*idx) for idx in product(ks, repeat=3)}
-    report: dict[str, bool | None] = {}
-    report["odd_cyclic_square"] = _verdict(
-        2 * (jpoly(2 * k + 1) - 1) - X * jpoly(2 * k)
-        == (X - 2) * (jpoly(k) + jpoly(k - 1)) ** 2
-        for k in ks)
-    report["even_cyclic_square"] = _verdict(
-        2 * (jpoly(2 * k) - 1) - X * jpoly(2 * k - 1)
-        == (X * X - 4) * jpoly(k - 1) ** 2
-        for k in ks)
-    report["equal_indices_cube"] = _verdict(
-        g[k, k, k]
-        == (X - 2) * (1 + X) ** 2 * jpoly(k - 1) ** 3
-        for k in ks)
-    report["p_matches_g_at_one"] = _verdict(
-        three_ribbon_p_poly(k, l, 1) == g[k, l, 1]
-        for k in ks for l in ks)
-    report["two_ribbon_vs_cyclic"] = _verdict(
-        two_ribbon_poly(j, 1) == cyclic_poly(j + 1) for j in ks)
-    report["two_ribbon_symmetry"] = _verdict(
-        two_ribbon_poly(j, k) == two_ribbon_poly(k, j)
-        for j in ks for k in ks)
-    report["three_ribbon_g_symmetry"] = _verdict(
-        g[k, l, m] == g[l, k, m] == g[m, l, k] == g[k, m, l]
-        for k, l, m in g)
-    report["closed_chain_form"] = _verdict(
-        closed_form(FamilySpec(CLOSED_CHAIN, (k,)))
-        == cyclic_poly(k) * X ** k
-        and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 2)))
-        == cyclic_poly(k) * X ** k
-        for k in ks)
-    report["k_ribbon_form"] = _verdict(
-        closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, m)))
-        == cyclic_poly(k) * jpoly(m - 1) ** k
-        and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 1))) == cyclic_poly(k)
-        for k in ks for m in ks)
+    report = {name: _identity_holds(sides, arity, max_index)
+              for name, arity, sides in _IDENTITIES}
     comp_max = min(max_index, 5)
     report["composition_of_cyclic"] = _verdict(
         charpoly(adjacency(compose_twist(

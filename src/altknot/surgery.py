@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import eq
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
-                      _kind, _rings, _traces)
+                      _kind, _non_int_field, _rings, _traces)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -79,14 +79,20 @@ class _Builder:
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet.  d's rings must
-        list each of its darts exactly once, four per vertex, and its
-        twins must pair each out dart with one in dart; every operation
-        reads its input only through this check."""
+        """A builder holding d, or holding nothing yet.  d's dart ids,
+        vertices and twins must be integers, its ids 0, 1, ... in order,
+        its rings must list each of its darts exactly once, four per
+        vertex, and its twins must pair each out dart with one in dart;
+        every operation reads its input only through this check."""
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts if d else ()
+        bad_field = _non_int_field(self.darts)
+        if bad_field:
+            raise SurgeryError(bad_field)
+        if [x.id for x in self.darts] != list(range(len(self.darts))):
+            raise SurgeryError("dart ids must be 0, 1, ... in order")
         twin = self.twin = [x.twin for x in self.darts]
         direction = self.direction = [x.direction for x in self.darts]
         self.rotation = list(d.rotation) if d else []
@@ -291,10 +297,17 @@ class _Builder:
 # ---------------------------------------------------------------------------
 
 def _expand(d: Diagram, vertex_id: int, lane: str) -> tuple[Diagram, int, tuple[int, int]]:
-    """Expansion core; returns (diagram, new vertex id, new bigon's face darts)."""
+    """Expansion core; returns (diagram, new vertex id, new bigon's face darts).
+
+    The result is validated once, like every surgery result.  The move
+    leaves the other rings as they were, writes two alternating rings only
+    from a ring that alternates, and keeps connectivity and V - E + F, so
+    this refuses exactly the maps `validate` rejects that the builder
+    takes in: a ring that does not alternate, a disconnected or a
+    non-planar map."""
     b = _Builder(d)
     new_v, bigon = b.expand(vertex_id, lane)
-    return b.build(), new_v, bigon
+    return b.finish("expansion"), new_v, bigon
 
 
 def expand_vertex(d: Diagram, vertex_id: int, direction: str) -> Diagram:

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,13 @@ from altknot import diagram as dg
 from altknot import families as fam
 from altknot import spectra as sp
 from altknot import surgery as sg
-from altknot.polynomials import IntPoly, X, charpoly
+from altknot.families import (CLOSED_CHAIN, CYCLIC_TORUS, K_RIBBON_CYCLIC,
+                              FamilySpec, closed_form, cyclic_poly, generate,
+                              three_ribbon_g_poly, three_ribbon_p_poly,
+                              two_ribbon_poly)
+from altknot.polynomials import IntPoly, X, charpoly, jpoly
+from altknot.spectra import adjacency
+from altknot.surgery import compose_twist
 
 
 def spec(family, *params):
@@ -279,6 +286,157 @@ def test_identities_without_instances_are_left_out():
     # composition_of_cyclic starts at index 2
     assert "composition_of_cyclic" not in fam.check_identities(1)
     assert list(fam.check_identities(2)) == list(fam.check_identities(6))
+
+
+def _verdict(instances):
+    """all(instances), or None when there is no instance to check."""
+    checked = False
+    for ok in instances:
+        if not ok:
+            return False
+        checked = True
+    return True if checked else None
+
+
+def intpoly_check_identities(max_index):
+    """check_identities by IntPoly arithmetic on every instance, as it was
+    before each identity was decided by one integer evaluation per side;
+    kept verbatim as the oracle."""
+    ks = range(1, max_index + 1)
+    # every g-polynomial the checks below compare, each computed once
+    g = {idx: three_ribbon_g_poly(*idx) for idx in product(ks, repeat=3)}
+    report = {}
+    report["odd_cyclic_square"] = _verdict(
+        2 * (jpoly(2 * k + 1) - 1) - X * jpoly(2 * k)
+        == (X - 2) * (jpoly(k) + jpoly(k - 1)) ** 2
+        for k in ks)
+    report["even_cyclic_square"] = _verdict(
+        2 * (jpoly(2 * k) - 1) - X * jpoly(2 * k - 1)
+        == (X * X - 4) * jpoly(k - 1) ** 2
+        for k in ks)
+    report["equal_indices_cube"] = _verdict(
+        g[k, k, k]
+        == (X - 2) * (1 + X) ** 2 * jpoly(k - 1) ** 3
+        for k in ks)
+    report["p_matches_g_at_one"] = _verdict(
+        three_ribbon_p_poly(k, l, 1) == g[k, l, 1]
+        for k in ks for l in ks)
+    report["two_ribbon_vs_cyclic"] = _verdict(
+        two_ribbon_poly(j, 1) == cyclic_poly(j + 1) for j in ks)
+    report["two_ribbon_symmetry"] = _verdict(
+        two_ribbon_poly(j, k) == two_ribbon_poly(k, j)
+        for j in ks for k in ks)
+    report["three_ribbon_g_symmetry"] = _verdict(
+        g[k, l, m] == g[l, k, m] == g[m, l, k] == g[k, m, l]
+        for k, l, m in g)
+    report["closed_chain_form"] = _verdict(
+        closed_form(FamilySpec(CLOSED_CHAIN, (k,)))
+        == cyclic_poly(k) * X ** k
+        and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 2)))
+        == cyclic_poly(k) * X ** k
+        for k in ks)
+    report["k_ribbon_form"] = _verdict(
+        closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, m)))
+        == cyclic_poly(k) * jpoly(m - 1) ** k
+        and closed_form(FamilySpec(K_RIBBON_CYCLIC, (k, 1))) == cyclic_poly(k)
+        for k in ks for m in ks)
+    comp_max = min(max_index, 5)
+    report["composition_of_cyclic"] = _verdict(
+        charpoly(adjacency(compose_twist(
+            generate(FamilySpec(CYCLIC_TORUS, (k,))), 0,
+            generate(FamilySpec(CYCLIC_TORUS, (l,))), 0, 0)))
+        == three_ribbon_g_poly(k, l, 0)
+        for k in range(2, comp_max + 1) for l in range(2, comp_max + 1))
+    return {name: ok for name, ok in report.items() if ok is not None}
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_identities_match_the_intpoly_oracle(m):
+    assert (list(fam.check_identities(m).items())
+            == list(intpoly_check_identities(m).items()))
+
+
+@pytest.mark.parametrize("x0", [0, 1, 2, -3, 2 ** 7, 2 ** 64])
+def test_integer_j_table_is_jpoly_at_the_point(x0):
+    top = 25
+    J = fam._jvalues(x0, top)
+    assert [J(k) for k in range(-1, top + 1)] == [
+        jpoly(k)(x0) for k in range(-1, top + 1)]
+    for k in (-2, -3, -top - 2):
+        # never a wrap-around through a negative list index
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            J(k)
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            fam._jl1(k)
+
+
+def l1(p):
+    return sum(abs(c) for c in p.coeffs)
+
+
+def test_majorants_bound_every_instance():
+    # each side's majorant at an instance is at least the l1 norm of that
+    # side's IntPoly, and the identity's majorant at its largest indices
+    # is at least l1(L) + l1(R) >= l1(L - R) on every instance up to 8
+    m = 8
+    one = fam._L1(1)
+    majorant_ring = (one, fam._jl1, fam._g_of(one, fam._jl1))
+    poly_ring = (X, jpoly, fam._g_of(X, jpoly))
+    for name, arity, sides in fam._IDENTITIES:
+        top = max(lm.n + rm.n
+                  for lm, rm in sides(*majorant_ring, *(m,) * arity))
+        for idx in product(range(1, m + 1), repeat=arity):
+            pairs = sides(*poly_ring, *idx)
+            bounds = sides(*majorant_ring, *idx)
+            for (lp, rp), (lm, rm) in zip(pairs, bounds):
+                assert l1(lp) <= lm.n and l1(rp) <= rm.n, (name, idx)
+                assert l1(lp - rp) <= l1(lp) + l1(rp) <= top, (name, idx)
+
+
+def test_majorant_of_j_is_its_l1_norm():
+    assert [fam._jl1(k).n for k in range(-1, 30)] == [
+        l1(jpoly(k)) for k in range(-1, 30)]
+
+
+def _off_by(delta):
+    """An identity on cyclic_poly(k) whose right-hand side is off by
+    delta(x, k) at every k."""
+    return lambda x, J, g, k: [(cyclic_poly(k, x, J),
+                                cyclic_poly(k, x, J) + delta(x, k))]
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_a_false_identity_reads_false(m):
+    assert fam._identity_holds(_off_by(lambda x, k: 0), 1, m) is True
+    # off by one in the constant term, or by x^k in the top coefficient
+    # (cyclic_poly(k) is monic of degree k)
+    assert fam._identity_holds(_off_by(lambda x, k: 1), 1, m) is False
+    assert fam._identity_holds(_off_by(lambda x, k: x ** k), 1, m) is False
+    # off only at the last instance
+    assert fam._identity_holds(
+        _off_by(lambda x, k: x ** k if k == m else 0), 1, m) is False
+    assert fam._identity_holds(_off_by(lambda x, k: 1), 1, 0) is None
+
+
+def test_a_difference_vanishing_at_a_power_of_two_reads_false():
+    # x^k (x - 2^e) is zero at x0 = 2^e, so the point must lie above the
+    # bound, which counts 2^e, for every e
+    for e in range(1, 70):
+        off = _off_by(lambda x, k: x ** (k + 1) - 2 ** e * x ** k)
+        assert fam._identity_holds(off, 1, 3) is False, e
+
+
+def test_every_identity_perturbed_reads_false():
+    # the last pair of every identity, its right-hand side off by one or
+    # by a power of x at or above its degree, on every instance
+    for name, arity, sides in fam._IDENTITIES:
+        for delta in (lambda x, idx: 1,
+                      lambda x, idx: x ** (3 + sum(idx)),
+                      lambda x, idx: 0 - x ** (sum(idx) + arity)):
+            def off(x, J, g, *idx, sides=sides, delta=delta):
+                *pairs, (l, r) = sides(x, J, g, *idx)
+                return pairs + [(l, r + delta(x, idx))]
+            assert fam._identity_holds(off, arity, 4) is False, name
 
 
 def test_hopf_twist_triples():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import signal
 
 import pytest
@@ -12,7 +13,7 @@ from altknot import diagram as dg
 from altknot import families as fam
 from altknot import spectra as sp
 from altknot import surgery as sg
-from altknot.polynomials import X, charpoly
+from altknot.polynomials import X, charpoly, charpoly_cofactor
 
 
 def member(family, *params):
@@ -437,6 +438,48 @@ def test_twins_that_are_not_an_out_in_involution_are_refused(twin):
             sg.compose_twist(d, 0, bad, 0, twists)
 
 
+def _each_operation_refuses(bad, good, refused):
+    """All four operations on `bad`, both compose_twist positions, under
+    the context manager `refused`."""
+    for lane in sg.LANES:
+        with refused:
+            sg.expand_vertex(bad, 0, lane)
+        with refused:
+            sg.eliminate_crossing(bad, 0, lane)
+    with refused:
+        sg.contract_bigon(bad, 0)
+    for twists in (0, 1):
+        with refused:
+            sg.compose_twist(bad, 0, good, 0, twists)
+        with refused:
+            sg.compose_twist(good, 0, bad, 0, twists)
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, None, True])
+@pytest.mark.parametrize("field", ["id", "vertex", "twin"])
+def test_dart_fields_that_are_not_integers_are_refused(field, value):
+    # dart 1 of cyclic:V=3 has id 1 and twin 0, so 1.0 and True equal the
+    # id it should have and None and "1" cannot be compared with an int:
+    # validate reports the field, and every operation raises SurgeryError
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = list(d.darts)
+    darts[1] = dataclasses.replace(darts[1], **{field: value})
+    bad = dataclasses.replace(d, darts=tuple(darts))
+    problem = f"dart 1: {field} must be an integer, got {value!r}"
+    assert dg.validate(bad) == [problem]
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+
+
+def test_dart_ids_out_of_order_are_refused():
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = list(d.darts)
+    darts[0] = dataclasses.replace(darts[0], id=7)
+    bad = dataclasses.replace(d, darts=tuple(darts))
+    _each_operation_refuses(
+        bad, d, pytest.raises(sg.SurgeryError, match="^dart ids must be"))
+
+
 def corrupt(d, rng):
     """d with one random fault: a twin in -2..n+2, a direction set to out,
     in or neither, a ring entry in -2..n+2, one ring shuffled, or two
@@ -497,6 +540,27 @@ def test_corrupted_maps_raise_only_diagram_errors():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_expand_vertex_returns_only_valid_diagrams():
+    # seeded single faults on sweep(4) members: the builder takes in maps
+    # whose rings do not alternate or that are not planar, and expansion
+    # must refuse them instead of growing them
+    rng = random.Random(3)
+    seeds = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+    outcomes = {"raised": 0, "valid": 0}
+    for _ in range(3000):
+        d = rng.choice(seeds)
+        bad = corrupt(d, rng)
+        v, lane = rng.randrange(d.vertex_count), rng.choice(sg.LANES)
+        try:
+            out = sg.expand_vertex(bad, v, lane)
+        except dg.DiagramError:
+            outcomes["raised"] += 1
+            continue
+        assert dg.validate(out) == [], (bad, v, lane)
+        outcomes["valid"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def contraction(d, face):
     """contract_bigon's result, or the message of its SurgeryError."""
     try:
@@ -553,3 +617,29 @@ def test_random_surgery_keeps_invariants(start, steps, rng):
         assert dg.component_count(d) == sp.trace_strands(sp.adjacency(d)).count
         assert dg.from_json(dg.to_json(d)) == d
         assert dg.canonical_code(relabel(d, rng)) == dg.canonical_code(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, len(SURGERY_SEEDS) - 1),
+       steps=st.lists(SURGERY_STEP, max_size=8))
+def test_random_surgery_keeps_the_polynomial_laws(start, steps):
+    # the packed-row charpoly against cofactor expansion (V <= 8), and the
+    # polynomial of the mirror image, on every diagram of a random surgery
+    d = SURGERY_SEEDS[start]
+    visited = [d]
+    for step in steps:
+        try:
+            out = surgery_step(d, *step)
+        except sg.SurgeryError:
+            continue
+        if out is not None:
+            d = out
+            visited.append(d)
+    for d in visited:
+        m = sp.adjacency(d)
+        p = charpoly(m)
+        if d.vertex_count <= 8:
+            assert p == charpoly_cofactor(m), d
+        mirrored = dg.mirror(d)
+        assert dg.validate(mirrored) == [], d
+        assert charpoly(sp.adjacency(mirrored)) == p, d

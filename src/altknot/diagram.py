@@ -99,18 +99,27 @@ def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
     return twin, _rings(d.rotation, len(darts))[0], out, vertex
 
 
-def _non_int_field(darts: Sequence[Dart]) -> str | None:
-    """The problem with the first `Dart` field among id, vertex and twin
-    that is not an `int` (`bool` and `float` included), or None when every
-    one is.  Three set passes when they are, the fastest form measured."""
-    if ({type(x.id) for x in darts} | {type(x.vertex) for x in darts}
+def _non_int_field(d: Diagram) -> str | None:
+    """The problem with the first value of d that is not an `int` (`bool`
+    and `float` included): its vertex count, then a `Dart` field among id,
+    vertex and twin, then a rotation-ring entry; None when every one is.
+    Set passes when they are, the fastest form measured."""
+    if type(d.vertex_count) is not int:
+        return f"vertex count: V must be an integer, got {d.vertex_count!r}"
+    darts = d.darts
+    if not ({type(x.id) for x in darts} | {type(x.vertex) for x in darts}
             | {type(x.twin) for x in darts}) <= {int}:
-        return None
-    for i, x in enumerate(darts):
-        for name in ("id", "vertex", "twin"):
-            v = getattr(x, name)
-            if type(v) is not int:
-                return f"dart {i}: {name} must be an integer, got {v!r}"
+        for i, x in enumerate(darts):
+            for name in ("id", "vertex", "twin"):
+                v = getattr(x, name)
+                if type(v) is not int:
+                    return f"dart {i}: {name} must be an integer, got {v!r}"
+    if not {type(x) for ring in d.rotation for x in ring} <= {int}:
+        for v, ring in enumerate(d.rotation):
+            for x in ring:
+                if type(x) is not int:
+                    return (f"rotation: ring of vertex {v} must hold "
+                            f"integers, got {x!r}")
     return None
 
 
@@ -141,6 +150,10 @@ def validate(d: Diagram) -> list[str]:
     problems: list[str] = []
     if d.kind not in KINDS:
         problems.append(f"kind: {d.kind!r} is not one of {KINDS}")
+    bad_field = _non_int_field(d)
+    if bad_field:
+        problems.append(bad_field)
+        return problems
     if d.vertex_count < 1:
         problems.append("vertex count: V must be >= 1")
         return problems
@@ -148,10 +161,6 @@ def validate(d: Diagram) -> list[str]:
     if len(d.darts) != n_darts:
         problems.append(
             f"dart count: expected {n_darts} darts, found {len(d.darts)}")
-        return problems
-    bad_field = _non_int_field(d.darts)
-    if bad_field:
-        problems.append(bad_field)
         return problems
     for i, dart in enumerate(d.darts):
         if dart.id != i:

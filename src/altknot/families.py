@@ -323,10 +323,15 @@ _BY_PREFIX = {f.prefix: f for f in FAMILIES}
 WAIST_RING_GROWTHS = ("chain", "clasp")
 
 
+def _check_waist_v(v: int) -> None:
+    if type(v) is not int or v < 5:
+        raise FamilyError(
+            f"waist-ring family takes an integer V >= 5, got {v!r}")
+
+
 def waist_ring_poly(v: int) -> IntPoly:
     """x^2 [(x^2 - 2) J_{V-4} - 2 J_{V-5} - 2], defined for V >= 5."""
-    if v < 5:
-        raise FamilyError("waist-ring family starts at V = 5")
+    _check_waist_v(v)
     return X * X * ((X * X - 2) * jpoly(v - 4) - 2 * jpoly(v - 5) - 2)
 
 
@@ -339,8 +344,7 @@ def waist_ring_diagram(v: int, growth: str = "chain") -> Diagram:
     """
     if growth not in WAIST_RING_GROWTHS:
         raise FamilyError(f"growth must be one of {WAIST_RING_GROWTHS}")
-    if v < 5:
-        raise FamilyError("waist-ring family starts at V = 5")
+    _check_waist_v(v)
     if v > max_vertices():
         raise FamilyError(f"V={v} above the cap {max_vertices()}")
     b = _twist_chain(1)
@@ -396,14 +400,15 @@ def check_family_recurrence(p0: IntPoly, p1: IntPoly,
 # Cross-family identities, each decided by one exact evaluation per side
 # ---------------------------------------------------------------------------
 
-def _jvalues(x0: int, top: int) -> Callable[[int], int]:
-    """J_k at the integer x0, k = -1..top, from the integer recurrence:
-    the J of the ring (x0, J), which maps jpoly(k) to jpoly(k)(x0)."""
-    table = [0, 1]  # J_{-1}, J_0; J_k sits at k + 1
+def _jvalues(x, top: int) -> Callable[[int], object]:
+    """J_k over the ring of x, k = -1..top, from the recurrence: at an
+    integer x0 the J of the ring (x0, J), which maps jpoly(k) to
+    jpoly(k)(x0); at `_L1(1)` the l1 majorant of J_k."""
+    table = [x * 0, x ** 0]  # J_{-1}, J_0; J_k sits at k + 1
     for _ in range(top):
-        table.append(x0 * table[-1] - table[-2])
+        table.append(x * table[-1] - table[-2])
 
-    def J(k: int) -> int:
+    def J(k: int) -> object:
         if k < -1:  # never let k + 1 wrap round to the end of the table
             raise ValueError(f"jpoly index must be >= -1, got {k}")
         return table[k + 1]
@@ -435,14 +440,9 @@ class _L1:
 
 
 def _jl1(k: int) -> _L1:
-    """F_{k+1} (Fibonacci, F_0 = 0), a bound on l1(J_k): the J of the
-    majorant ring (_L1(1), _jl1)."""
-    if k < -1:
-        raise ValueError(f"jpoly index must be >= -1, got {k}")
-    a, b = 0, 1
-    for _ in range(k + 1):
-        a, b = b, a + b
-    return _L1(a)
+    """A bound on l1(J_k), the J recurrence read in the majorant ring:
+    the J of the ring (_L1(1), _jl1)."""
+    return _jvalues(_L1(1), k)(k)
 
 
 def _g_of(x, J) -> Callable[[int, int, int], object]:
@@ -457,11 +457,9 @@ def _g_of(x, J) -> Callable[[int, int, int], object]:
 _Sides = Callable[..., list]
 _IDENTITIES: tuple[tuple[str, int, _Sides], ...] = (
     ("odd_cyclic_square", 1, lambda x, J, g, k: [
-        (2 * (J(2 * k + 1) - 1) - x * J(2 * k),
-         (x - 2) * (J(k) + J(k - 1)) ** 2)]),
+        (cyclic_poly(2 * k + 1, x, J), (x - 2) * (J(k) + J(k - 1)) ** 2)]),
     ("even_cyclic_square", 1, lambda x, J, g, k: [
-        (2 * (J(2 * k) - 1) - x * J(2 * k - 1),
-         (x * x - 4) * J(k - 1) ** 2)]),
+        (cyclic_poly(2 * k, x, J), (x * x - 4) * J(k - 1) ** 2)]),
     ("equal_indices_cube", 1, lambda x, J, g, k: [
         (g(k, k, k), (x - 2) * (1 + x) ** 2 * J(k - 1) ** 3)]),
     ("p_matches_g_at_one", 2, lambda x, J, g, k, l: [
@@ -474,13 +472,9 @@ _IDENTITIES: tuple[tuple[str, int, _Sides], ...] = (
         (g(k, l, m), g(l, k, m)), (g(l, k, m), g(m, l, k)),
         (g(m, l, k), g(k, m, l))]),
     ("closed_chain_form", 1, lambda x, J, g, k: [
-        (_BY_TAG[CLOSED_CHAIN].formula(k, x, J),
-         cyclic_poly(k, x, J) * x ** k),
         (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 2, x, J),
-         cyclic_poly(k, x, J) * x ** k)]),
-    ("k_ribbon_form", 2, lambda x, J, g, k, m: [
-        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, m, x, J),
-         cyclic_poly(k, x, J) * J(m - 1) ** k),
+         _BY_TAG[CLOSED_CHAIN].formula(k, x, J))]),
+    ("k_ribbon_form", 1, lambda x, J, g, k: [
         (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 1, x, J), cyclic_poly(k, x, J))]),
 )
 
@@ -532,11 +526,11 @@ def check_identities(max_index: int) -> dict[str, bool]:
     The bound on |d_i| is proven, never read off a computed polynomial:
     |d_i| <= l1(D) <= l1(L) + l1(R), where l1 is the sum of the absolute
     values of the coefficients.  l1 is subadditive and submultiplicative,
-    l1(x) = 1 and l1(c) = |c|; and l1(J_{-1}) = 0, l1(J_0) = 1 and
-    l1(J_{k+1}) <= l1(J_k) + l1(J_{k-1}), so l1(J_k) <= F_{k+1}
-    (Fibonacci).  Evaluating the same formula bodies with x -> 1,
-    J_k -> F_{k+1}, every minus read as plus and every constant by its
-    absolute value (the `_L1` type) therefore bounds l1 of each side, and
+    l1(x) = 1 and l1(c) = |c|, so evaluating the same formula bodies with
+    x -> 1, every minus read as plus and every constant by its absolute
+    value (the `_L1` type) bounds l1 of each side.  The J recurrence read
+    that way is l1(J_{k+1}) <= l1(J_k) + l1(J_{k-1}) from l1(J_{-1}) = 0
+    and l1(J_0) = 1, so `_jl1` bounds l1(J_k) by F_{k+1} (Fibonacci), and
     x0 = 2^w, with w the bit length of the largest sum of the two sides'
     bounds over the identity's pairs, exceeds every |d_i|.
 

@@ -184,8 +184,8 @@ def jpoly(k: int) -> IntPoly:
     is built once per process.
     """
     global _jtable
-    if k < -1:
-        raise ValueError(f"jpoly index must be >= -1, got {k}")
+    if type(k) is not int or k < -1:
+        raise ValueError(f"jpoly index must be an integer >= -1, got {k!r}")
     if k == -1:
         return ZERO
     table = _jtable

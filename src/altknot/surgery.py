@@ -79,25 +79,28 @@ class _Builder:
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet.  d's dart ids,
-        vertices and twins must be integers, its ids 0, 1, ... in order,
-        its rings must list each of its darts exactly once, four per
-        vertex, and its twins must pair each out dart with one in dart;
-        every operation reads its input only through this check."""
+        """A builder holding d, or holding nothing yet.  d's vertex count,
+        dart ids, vertices and twins and ring entries must be integers,
+        its ids 0, 1, ... in order, its rings must list each of its darts
+        exactly once, four per vertex, and its twins must pair each out
+        dart with one in dart; every operation reads its input only
+        through this check."""
+        if d is None:
+            self.darts, self.rotation = (), []
+            self.twin, self.direction = [], []
+            return
+        bad_field = _non_int_field(d)
+        if bad_field:
+            raise SurgeryError(bad_field)
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
-        self.darts = d.darts if d else ()
-        bad_field = _non_int_field(self.darts)
-        if bad_field:
-            raise SurgeryError(bad_field)
+        self.darts = d.darts
         if [x.id for x in self.darts] != list(range(len(self.darts))):
             raise SurgeryError("dart ids must be 0, 1, ... in order")
         twin = self.twin = [x.twin for x in self.darts]
         direction = self.direction = [x.direction for x in self.darts]
-        self.rotation = list(d.rotation) if d else []
-        if not d:
-            return
+        self.rotation = list(d.rotation)
         listed = {x for ring in self.rotation if len(ring) == 4 for x in ring}
         n = len(twin)
         if (listed != set(range(n)) or n != 4 * len(self.rotation)
@@ -139,8 +142,8 @@ class _Builder:
         antiparallel bigon along `lane`; returns the new vertex and the
         bigon's two face darts."""
         _check_lane(lane)
-        if not 0 <= vertex < len(self.rotation):
-            raise SurgeryError(f"no vertex {vertex}")
+        if type(vertex) is not int or not 0 <= vertex < len(self.rotation):
+            raise SurgeryError(f"no vertex {vertex!r}")
         ring = self.rotation[vertex]
         want = OUT if lane == LANE_OUT else IN
         # the lane's two arcs; the one holding ring[0] stays
@@ -336,8 +339,8 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     b = _Builder(d)
     succ, ring_of = _rings(b.rotation, len(b.twin))
     face_list = _traces(b.twin, succ)
-    if not 0 <= face_id < len(face_list):
-        raise SurgeryError(f"no face {face_id}")
+    if type(face_id) is not int or not 0 <= face_id < len(face_list):
+        raise SurgeryError(f"no face {face_id!r}")
     trace = face_list[face_id]
     if len(trace) != 2:
         raise SurgeryError(
@@ -379,8 +382,8 @@ def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | 
     """
     b = _Builder(d)
     _check_lane(direction)
-    if not 0 <= vertex_id < len(b.rotation):
-        raise SurgeryError(f"no vertex {vertex_id}")
+    if type(vertex_id) is not int or not 0 <= vertex_id < len(b.rotation):
+        raise SurgeryError(f"no vertex {vertex_id!r}")
     ring, twin = b.rotation[vertex_id], b.twin
     step = 1 if direction == LANE_OUT else -1
 
@@ -438,14 +441,15 @@ def compose_twist(d1: Diagram, edge1: int, d2: Diagram, edge2: int,
     """
     m = _Builder(d1)
     shift = m.disjoint(d2)
-    if twists < 0:
-        raise SurgeryError("twist count must be >= 0")
+    if type(twists) is not int or twists < 0:
+        raise SurgeryError(
+            f"twist count must be an integer >= 0, got {twists!r}")
     # the twins pair out with in darts, so half of each diagram's darts
     # are edge tails, d1's first
-    if not 0 <= edge1 < shift // 2:
-        raise SurgeryError(f"diagram 1 has no edge {edge1}")
-    if not 0 <= edge2 < (len(m.twin) - shift) // 2:
-        raise SurgeryError(f"diagram 2 has no edge {edge2}")
+    if type(edge1) is not int or not 0 <= edge1 < shift // 2:
+        raise SurgeryError(f"diagram 1 has no edge {edge1!r}")
+    if type(edge2) is not int or not 0 <= edge2 < (len(m.twin) - shift) // 2:
+        raise SurgeryError(f"diagram 2 has no edge {edge2!r}")
     t1_dart, t2s = m.tail(edge1), m.tail(shift // 2 + edge2)
     h1_dart, h2s = m.twin[t1_dart], m.twin[t2s]
     if twists == 0:

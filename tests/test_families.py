@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import product
 
@@ -439,6 +440,42 @@ def test_every_identity_perturbed_reads_false():
             assert fam._identity_holds(off, arity, 4) is False, name
 
 
+def _formula_off_by_one(monkeypatch, tag):
+    """Make the registry's formula for `tag` one more than it is, in every
+    ring, for the rest of the test."""
+    family = fam._BY_TAG[tag]
+    monkeypatch.setitem(fam._BY_TAG, tag, dataclasses.replace(
+        family, formula=lambda *args, f=family.formula: f(*args) + 1))
+
+
+def _family_identities(max_index):
+    return {name: fam._identity_holds(sides, arity, max_index)
+            for name, arity, sides in fam._IDENTITIES
+            if name in ("closed_chain_form", "k_ribbon_form")}
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_family_identities_read_the_registry_formulas(monkeypatch, m):
+    assert _family_identities(m) == {
+        "closed_chain_form": True, "k_ribbon_form": True}
+    _formula_off_by_one(monkeypatch, CLOSED_CHAIN)
+    assert _family_identities(m) == {
+        "closed_chain_form": False, "k_ribbon_form": True}
+    monkeypatch.undo()
+    _formula_off_by_one(monkeypatch, K_RIBBON_CYCLIC)
+    assert _family_identities(m) == {
+        "closed_chain_form": False, "k_ribbon_form": False}
+
+
+def test_j_majorant_is_the_recurrence_in_the_l1_ring():
+    J = fam._jvalues(fam._L1(1), 30)
+    assert [J(k).n for k in range(-1, 31)] == [
+        l1(jpoly(k)) for k in range(-1, 31)]
+    for k in (-2, -5):
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            J(k)
+
+
 def test_hopf_twist_triples():
     polys = family_polys(fam.HOPF_TWIST, (2, 3, 4))
     assert fam.check_family_recurrence(*polys).homogeneous
@@ -452,6 +489,15 @@ def test_waist_ring_values():
     assert fam.waist_ring_poly(5) == X ** 5 - 2 * X ** 3 - 4 * X ** 2
     with pytest.raises(fam.FamilyError):
         fam.waist_ring_poly(4)
+
+
+@pytest.mark.parametrize("v", [6.0, True, "6", None])
+def test_waist_ring_refuses_non_integers(v):
+    with pytest.raises(fam.FamilyError, match="integer V >= 5"):
+        fam.waist_ring_poly(v)
+    for growth in fam.WAIST_RING_GROWTHS:
+        with pytest.raises(fam.FamilyError, match="integer V >= 5"):
+            fam.waist_ring_diagram(v, growth)
 
 
 def test_waist_ring_pair():

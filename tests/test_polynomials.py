@@ -94,6 +94,12 @@ def test_first_eight_known_values():
         assert jpoly(k) == IntPoly(coeffs), f"J_{k}"
 
 
+@pytest.mark.parametrize("k", [2.0, True, "2", None])
+def test_jpoly_index_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        jpoly(k)
+
+
 def test_boundary_values():
     assert jpoly(-1) == ZERO
     assert jpoly(0) == ONE

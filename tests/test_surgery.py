@@ -471,6 +471,50 @@ def test_dart_fields_that_are_not_integers_are_refused(field, value):
     _each_operation_refuses(bad, d, refused)
 
 
+@pytest.mark.parametrize("count", ["3", 3.0, True])
+def test_vertex_counts_that_are_not_integers_are_refused(count):
+    # 3.0 equals the true count and True passes V >= 1: validate reports
+    # the type, and every operation raises SurgeryError before reading it
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, vertex_count=count)
+    problem = f"vertex count: V must be an integer, got {count!r}"
+    assert dg.validate(bad) == [problem]
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+
+
+@pytest.mark.parametrize("entry", ["0", 0.0, True, None])
+def test_ring_entries_that_are_not_integers_are_refused(entry):
+    # dart 0 leads the ring of vertex 0; 0.0 hashes like 0, so a set of
+    # the entries cannot tell it apart
+    d = member(fam.CYCLIC_TORUS, 3)
+    ring = (entry,) + d.rotation[0][1:]
+    bad = dataclasses.replace(d, rotation=(ring,) + d.rotation[1:])
+    problem = f"rotation: ring of vertex 0 must hold integers, got {entry!r}"
+    assert dg.validate(bad) == [problem]
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+
+
+@pytest.mark.parametrize("arg", [0.0, 1.0, True, "0", None])
+def test_call_arguments_that_are_not_integers_are_refused(arg):
+    d = member(fam.CYCLIC_TORUS, 3)
+    for lane in sg.LANES:
+        with pytest.raises(sg.SurgeryError, match="^no vertex "):
+            sg.expand_vertex(d, arg, lane)
+        with pytest.raises(sg.SurgeryError, match="^no vertex "):
+            sg.eliminate_crossing(d, arg, lane)
+    with pytest.raises(sg.SurgeryError, match="^no face "):
+        sg.contract_bigon(d, arg)
+    with pytest.raises(sg.SurgeryError, match="^diagram 1 has no edge "):
+        sg.compose_twist(d, arg, d, 0, 0)
+    with pytest.raises(sg.SurgeryError, match="^diagram 2 has no edge "):
+        sg.compose_twist(d, 0, d, arg, 0)
+    for twists in (arg, 1.5, "1"):
+        with pytest.raises(sg.SurgeryError, match="^twist count must be an"):
+            sg.compose_twist(d, 0, d, 0, twists)
+
+
 def test_dart_ids_out_of_order_are_refused():
     d = member(fam.CYCLIC_TORUS, 3)
     darts = list(d.darts)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -335,6 +336,32 @@ def test_canonical_code_stable_under_relabeling(index, rng):
 def test_canonical_code_of_dartless_map_raises():
     with pytest.raises(dg.DiagramError, match="no darts"):
         dg.canonical_code(dg.Diagram("knot", 0, (), ()))
+
+
+# sha256 of repr(canonical_code(member)), for members too large for the
+# brute-force reference; pinned before the orbit-pruned rewrite
+CANONICAL_CODE_DIGESTS = {
+    "cyclic:V=256":
+        "11dc7d9e50897ab9814dcc3596b7b4f765a0b897c1bb8200eac6e1dc1b3b6c55",
+    "twistknot:V=256":
+        "2db65814d8d3e1e65b1bc991218201b48809aac1cd42f49b8885bbee93d6da17",
+    "chain:k=32":
+        "e0ef72b27ac4a2de31367031c743980089644840d42b642a74db6d58c4326575",
+    "kribbon:k=8,m=8":
+        "03172bee214e540f6f941c61bab4b7b3ffb4fa15b0fd814a8183cd440c123aa6",
+    "g:k=40,l=30,m=20":
+        "b21ae2748c5843be2a4eff516b1b92d58a37aecdf86fd1836385a6d3b1b6f48b",
+    "lchain:k=0,n=64":
+        "ebf1d7ff750be57c4ee2bcbac60f0216e0b100f58b91ce488f10eccb635d8283",
+}
+
+
+@pytest.mark.parametrize("text", CANONICAL_CODE_DIGESTS)
+def test_canonical_code_golden_digests(text, monkeypatch):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "256")
+    code = dg.canonical_code(spec_diagram(text))
+    digest = hashlib.sha256(repr(code).encode()).hexdigest()
+    assert digest == CANONICAL_CODE_DIGESTS[text]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Iterator, Sequence
 
 OUT = "out"
 IN = "in"
@@ -91,7 +91,9 @@ def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
     """twin, rotation successor, is-outgoing and vertex of every dart, as
     lists indexed by dart id: what the analysis layers read instead of
     the Dart objects.  Built per call; a ring that is not four dart ids
-    is skipped, so malformed input still reaches `validate`'s report."""
+    is skipped, so malformed input still reaches `validate`'s report, but
+    a rotation that is not a sequence of rings of integers raises
+    DiagramError."""
     darts = d.darts
     twin = [x.twin for x in darts]
     out = [x.direction == OUT for x in darts]
@@ -99,11 +101,12 @@ def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
     return twin, _rings(d.rotation, len(darts))[0], out, vertex
 
 
-def _non_int_field(d: Diagram) -> str | None:
+def _type_problem(d: Diagram) -> str | None:
     """The problem with the first value of d that is not an `int` (`bool`
     and `float` included): its vertex count, then a `Dart` field among id,
-    vertex and twin, then a rotation-ring entry; None when every one is.
-    Set passes when they are, the fastest form measured."""
+    vertex and twin, then a rotation-ring entry, after the rotation and
+    each ring are checked to be sequences; None when every one is.  Set
+    passes when they are, the fastest form measured."""
     if type(d.vertex_count) is not int:
         return f"vertex count: V must be an integer, got {d.vertex_count!r}"
     darts = d.darts
@@ -114,6 +117,13 @@ def _non_int_field(d: Diagram) -> str | None:
                 v = getattr(x, name)
                 if type(v) is not int:
                     return f"dart {i}: {name} must be an integer, got {v!r}"
+    if not isinstance(d.rotation, Sequence):
+        return f"rotation: must be a sequence of rings, got {d.rotation!r}"
+    if not all(issubclass(t, Sequence) for t in set(map(type, d.rotation))):
+        for v, ring in enumerate(d.rotation):
+            if not isinstance(ring, Sequence):
+                return (f"rotation: ring of vertex {v} must be a sequence "
+                        f"of dart ids, got {ring!r}")
     if not {type(x) for ring in d.rotation for x in ring} <= {int}:
         for v, ring in enumerate(d.rotation):
             for x in ring:
@@ -126,14 +136,19 @@ def _non_int_field(d: Diagram) -> str | None:
 def _rings(rotation: Sequence[Sequence[int]],
            n: int) -> tuple[list[int], list[int]]:
     """Rotation successor and ring index (the vertex) of each of n darts;
-    -1 for a dart in no ring."""
+    -1 for a dart in no ring.  Raises DiagramError when `rotation` is not
+    a sequence of rings of integer dart ids."""
     succ, ring_of = [-1] * n, [-1] * n
-    for v, ring in enumerate(rotation):
-        if len(ring) == 4:
-            a, b, c, e = ring
-            if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
-                succ[a], succ[b], succ[c], succ[e] = b, c, e, a
-                ring_of[a] = ring_of[b] = ring_of[c] = ring_of[e] = v
+    try:
+        for v, ring in enumerate(rotation):
+            if len(ring) == 4:
+                a, b, c, e = ring
+                if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
+                    succ[a], succ[b], succ[c], succ[e] = b, c, e, a
+                    ring_of[a] = ring_of[b] = ring_of[c] = ring_of[e] = v
+    except TypeError as exc:
+        raise DiagramError(
+            f"rotation: not a sequence of rings of dart ids ({exc})") from exc
     return succ, ring_of
 
 
@@ -150,7 +165,7 @@ def validate(d: Diagram) -> list[str]:
     problems: list[str] = []
     if d.kind not in KINDS:
         problems.append(f"kind: {d.kind!r} is not one of {KINDS}")
-    bad_field = _non_int_field(d)
+    bad_field = _type_problem(d)
     if bad_field:
         problems.append(bad_field)
         return problems
@@ -406,6 +421,34 @@ def _kind(twin: list[int], succ: list[int], out: list[bool],
 # Canonical form / isomorphism
 # ---------------------------------------------------------------------------
 
+def _bfs_code(root: int, twin: list[int], succ: list[int], out: list[bool],
+              order: list[int]) -> Iterator[tuple[int, int, bool]]:
+    """Root's BFS relabeling code, one entry per dart as it is processed:
+    (label of twin, label of rotation successor, is outgoing).  `order`
+    receives the darts in label order as they are reached."""
+    label = [-1] * len(twin)
+    label[root] = 0
+    order.append(root)
+    for cur in order:
+        t = twin[cur]
+        if label[t] < 0:
+            label[t] = len(order)
+            order.append(t)
+        s = succ[cur]
+        if label[s] < 0:
+            label[s] = len(order)
+            order.append(s)
+        yield label[t], label[s], out[cur]
+
+
+def _least(least: list[int], x: int) -> int:
+    """The least dart of x's class in the union-find `least`, halving the
+    path on the way."""
+    while least[x] != x:
+        least[x] = x = least[least[x]]
+    return x
+
+
 def canonical_code(d: Diagram) -> tuple:
     """Label-independent code: minimum over all root darts of the BFS
     relabeling code.  Two connected diagrams are isomorphic as oriented
@@ -413,44 +456,69 @@ def canonical_code(d: Diagram) -> tuple:
 
     Entry i of a root's code, (label of twin, label of rotation successor,
     is outgoing) for the i-th dart reached, is known as soon as that dart
-    is processed, so each entry is compared with the best code's at once:
-    a root is dropped at its first greater entry, and after a smaller one
-    its code is only finished.  No code is a proper prefix of another,
-    even on a disconnected map: if a code's first m entries name only
-    labels below m, its BFS closed after m darts.  So two different codes
-    differ at an entry both have, and that entry decides tuple order.
+    is processed, so each root's BFS runs only while its entries equal the
+    best code's: it is dropped at its first greater entry and becomes the
+    best at its first smaller one.  The best is kept suspended and
+    extended by one entry only when a root's comparison reaches its end;
+    it is finished once, after the last root.  No code is a proper prefix
+    of another, even on a disconnected map: if a code's first m entries
+    name only labels below m, its BFS closed after m darts.  So two
+    different codes differ at an entry both have, and that entry decides
+    tuple order.
+
+    Extension never reads past the best's BFS.  Suppose a root's first i
+    entries equal the best's and the best's BFS closed after i darts.
+    Those i entries name only labels below i, so the root's BFS closed
+    there too, and it has no entry i.
+
+    Orbit pruning (McKay and Piperno, "Practical graph isomorphism, II",
+    2014).  When a root's code equals the best's in full (so, as above,
+    both BFSs closed after the same number of darts), the darts at
+    position i of the two BFS orders are joined, for every i, in a
+    union-find over darts; a root whose class holds an earlier dart is
+    skipped.  Skipping is safe.  A full tie maps order_b[i] to order_r[i]
+    for every i, and since the entries agree, that map carries the twin,
+    rotation successor and direction of each dart of the best root's
+    component (the darts its BFS reached) to those of its image in the
+    root's component.  A BFS from any dart of the first component stays in
+    it, so the map carries it to the BFS from the image, label for label:
+    each joined pair has equal codes, with no assumption that the map is
+    connected.  Equality is transitive, so every dart of a class has the
+    code of each earlier dart in it, and by induction over the roots in
+    order, a skipped root's code equals that of a root already compared.
     """
     n = len(d.darts)
     if not n:
         raise DiagramError("canonical code of a diagram with no darts")
     twin, succ, out, _ = _flat(d)
 
-    best: list[tuple[int, int, bool]] = []
+    least = list(range(n))  # union-find over darts, led by the least one
+    best = best_order = best_code = None
     for root in range(n):
-        label = [-1] * n
-        label[root] = 0
-        order = [root]
-        code = []
-        tied = bool(best)  # every entry so far equals best's
-        for i, cur in enumerate(order):
-            t = twin[cur]
-            if label[t] < 0:
-                label[t] = len(order)
-                order.append(t)
-            s = succ[cur]
-            if label[s] < 0:
-                label[s] = len(order)
-                order.append(s)
-            entry = (label[t], label[s], out[cur])
-            if tied and entry != best[i]:
-                if entry > best[i]:
-                    break
-                tied = False
-            code.append(entry)
-        else:
-            if not tied:
-                best = code
-    return tuple(best)
+        if _least(least, root) != root:
+            continue  # its code equals an earlier root's
+        order: list[int] = []
+        entries = _bfs_code(root, twin, succ, out, order)
+        if best is None:
+            best, best_order, best_code = entries, order, []
+            continue
+        known = len(best_code)
+        for i, entry in enumerate(entries):
+            if i == known:  # extend the suspended best by one entry
+                best_code.append(next(best))
+                known += 1
+            if entry != best_code[i]:
+                if entry < best_code[i]:
+                    best, best_order = entries, order
+                    best_code = best_code[:i] + [entry]
+                break
+        else:  # a full tie: join the darts at each position
+            for x, y in zip(best_order, order):
+                x, y = _least(least, x), _least(least, y)
+                if x != y:
+                    least[max(x, y)] = min(x, y)
+    best_code += best  # finish the best
+    return tuple(best_code)
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:

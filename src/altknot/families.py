@@ -102,6 +102,9 @@ class Family:
         vertices than the cap, in lexicographic parameter order.  A member
         has at least as many vertices as each of its parameters, so no
         parameter range runs past the cap."""
+        if type(maximum) is not int:
+            raise FamilyError(
+                f"sweep maximum must be an integer, got {maximum!r}")
         cap = max_vertices()
         top = min(maximum, cap)
         grid = product(*(range(lo, top + 1) for lo in self.minima))
@@ -545,8 +548,12 @@ def check_identities(max_index: int) -> dict[str, bool]:
 
     `composition_of_cyclic` compares a computed characteristic polynomial,
     on which any bound would have to be read off the result, so it stays
-    an `IntPoly` equality.
+    an `IntPoly` equality.  A `max_index` that is not an `int` (`bool`
+    included) raises FamilyError.
     """
+    if type(max_index) is not int:
+        raise FamilyError(
+            f"identity index must be an integer, got {max_index!r}")
     report = {name: _identity_holds(sides, arity, max_index)
               for name, arity, sides in _IDENTITIES}
     comp_max = min(max_index, 5)

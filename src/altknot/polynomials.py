@@ -206,8 +206,8 @@ def jpoly_explicit(k: int) -> IntPoly:
     Kept as an independent code path so the two can be checked against
     each other.
     """
-    if k < -1:
-        raise ValueError(f"jpoly index must be >= -1, got {k}")
+    if type(k) is not int or k < -1:
+        raise ValueError(f"jpoly index must be an integer >= -1, got {k!r}")
     if k == -1:
         return ZERO
     coeffs = [0] * (k + 1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import eq
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
-                      _kind, _non_int_field, _rings, _traces)
+                      _kind, _rings, _traces, _type_problem)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -89,7 +89,7 @@ class _Builder:
             self.darts, self.rotation = (), []
             self.twin, self.direction = [], []
             return
-        bad_field = _non_int_field(d)
+        bad_field = _type_problem(d)
         if bad_field:
             raise SurgeryError(bad_field)
         # d's Dart objects whose id and direction are still those of the

@@ -448,3 +448,45 @@ def test_mirror_connects_the_two_one_vertex_twists():
     a = fam.generate(fam.FamilySpec(fam.CYCLIC_TORUS, (1,)))
     b = fam.generate(fam.FamilySpec(fam.TWIST_CHAIN, (1,)))
     assert dg.isomorphic(dg.mirror(a), b)
+
+
+SYMMETRIC_MEMBERS = ("cyclic:V=24", "chain:k=8", "kribbon:k=4,m=4",
+                     "lchain:k=0,n=16", "p:k=1,l=1,m=14")
+
+
+@pytest.mark.parametrize("text", SYMMETRIC_MEMBERS)
+def test_canonical_code_matches_reference_on_symmetric_members(text):
+    # members past sweep(8) whose many automorphisms tie many roots
+    rng = random.Random(text)
+    d = spec_diagram(text)
+    for x in (d, dg.mirror(d)):
+        expected = reference_canonical_code(x)
+        assert dg.canonical_code(x) == expected
+        for _ in range(3):
+            assert dg.canonical_code(relabel(x, rng)) == expected
+
+
+def three_component_maps():
+    """Unions of three isomorphic components, and of two with the mirror
+    of the third placed first, between or last, so that full ties join
+    darts across components."""
+    three, six = trefoil(), spec_diagram("cyclic:V=6")
+    flip = dg.mirror(six)
+    return {
+        "trefoil x3": disjoint_union(three, three, three),
+        "mirror+cyclic6 x2": disjoint_union(flip, six, six),
+        "cyclic6+mirror+cyclic6": disjoint_union(six, flip, six),
+        "cyclic6 x2+mirror": disjoint_union(six, six, flip),
+        "trefoil+mirror x2": disjoint_union(
+            three, dg.mirror(three), dg.mirror(three)),
+    }
+
+
+@pytest.mark.parametrize("name", three_component_maps())
+def test_canonical_code_matches_reference_on_three_components(name):
+    d = three_component_maps()[name]
+    rng = random.Random(name)
+    expected = reference_canonical_code(d)
+    assert dg.canonical_code(d) == expected
+    for _ in range(3):
+        assert dg.canonical_code(relabel(d, rng)) == expected

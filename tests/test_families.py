@@ -500,6 +500,15 @@ def test_waist_ring_refuses_non_integers(v):
             fam.waist_ring_diagram(v, growth)
 
 
+@pytest.mark.parametrize("arg", [3.0, "3", True, None])
+def test_identity_and_sweep_bounds_must_be_integers(arg):
+    with pytest.raises(fam.FamilyError, match="must be an integer"):
+        fam.check_identities(arg)
+    for family in fam.FAMILIES:
+        with pytest.raises(fam.FamilyError, match="must be an integer"):
+            family.sweep(arg)
+
+
 def test_waist_ring_pair():
     for v in range(5, 10):
         a = fam.waist_ring_diagram(v, "chain")

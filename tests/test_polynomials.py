@@ -100,6 +100,13 @@ def test_jpoly_index_must_be_an_integer(k):
         jpoly(k)
 
 
+@pytest.mark.parametrize("k", [2.0, True, False, "2", None])
+def test_explicit_jpoly_index_must_be_an_integer(k):
+    # True once returned x, as if it were 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        jpoly_explicit(k)
+
+
 def test_boundary_values():
     assert jpoly(-1) == ZERO
     assert jpoly(0) == ONE

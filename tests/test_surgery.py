@@ -496,6 +496,39 @@ def test_ring_entries_that_are_not_integers_are_refused(entry):
     _each_operation_refuses(bad, d, refused)
 
 
+@pytest.mark.parametrize("rotate, problem", [
+    (lambda rings: None, "rotation: must be a sequence of rings, got None"),
+    (lambda rings: 3, "rotation: must be a sequence of rings, got 3"),
+    (lambda rings: (5,) + rings[1:],
+     "rotation: ring of vertex 0 must be a sequence of dart ids, got 5"),
+    (lambda rings: rings[:2] + (None,),
+     "rotation: ring of vertex 2 must be a sequence of dart ids, got None"),
+], ids=["none", "int", "ring-int", "ring-none"])
+def test_rotations_that_are_not_sequences_of_rings_are_refused(rotate,
+                                                               problem):
+    # validate reports it, every operation raises SurgeryError with the
+    # same text, and every reader of the rings raises DiagramError
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, rotation=rotate(d.rotation))
+    assert dg.validate(bad) == [problem]
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+    for reader in (dg.canonical_code, dg.faces, dg.face_of_dart,
+                   dg.face_orientations, dg.component_count, dg.derive_kind):
+        with pytest.raises(dg.DiagramError, match="^rotation: not a sequence"):
+            reader(bad)
+
+
+@pytest.mark.parametrize("entry", ["0", 0.0])
+def test_readers_refuse_ring_entries_that_are_not_integers(entry):
+    d = member(fam.CYCLIC_TORUS, 3)
+    ring = (entry,) + d.rotation[0][1:]
+    bad = dataclasses.replace(d, rotation=(ring,) + d.rotation[1:])
+    for reader in (dg.canonical_code, dg.faces, dg.component_count):
+        with pytest.raises(dg.DiagramError, match="^rotation: not a sequence"):
+            reader(bad)
+
+
 @pytest.mark.parametrize("arg", [0.0, 1.0, True, "0", None])
 def test_call_arguments_that_are_not_integers_are_refused(arg):
     d = member(fam.CYCLIC_TORUS, 3)

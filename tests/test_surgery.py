@@ -617,6 +617,48 @@ def test_corrupted_maps_raise_only_diagram_errors():
         signal.signal(signal.SIGALRM, previous)
 
 
+def outcome(call):
+    """A call's result as one line: the result's kind and the sha256 of its
+    JSON, the `Unknot` text, or the exception's type and message."""
+    try:
+        r = call()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(r, sg.Unknot):
+        return str(r)
+    return f"{r.kind}\t" + hashlib.sha256(dg.to_json(r).encode()).hexdigest()
+
+
+# validate's report and every surgery outcome on 1500 seeded corruptions
+# of `sweep(4)` members: the sha256 of one line per map and call
+GOLDEN_CORRUPTED_4 = (
+    "f73a69033e0994b2c8e1131ec8a097c4d4f807b5c4639506a527638a041734c2")
+
+
+def test_corrupted_map_reports_and_refusals_are_golden():
+    rng = random.Random(17)
+    seeds = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+    lines = []
+    for i in range(1500):
+        d = rng.choice(seeds)
+        bad, good = corrupt(d, rng), rng.choice(seeds)
+        v, lane = rng.randrange(d.vertex_count), rng.choice(sg.LANES)
+        face, twists = rng.randrange(v + 2), rng.randrange(3)
+        e1, e2 = rng.randrange(2 * v + 2), rng.randrange(8)
+        lines.append(f"{i}\tvalidate\t{dg.validate(bad)}\n")
+        for name, call in (
+                ("expand", lambda: sg.expand_vertex(bad, v, lane)),
+                ("contract", lambda: sg.contract_bigon(bad, face)),
+                ("eliminate", lambda: sg.eliminate_crossing(bad, v, lane)),
+                ("compose", lambda: sg.compose_twist(bad, e1, good, e2,
+                                                     twists)),
+                ("compose", lambda: sg.compose_twist(good, e2, bad, e1,
+                                                     twists))):
+            lines.append(f"{i}\t{name}\t{outcome(call)}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN_CORRUPTED_4
+
+
 def test_expand_vertex_returns_only_valid_diagrams():
     # seeded single faults on sweep(4) members: the builder takes in maps
     # whose rings do not alternate or that are not planar, and expansion

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
+from operator import eq
 
 OUT = "out"
 IN = "in"
@@ -87,18 +88,41 @@ class Diagram:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
 
 
-def _flat(d: Diagram) -> tuple[list[int], list[int], list[bool], list[int]]:
-    """twin, rotation successor, is-outgoing and vertex of every dart, as
-    lists indexed by dart id: what the analysis layers read instead of
-    the Dart objects.  Built per call; a ring that is not four dart ids
-    is skipped, so malformed input still reaches `validate`'s report, but
-    a rotation that is not a sequence of rings of integers raises
-    DiagramError."""
-    darts = d.darts
-    twin = [x.twin for x in darts]
-    out = [x.direction == OUT for x in darts]
-    vertex = [x.vertex for x in darts]
-    return twin, _rings(d.rotation, len(darts))[0], out, vertex
+def _flat(d: Diagram, error: type[DiagramError] = DiagramError
+          ) -> tuple[list[int], list[int], list[bool], list[int]]:
+    """twin, rotation successor, is-outgoing and vertex (the index of the
+    ring that lists it) of every dart, as lists indexed by dart id: what
+    the readers and the surgery builder read instead of the Dart objects.
+    The one incidence check: raises `error` unless the ids are 0, 1, ...
+    in order, the rings list every dart once, four per vertex, and the
+    twins pair each out dart with one in dart; alternation is left to the
+    walks.  `_rings` reads the rotation first, so one that is not rings of
+    integers raises DiagramError."""
+    try:
+        darts = d.darts
+        n = len(darts)
+        succ, vertex = _rings(d.rotation, n)
+        ids = [x.id for x in darts]
+        if ids != list(range(n)) or not set(map(type, ids)) <= {int}:
+            raise error("dart ids must be 0, 1, ... in order")
+        # n entries in n/4 rings reach all n darts only if each is listed once
+        if -1 in vertex or not n == 4 * len(d.rotation) == 4 * d.vertex_count:
+            raise error("the rotation rings do not list every dart "
+                        "exactly once, four per vertex")
+        twin = [x.twin for x in darts]
+        if n and not 0 <= min(twin) <= max(twin) < n:
+            raise error("a dart's twin is out of range")
+        direction = [x.direction for x in darts]
+        out = [x == OUT for x in direction]
+        # an involution whose pairs differ in direction has no fixed point
+        if (list(map(twin.__getitem__, twin)) != list(range(n))
+                or not {OUT, IN}.issuperset(direction)
+                or any(map(eq, map(out.__getitem__, twin), out))):
+            raise error("the twins do not pair each out dart with "
+                        "one in dart")
+    except TypeError as exc:  # e.g. a twin 1.0, a direction that is a list
+        raise error(f"a value of the wrong type ({exc})") from exc
+    return twin, succ, out, vertex
 
 
 def _type_problem(d: Diagram) -> str | None:
@@ -188,13 +212,17 @@ def validate(d: Diagram) -> list[str]:
             problems.append(f"dart {i}: twin {dart.twin} out of range")
             return problems
 
-    twin, succ, out, vertex = _flat(d)
+    darts = d.darts
+    twin = [x.twin for x in darts]
+    succ = _rings(d.rotation, n_darts)[0]
+    out = [x.direction == OUT for x in darts]
+    vertex = [x.vertex for x in darts]
     for i, t in enumerate(twin):
         if t == i:
             problems.append(f"twin involution: dart {i} is its own twin")
         elif twin[t] != i:
             problems.append(f"twin involution: twin({t}) != {i}")
-        elif i < t and (d.darts[i].direction, d.darts[t].direction) not in _EDGE:
+        elif i < t and (darts[i].direction, darts[t].direction) not in _EDGE:
             problems.append(
                 f"twin directions: edge ({i},{t}) must have "
                 "one out and one in dart")
@@ -232,15 +260,13 @@ def validate(d: Diagram) -> list[str]:
     seen = [False] * d.vertex_count
     seen[vertex[0]] = True
     stack = [vertex[0]]
-    reached = 1
     while stack:
         for dart in d.rotation[stack.pop()]:
             w = vertex[twin[dart]]
             if not seen[w]:
                 seen[w] = True
-                reached += 1
                 stack.append(w)
-    if reached != d.vertex_count:
+    if not all(seen):
         problems.append("connectivity: the map is not connected")
         return problems
 
@@ -281,23 +307,19 @@ class FaceCensus:
 def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
     """Faces in order of their smallest dart, each traced from it on flat
     arrays: a face steps from a dart to the rotation successor of its
-    twin."""
+    twin.  Every caller passes arrays checked as `_flat` checks them, so
+    twin and succ are permutations and so is a step: the first seen dart
+    a trace meets is its own start."""
     seen = [False] * len(twin)
     faces = []
     for start in range(len(twin)):
         if seen[start]:
             continue
-        trace = []
-        cur = start
-        while True:
-            trace.append(cur)
+        trace, cur = [], start
+        while not seen[cur]:
             seen[cur] = True
+            trace.append(cur)
             cur = succ[twin[cur]]
-            if cur == start:
-                break
-            if seen[cur]:
-                raise DiagramError("face tracing revisited a dart; the "
-                                   "rotation system is inconsistent")
         faces.append(tuple(trace))
     return faces
 
@@ -399,11 +421,6 @@ def _strand_count(twin: list[int], succ: list[int], out: list[bool]) -> int:
     return count
 
 
-def _loop_count(twin: list[int], out: list[bool], vertex: list[int]) -> int:
-    return sum(1 for i, t in enumerate(twin)
-               if out[i] and vertex[t] == vertex[i])
-
-
 def derive_kind(d: Diagram) -> str:
     """knot / link / twist as dictated by the structure itself."""
     return _kind(*_flat(d))
@@ -411,8 +428,8 @@ def derive_kind(d: Diagram) -> str:
 
 def _kind(twin: list[int], succ: list[int], out: list[bool],
           vertex: list[int]) -> str:
-    """derive_kind on flat arrays."""
-    if _loop_count(twin, out, vertex):
+    """derive_kind on flat arrays: a map with a loop edge is a twist."""
+    if any(out[i] and vertex[t] == vertex[i] for i, t in enumerate(twin)):
         return "twist"
     return "knot" if _strand_count(twin, succ, out) == 1 else "link"
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from .diagram import IN, OUT, Diagram
 from .limits import max_vertices
-from .polynomials import IntPoly, X, charpoly, divide_out, jpoly
+from .polynomials import IntPoly, X, _jgrow, charpoly, divide_out, jpoly
 from .spectra import adjacency
 from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
 
@@ -407,9 +407,7 @@ def _jvalues(x, top: int) -> Callable[[int], object]:
     """J_k over the ring of x, k = -1..top, from the recurrence: at an
     integer x0 the J of the ring (x0, J), which maps jpoly(k) to
     jpoly(k)(x0); at `_L1(1)` the l1 majorant of J_k."""
-    table = [x * 0, x ** 0]  # J_{-1}, J_0; J_k sits at k + 1
-    for _ in range(top):
-        table.append(x * table[-1] - table[-2])
+    table = _jgrow([x * 0, x ** 0], x, top + 2)  # J_k sits at k + 1
 
     def J(k: int) -> object:
         if k < -1:  # never let k + 1 wrap round to the end of the table

@@ -170,6 +170,13 @@ def _coerce(v: IntPoly | int) -> IntPoly:
 # J_{-1} = 0, J_0 = 1, J_{k+2} = x*J_{k+1} - J_k.
 # ---------------------------------------------------------------------------
 
+def _jgrow(table: list, x, size: int) -> list:
+    """`table`, consecutive J_k over the ring of x, grown to `size` terms."""
+    while len(table) < size:
+        table.append(x * table[-1] - table[-2])
+    return table
+
+
 # J_0, J_1, ... as far as any caller has asked.  Grown by the recurrence
 # and replaced whole, never mutated, so threads sharing the module at worst
 # recompute a few terms, never read a torn table.
@@ -190,10 +197,7 @@ def jpoly(k: int) -> IntPoly:
         return ZERO
     table = _jtable
     if k >= len(table):
-        grown = list(table)
-        while len(grown) <= k:
-            grown.append(X * grown[-1] - grown[-2])
-        table = tuple(grown)
+        table = tuple(_jgrow(list(table), X, k + 1))
         if len(table) > len(_jtable):
             _jtable = table
     return table[k]

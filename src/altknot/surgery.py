@@ -12,10 +12,9 @@ and turns it into a diagram once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
-                      _kind, _rings, _traces, _type_problem)
+                      _flat, _kind, _rings, _traces, _type_problem)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -79,12 +78,9 @@ class _Builder:
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet.  d's vertex count,
-        dart ids, vertices and twins and ring entries must be integers,
-        its ids 0, 1, ... in order, its rings must list each of its darts
-        exactly once, four per vertex, and its twins must pair each out
-        dart with one in dart; every operation reads its input only
-        through this check."""
+        """A builder holding d, or holding nothing yet.  d's fields must be
+        integers (`_type_problem`) and its incidence sound (`_flat`); every
+        operation reads its input only through this check."""
         if d is None:
             self.darts, self.rotation = (), []
             self.twin, self.direction = [], []
@@ -92,29 +88,13 @@ class _Builder:
         bad_field = _type_problem(d)
         if bad_field:
             raise SurgeryError(bad_field)
+        self.twin = _flat(d, SurgeryError)[0]
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts
-        if [x.id for x in self.darts] != list(range(len(self.darts))):
-            raise SurgeryError("dart ids must be 0, 1, ... in order")
-        twin = self.twin = [x.twin for x in self.darts]
-        direction = self.direction = [x.direction for x in self.darts]
+        self.direction = [x.direction for x in self.darts]
         self.rotation = list(d.rotation)
-        listed = {x for ring in self.rotation if len(ring) == 4 for x in ring}
-        n = len(twin)
-        if (listed != set(range(n)) or n != 4 * len(self.rotation)
-                or n != 4 * d.vertex_count):
-            raise SurgeryError("the rotation rings do not list every dart "
-                               "exactly once, four per vertex")
-        if n and not 0 <= min(twin) <= max(twin) < n:
-            raise SurgeryError("a dart's twin is out of range")
-        # an involution whose pairs differ in direction has no fixed point
-        if (list(map(twin.__getitem__, twin)) != list(range(n))
-                or not {OUT, IN}.issuperset(direction)
-                or any(map(eq, map(direction.__getitem__, twin), direction))):
-            raise SurgeryError("the twins do not pair each out dart with "
-                               "one in dart")
 
     def disjoint(self, d: Diagram) -> int:
         """Add a copy of d, its dart ids shifted past the existing ones;

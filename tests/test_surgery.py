@@ -617,6 +617,71 @@ def test_corrupted_maps_raise_only_diagram_errors():
         signal.signal(signal.SIGALRM, previous)
 
 
+READERS = (dg.canonical_code, dg.faces, dg.face_of_dart, dg.face_orientations,
+           dg.component_count, dg.derive_kind, lambda d: dg.isomorphic(d, d))
+
+
+def test_corrupted_maps_make_readers_raise_only_diagram_errors():
+    # seeded single faults on sweep(4) members, each fed to every reader of
+    # the flat arrays; an alarm turns a hang into a failure
+    rng = random.Random(13)
+    seeds = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+    previous = signal.signal(signal.SIGALRM, _call_hung)
+    try:
+        for _ in range(1500):
+            bad = corrupt(rng.choice(seeds), rng)
+            for reader in READERS:
+                signal.alarm(5)
+                try:
+                    reader(bad)
+                except dg.DiagramError:
+                    pass
+                finally:
+                    signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cut_ring(d):
+    return dataclasses.replace(d, rotation=(d.rotation[0][:3],)
+                               + d.rotation[1:])
+
+
+def _far_twin(d):
+    return dataclasses.replace(
+        d, darts=(dataclasses.replace(d.darts[0], twin=99),) + d.darts[1:])
+
+
+@pytest.mark.parametrize("fault, problem", [
+    (_cut_ring, "the rotation rings do not list every dart exactly once"),
+    (_far_twin, "a dart's twin is out of range"),
+], ids=["ring-cut", "twin-99"])
+def test_readers_refuse_maps_validate_rejects(fault, problem):
+    # validate reports both maps, and every reader refuses them with the
+    # text the surgery builder gives
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = fault(d)
+    assert dg.validate(bad)
+    for call in (lambda: dg.canonical_code(bad), lambda: dg.faces(bad),
+                 lambda: dg.component_count(bad),
+                 lambda: dg.isomorphic(bad, d), lambda: dg.isomorphic(d, bad)):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}"):
+            call()
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, None])
+@pytest.mark.parametrize("field", ["id", "twin"])
+def test_readers_refuse_dart_fields_that_are_not_integers(field, value):
+    # dart 1 of cyclic:V=3 has id 1 and twin 0
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = list(d.darts)
+    darts[1] = dataclasses.replace(darts[1], **{field: value})
+    bad = dataclasses.replace(d, darts=tuple(darts))
+    for reader in READERS:
+        with pytest.raises(dg.DiagramError):
+            reader(bad)
+
+
 def outcome(call):
     """A call's result as one line: the result's kind and the sha256 of its
     JSON, the `Unknot` text, or the exception's type and message."""

@@ -300,6 +300,23 @@ def test_closed_path_count_threads_on_different_matrices():
     assert errors == []
 
 
+def test_path_counts_and_strands_of_large_members_are_golden(monkeypatch):
+    """sha256 of repr([closed_path_count(m, k) for k = 1..2V]) and of
+    repr(trace_strands(m)), each fed member by member in this order."""
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    paths, strands = hashlib.sha256(), hashlib.sha256()
+    for text in ("twistknot:V=32", "lchain:k=6,n=20", "kribbon:k=8,m=8",
+                 "cyclic:V=64", "hopftwist:V=24"):
+        m = sp.adjacency(fam.generate(fam.parse_spec_string(text)))
+        counts = [sp.closed_path_count(m, k) for k in range(1, 2 * m.n + 1)]
+        paths.update(repr(counts).encode())
+        strands.update(repr(sp.trace_strands(m)).encode())
+    assert paths.hexdigest() == ("fd2f79f0e1387b991ef001191ce0a3d1"
+                                 "90252149702a78a34edf962c334478db")
+    assert strands.hexdigest() == ("173d7fd3682901a045701253668a8add"
+                                   "981ee25012652be20fd054b4ef5a5b75")
+
+
 def reference_decompositions(m):
     """The brute-force enumeration: every flip mask, dense sums, and a set
     that drops repeated pairs."""

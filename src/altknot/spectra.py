@@ -11,11 +11,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import add
+from itertools import chain, compress, repeat
+from operator import add, and_, rshift
 
 from .diagram import OUT, Diagram
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+def _shape_problem(rows: Matrix) -> str:
+    """Why rows is not a square matrix of ints (bool, float refused), or ''."""
+    if not rows:
+        return "matrix is empty"
+    if any(len(row) != len(rows) for row in rows):
+        return "matrix is not square"
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return "matrix entries must be integers"
+    return ""
 
 
 def _line_sums(rows: Matrix) -> tuple[list[int], list[int]]:
@@ -41,10 +53,8 @@ class AdjMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def problems(self) -> list[str]:
-        if not self.n:
-            return ["matrix is empty"]
-        if any(len(row) != self.n for row in self.rows):
-            return ["matrix is not square"]
+        if problem := _shape_problem(self.rows):
+            return [problem]
         out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
         for name, line in zip(("row", "column"), _line_sums(self.rows)):
             out += [f"{name} {i} sums to {s}, not 2"
@@ -134,7 +144,7 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     if problems:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
     edges = [(i, j) for i, row in enumerate(m.rows)
-             for j, v in enumerate(row) for _ in range(v)]
+             for j in compress(range(m.n), row) for _ in range(row[j])]
     col_mate = [0] * len(edges)
     first_in_col = [-1] * m.n
     for e, (_, j) in enumerate(edges):
@@ -161,15 +171,6 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
         components.append(tuple(cycle))
         splits.append((tuple(cycle[0::2]), tuple(cycle[1::2])))
     return StrandDecomposition(tuple(edges), tuple(components), tuple(splits))
-
-
-def _class_matrix(n: int, edges: tuple[tuple[int, int], ...],
-                  members: tuple[int, ...]) -> Matrix:
-    rows = [[0] * n for _ in range(n)]
-    for e in members:
-        i, j = edges[e]
-        rows[i][j] += 1
-    return tuple(tuple(row) for row in rows)
 
 
 def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
@@ -234,65 +235,78 @@ def all_ones_check(m: AdjMatrix) -> bool:
     return all(s == 2 for line in _line_sums(m.rows) for s in line)
 
 
-def _sparse_rows(rows: Matrix) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each row's nonzero entries as (column, value) pairs."""
-    return tuple([tuple([(j, v) for j, v in enumerate(row) if v])
-                  for row in rows])
+def _path_slot(rows: Matrix, capacity: int) -> tuple:
+    """closed_path_count's slot for M: rows, K, plan, M^0 = I, no traces."""
+    n = len(rows)
+    cols = list(zip(*rows))
+    support = [list(compress(range(n), c)) for c in cols]
+    norm = max(1, *[sum(map(abs, map(c.__getitem__, s)))
+                    for c, s in zip(cols, support)])
+    w = capacity * (norm - 1).bit_length() + 2
+    shifts = range(0, n * w, w)
+    layers = [[s[l] if l < len(s) else n for s in support]
+              for l in range(max(1, *map(len, support)))]
+    extra = [(j, t, cols[j][t] - 1) for j, s in enumerate(support) for t in s
+             if cols[j][t] != 1]
+    plan = (layers, extra, shifts, sum(map((1 << w - 1).__lshift__, shifts)),
+            (1 << w) - 1, n << w - 1)
+    return rows, capacity, plan, [*map((1).__lshift__, shifts), 0], ()
 
 
-def _sparse_product(sparse, a: Matrix, n: int) -> Matrix:
-    """M * a for M given by :func:`_sparse_rows`, a an n x n matrix of tuples.
-
-    Row i of the product is the combination of a's rows weighted by row i
-    of M.  A row of M with a single entry 1 yields that row of ``a``
-    itself, not a copy; an empty row yields zeros.
-    """
-    out = []
-    for row in sparse:
-        acc = None
-        for t, v in row:
-            term = a[t] if v == 1 else [v * x for x in a[t]]
-            acc = term if acc is None else [*map(add, acc, term)]
-        out.append((0,) * n if acc is None else tuple(acc))
-    return tuple(out)
-
-
-# The last matrix swept by closed_path_count: (rows, sparse rows, M^j,
-# (trace M^1, ..., trace M^j)).  Replaced whole, never mutated, so threads
-# sharing the module at worst recompute a power, never read a torn one.
-_paths_slot: tuple[Matrix, tuple, Matrix, tuple[int, ...]] | None = None
+# The last matrix swept by closed_path_count (none at first), as _path_slot
+# makes it: replaced whole, never mutated, so threads never see it torn.
+_paths_slot: tuple = ((), 0, None, None, ())
 
 
 def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
-    The running power M^j of the last matrix asked about is kept with the
-    traces of M^1..M^j, so a sweep k = 1..V over one matrix costs V - 1
-    sparse products in all (O(V^3)) instead of V(V - 1)/2.  A call on the
-    same matrix returns a stored trace or extends the power from j to k; a
-    call on any other matrix starts again from M.  No call does more
-    products than computing M^k from scratch.
+    M^j of the last matrix asked about is kept with the traces of M^1..M^j,
+    so a sweep k = 1..V costs V products, not V(V + 1)/2.  Column j of M^j
+    is one packed int, sum over i of (M^j)_ij * 2^(w*i).  As
+    M^k = M^(k-1) * M, column j of M^k sums M_tj times column t of M^(k-1)
+    over the nonzero M_tj: C-level pass l adds to every column the one
+    named by its l-th nonzero row (0 past a short support), then each entry
+    v != 1 adds (v - 1) times its column.  For an adjacency matrix that is
+    two passes, so a sweep is O(V^2) interpreted steps.
 
-    This is the tuple-row trace kernel, kept apart from the packed-row one
-    inside :func:`altknot.polynomials.charpoly` on purpose: the traces that
-    ``power_sums_from_charpoly`` recovers from ``charpoly`` by Newton's
-    identities are checked against these, so two independent ways of
-    forming M^k and two directions of Newton's identities check each other.
+    The width suffices.  A sweep starts with capacity K = max(k, V) and
+    w = K*ceil(log2 c) + 2, c = max(1, ||M||_1) the largest column sum of
+    |M_ij|: for j <= K, |(M^j)_ij| <= ||M^j||_1 <= c^j <= 2^(w - 2).  The
+    packing is linear, so only reading needs that bound: with half =
+    2^(w-1) added to every slot each digit is in [2^(w-2), 3*2^(w-2)], no
+    borrow crosses a slot, and slot j of column j less half is (M^j)_jj.
+    A call with k > K restarts with capacity max(k, 2K), so no call does
+    more products than computing M^k from scratch.
+
+    Independent of :func:`altknot.polynomials.charpoly`'s packed rows (left
+    products, width from ||M||_inf) on purpose: these traces check the ones
+    Newton's identities recover from it.  An empty or non-square M, a
+    non-int entry (bool and float too) or k not an int >= 1: ValueError.
     """
     global _paths_slot
-    if k < 1:
-        raise ValueError("path length must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError("path length must be an integer >= 1")
+    rows = m.rows
     slot = _paths_slot
-    if slot is None or slot[0] != m.rows:
-        sparse = _sparse_rows(m.rows)
-        slot = (m.rows, sparse, m.rows, (m.trace(),))
-    rows, sparse, power, traces = slot
-    if k > len(traces):
-        n = len(rows)
-        traces = list(traces)
-        for _ in range(k - len(traces)):
-            power = _sparse_product(sparse, power, n)
-            traces.append(sum(power[i][i] for i in range(n)))
-        slot = (rows, sparse, power, tuple(traces))
-    _paths_slot = slot
-    return slot[3][k - 1]
+    if slot[0] is not rows:  # a matrix object not checked yet
+        if problem := _shape_problem(rows):
+            raise ValueError(problem)
+        if slot[0] != rows:
+            slot = _path_slot(rows, max(k, len(rows)))
+    if k > slot[1]:
+        slot = _path_slot(rows, max(k, 2 * slot[1]))
+    _, capacity, plan, power, traces = slot
+    layers, extra, shifts, bias, mask, offset = plan
+    traces = list(traces)
+    for _ in range(k - len(traces)):
+        prod = list(map(power.__getitem__, layers[0]))
+        for layer in layers[1:]:
+            prod = list(map(add, prod, map(power.__getitem__, layer)))
+        for j, t, v in extra:
+            prod[j] += v * power[t]
+        power = [*prod, 0]
+        traces.append(sum(map(and_, map(rshift, map(add, power, repeat(bias)),
+                                        shifts), repeat(mask))) - offset)
+    _paths_slot = (rows, capacity, plan, power, tuple(traces))
+    return traces[k - 1]

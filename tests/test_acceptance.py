@@ -23,6 +23,15 @@ def _spec(family, *params):
     return fam.FamilySpec(family, tuple(params))
 
 
+def class_matrix(n, edges, members):
+    """The n x n matrix counting the traced edges listed in `members`."""
+    rows = [[0] * n for _ in range(n)]
+    for e in members:
+        i, j = edges[e]
+        rows[i][j] += 1
+    return tuple(tuple(row) for row in rows)
+
+
 def _sweep_specs():
     """Every member exercised by criteria 2-4."""
     specs = []
@@ -197,8 +206,8 @@ def test_criterion_6_decompositions(corpus):
             assert len(pairs) == 1, spec
         else:
             distinct = all(
-                sp._class_matrix(m.n, dec.edges, even)
-                != sp._class_matrix(m.n, dec.edges, odd)
+                class_matrix(m.n, dec.edges, even)
+                != class_matrix(m.n, dec.edges, odd)
                 for even, odd in dec.permutation_split)
             if distinct:
                 assert len(pairs) == 2 ** (dec.count - 1), spec

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 import threading
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
+from test_acceptance import class_matrix
 
 from altknot import families as fam
 from altknot import spectra as sp
@@ -119,6 +121,46 @@ def test_trace_strands_rejects_invalid():
         sp.trace_strands(sp.AdjMatrix(((1, 0), (0, 1))))
 
 
+@pytest.mark.parametrize("rows", [((True, 1), (1, 1)), ((2.0, 0), (0, 2)),
+                                  ((0, 2), (2, 0.0)), ((2, False), (0, 2))],
+                         ids=["true", "float", "float-zero", "false"])
+def test_trace_strands_refuses_non_int_entries(rows):
+    m = sp.AdjMatrix(rows)
+    assert m.problems() == ["matrix entries must be integers"]
+    with pytest.raises(ValueError, match="must be integers"):
+        sp.trace_strands(m)
+
+
+def random_adjacency(rng, n):
+    """P + Q for random permutations: 2-entries where they agree, loops at
+    their fixed points.  Half the time Q is swapped into agreeing with P
+    on a random stretch of rows."""
+    p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+    if rng.random() < 0.5:
+        lo = rng.randrange(n)
+        for i in range(lo, rng.randrange(lo, n + 1)):
+            j = q.index(p[i])
+            q[i], q[j] = q[j], q[i]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][p[i]] += 1
+        rows[i][q[i]] += 1
+    return sp.AdjMatrix(rows)
+
+
+def test_strand_edges_match_the_dense_reading():
+    rng = random.Random(20261019)
+    twos = loops = 0
+    for _ in range(300):
+        m = random_adjacency(rng, rng.randint(1, 10))
+        dense = tuple((i, j) for i, row in enumerate(m.rows)
+                      for j, v in enumerate(row) for _ in range(v))
+        assert sp.trace_strands(m).edges == dense, m.to_text()
+        twos += any(2 in row for row in m.rows)
+        loops += m.trace() > 0
+    assert twos >= 50 and loops >= 50
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.randoms(use_true_random=False))
 def test_strand_count_invariant_under_relabeling(v, rng):
@@ -201,8 +243,8 @@ def test_decomposition_counts(member_diagrams):
             assert len(pairs) == 1, str(spec)
         else:
             classes_distinct = all(
-                sp._class_matrix(n, dec.edges, even)
-                != sp._class_matrix(n, dec.edges, odd)
+                class_matrix(n, dec.edges, even)
+                != class_matrix(n, dec.edges, odd)
                 for even, odd in dec.permutation_split)
             if classes_distinct:
                 assert len(pairs) == 2 ** (dec.count - 1), str(spec)
@@ -317,6 +359,51 @@ def test_path_counts_and_strands_of_large_members_are_golden(monkeypatch):
                                    "981ee25012652be20fd054b4ef5a5b75")
 
 
+def test_closed_path_count_refuses_non_int_input():
+    trefoil = matrix_of(fam.CYCLIC_TORUS, (3,))
+    assert sp.closed_path_count(trefoil, 3) == 6
+    for k in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            sp.closed_path_count(trefoil, k)
+    # equal to the swept matrix entry by entry, so only a type check sees it
+    for bad in (1.0, True):
+        rows = [list(row) for row in trefoil.rows]
+        rows[0][1] = bad
+        with pytest.raises(ValueError, match="must be integers"):
+            sp.closed_path_count(sp.AdjMatrix(rows), 3)
+    for rows, message in [((), "empty"), (((1, 1), (2,)), "not square"),
+                          (((0, 1, 1), (1, 0, 1)), "not square")]:
+        with pytest.raises(ValueError, match=message):
+            sp.closed_path_count(sp.AdjMatrix(rows), 1)
+
+
+def random_integer_matrix(rng, n):
+    """Entries in -3..3, with a zeroed row and a zeroed column now and then."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(n)] = [0] * n
+    if rng.random() < 0.3:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    return sp.AdjMatrix(rows)
+
+
+def test_closed_path_count_matches_dense_powers_on_random_matrices():
+    rng = random.Random(5)
+    for _ in range(60):
+        matrices = [random_integer_matrix(rng, rng.randint(1, 8))
+                    for _ in range(2)]
+        queries = [(index, k) for index, m in enumerate(matrices)
+                   for k in range(1, 3 * m.n + 1)]
+        queries += rng.sample(queries, len(queries) // 2)  # repeats
+        rng.shuffle(queries)  # interleaved, capacity restarts on the way
+        refs = [reference_path_counts(m, 3 * m.n) for m in matrices]
+        for index, k in queries:
+            assert (sp.closed_path_count(matrices[index], k)
+                    == refs[index][k - 1]), (matrices[index].rows, k)
+
+
 def reference_decompositions(m):
     """The brute-force enumeration: every flip mask, dense sums, and a set
     that drops repeated pairs."""
@@ -326,8 +413,8 @@ def reference_decompositions(m):
     for class_a, class_b in dec.permutation_split:
         first = class_a if min(class_a) < min(class_b) else class_b
         second = class_b if first is class_a else class_a
-        class_pairs.append((sp._class_matrix(n, dec.edges, first),
-                            sp._class_matrix(n, dec.edges, second)))
+        class_pairs.append((class_matrix(n, dec.edges, first),
+                            class_matrix(n, dec.edges, second)))
     results, seen = [], set()
     for mask in range(2 ** max(len(class_pairs) - 1, 0)):
         p1 = [[0] * n for _ in range(n)]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
-from operator import eq
+from itertools import compress
+from operator import eq, not_
 
 OUT = "out"
 IN = "in"
@@ -97,11 +98,17 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     in order, the rings list every dart once, four per vertex, and the
     twins pair each out dart with one in dart; alternation is left to the
     walks.  `_rings` reads the rotation first, so one that is not rings of
-    integers raises DiagramError."""
+    integers raises DiagramError.  Like the ids, the vertex count and the
+    twins must be `int`, and are refused with `validate`'s text otherwise:
+    a count `3.0` or a twin `True` equals the `int` it stands for and would
+    pass every later test."""
     try:
         darts = d.darts
         n = len(darts)
         succ, vertex = _rings(d.rotation, n)
+        if type(d.vertex_count) is not int:
+            raise error("vertex count: V must be an integer, "
+                        f"got {d.vertex_count!r}")
         ids = [x.id for x in darts]
         if ids != list(range(n)) or not set(map(type, ids)) <= {int}:
             raise error("dart ids must be 0, 1, ... in order")
@@ -110,6 +117,9 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
             raise error("the rotation rings do not list every dart "
                         "exactly once, four per vertex")
         twin = [x.twin for x in darts]
+        if not set(map(type, twin)) <= {int}:
+            i = next(i for i, t in enumerate(twin) if type(t) is not int)
+            raise error(f"dart {i}: twin must be an integer, got {twin[i]!r}")
         if n and not 0 <= min(twin) <= max(twin) < n:
             raise error("a dart's twin is out of range")
         direction = [x.direction for x in darts]
@@ -503,15 +513,39 @@ def canonical_code(d: Diagram) -> tuple:
     connected.  Equality is transitive, so every dart of a class has the
     code of each earlier dart in it, and by induction over the roots in
     order, a skipped root's code equals that of a root already compared.
+
+    First-entry filter (pruning by a node invariant, in the same paper).
+    A root r's BFS labels r 0 and then its twin 1, since a twin is never
+    the dart itself, and its rotation successor 1 when that is the twin
+    and 2 otherwise.  So r's first entry is (1, 1 + (succ[r] != twin[r]),
+    out[r]), and the least ones are found in one pass over the flat
+    arrays.  Every code has a first entry and tuples compare it first, so
+    a root whose first entry exceeds the least one has a code greater than
+    the minimum: it can neither hold the minimum nor tie with it, and only
+    roots with the least first entry are run.  The returned tuple is the
+    same, and the orbit argument holds over the roots run: a joined pair
+    has equal codes, hence equal first entries, so the earlier dart that
+    makes a root skipped was itself run or, by induction, skipped for an
+    earlier one that was.  In an alternating ring each out dart neighbours
+    each in dart, so exactly one dart of a loop edge has its twin as its
+    successor, and a map with loops runs at most one root per loop.  Any
+    other runs its in darts, half of all.
     """
     n = len(d.darts)
     if not n:
         raise DiagramError("canonical code of a diagram with no darts")
     twin, succ, out, _ = _flat(d)
+    # the roots of least first entry: the darts whose successor is their
+    # twin, in darts first, and if there are none, the in darts
+    loops = list(compress(range(n), map(eq, succ, twin)))
+    if loops:
+        roots = [r for r in loops if not out[r]] or loops
+    else:
+        roots = compress(range(n), map(not_, out))
 
     least = list(range(n))  # union-find over darts, led by the least one
     best = best_order = best_code = None
-    for root in range(n):
+    for root in roots:
         if _least(least, root) != root:
             continue  # its code equals an earlier root's
         order: list[int] = []

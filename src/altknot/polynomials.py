@@ -401,19 +401,19 @@ def power_sums_from_charpoly(p: IntPoly, k_max: int) -> list[int]:
     """Traces of matrix powers 1..k_max recovered from det(x*I - M).
 
     Newton's identities relate the power sums of the eigenvalues to the
-    characteristic coefficients; everything stays in exact integers.
+    characteristic coefficients; everything stays in exact integers.  With
+    p = x^n + a_1 x^(n-1) + ... + a_n and a_i = 0 for i > n, they read
+    p_k = -k*a_k - (a_1 p_(k-1) + ... + a_(k-1) p_1), and the sum is one
+    C-level pass over a_1..a_min(k-1,n) against the sums so far, reversed.
     """
     n = p.degree
     if n < 1 or p[n] != 1:
         raise ValueError("expected a monic characteristic polynomial")
-    # e_i are the elementary symmetric functions of the eigenvalues.
-    e = [(-1) ** i * p[n - i] if i <= n else 0 for i in range(k_max + 1)]
+    a = p.coeffs[::-1]  # a[i] = a_i, a[0] = 1
     sums: list[int] = []
     for k in range(1, k_max + 1):
-        pk = (-1) ** (k - 1) * k * e[k] if k <= n else 0
-        for i in range(1, k):
-            pk += (-1) ** (i - 1) * e[i] * sums[k - i - 1] if i <= n else 0
-        sums.append(pk)
+        sums.append(-(k * a[k] if k <= n else 0)
+                    - sum(map(mul, a[1:k], reversed(sums))))
     return sums
 
 

@@ -131,6 +131,11 @@ class StrandDecomposition:
         return len(self.components)
 
 
+# The last matrix trace_strands walked (none at first) and its result:
+# replaced whole, never mutated, like closed_path_count's slot.
+_strands_slot: tuple = (None, None)
+
+
 def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     """Walk the matrix row/column-alternately until each subgraph closes.
 
@@ -139,7 +144,20 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     closed cycles are the link components.  A diagram is a knot exactly
     when there is one component.  Every row holds two edges, so row i
     owns edges 2i and 2i + 1 and a row step is `e ^ 1`.
+
+    The result for the last matrix walked is kept, keyed on the identity
+    of its rows, so :func:`permutation_decompositions` after this call on
+    the same matrix neither checks nor walks it again.  The rows are an
+    immutable tuple the slot holds on to, so the same object means the
+    same entries; a matrix equal to it by value is a different object and
+    is checked afresh, so `True` or `1.0` entries are still refused.  A
+    refused matrix leaves the slot as it was.
     """
+    global _strands_slot
+    rows = m.rows
+    slot = _strands_slot
+    if slot[0] is rows:
+        return slot[1]
     problems = m.problems()
     if problems:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
@@ -170,7 +188,9 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
                 break
         components.append(tuple(cycle))
         splits.append((tuple(cycle[0::2]), tuple(cycle[1::2])))
-    return StrandDecomposition(tuple(edges), tuple(components), tuple(splits))
+    dec = StrandDecomposition(tuple(edges), tuple(components), tuple(splits))
+    _strands_slot = (rows, dec)
+    return dec
 
 
 def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
@@ -189,11 +209,14 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
     each class, so the two class columns of every row are read directly.
     Flipping a component whose classes coincide repeats a pair and flipping
     any other gives a new one, so only flips of the distinct components are
-    enumerated, in the order of their first occurrence.
+    enumerated, in the order of their first occurrence.  The strands come
+    from :func:`trace_strands`, so right after that call on the same
+    matrix they are neither checked nor walked again.
     """
     dec = trace_strands(m)
     n = m.n
-    units = [tuple(int(c == j) for c in range(n)) for j in range(n)]
+    zero = (0,) * n
+    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
     first_rows: list[tuple[int, ...]] = [()] * n
     second_rows: list[tuple[int, ...]] = [()] * n
     flip_bit = [0] * n  # of each row's component; component 0 is pinned
@@ -255,7 +278,7 @@ def _path_slot(rows: Matrix, capacity: int) -> tuple:
 
 # The last matrix swept by closed_path_count (none at first), as _path_slot
 # makes it: replaced whole, never mutated, so threads never see it torn.
-_paths_slot: tuple = ((), 0, None, None, ())
+_paths_slot: tuple = (None, 0, None, None, ())
 
 
 def closed_path_count(m: AdjMatrix, k: int) -> int:

@@ -466,6 +466,48 @@ def test_canonical_code_matches_reference_on_symmetric_members(text):
             assert dg.canonical_code(relabel(x, rng)) == expected
 
 
+def first_entry_roots(d):
+    """The darts whose first code entry is least: the roots that
+    canonical_code runs (before orbit pruning)."""
+    twin, succ, out, _ = dg._flat(d)
+    first = [(1, 1 + (s != t), o) for s, t, o in zip(succ, twin, out)]
+    return [r for r, entry in enumerate(first) if entry == min(first)]
+
+
+SINGLE_ROOT_MEMBERS = ("hopftwist:V=9", "trefoiltwist:V=7",
+                       "fourknottwist:V=8")
+
+
+@pytest.mark.parametrize("text", SINGLE_ROOT_MEMBERS)
+def test_canonical_code_matches_reference_from_one_root(text):
+    # one loop, whose twin is its successor at one dart: the first-entry
+    # filter keeps that dart alone, in the map, its mirror and relabelings
+    rng = random.Random(text)
+    d = spec_diagram(text)
+    for x in (d, dg.mirror(d)):
+        expected = reference_canonical_code(x)
+        for y in (x, *(relabel(x, rng) for _ in range(3))):
+            assert len(first_entry_roots(y)) == 1
+            assert dg.canonical_code(y) == expected
+
+
+@pytest.mark.parametrize("text", ["hopftwist:V=24", "twistknot:V=24"])
+def test_canonical_code_runs_only_roots_of_least_first_entry(text,
+                                                             monkeypatch):
+    # one root of 96 on a map with one loop, the 48 in darts on a knot,
+    # fewer where orbit pruning skips some
+    d = spec_diagram(text)
+    roots = first_entry_roots(d)
+    assert len(roots) == (1 if d.kind == "twist" else 48)
+    run = []
+    bfs_code = dg._bfs_code
+    monkeypatch.setattr(dg, "_bfs_code",
+                        lambda root, *rest: run.append(root)
+                        or bfs_code(root, *rest))
+    assert dg.canonical_code(d) == reference_canonical_code(d)
+    assert run and set(run) <= set(roots)
+
+
 def three_component_maps():
     """Unions of three isomorphic components, and of two with the mirror
     of the third placed first, between or last, so that full ties join

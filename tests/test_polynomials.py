@@ -360,6 +360,42 @@ def test_power_sums_match_closed_paths(member_diagrams):
             assert sums[k - 1] == sp.closed_path_count(m, k), (str(spec), k)
 
 
+@pytest.mark.parametrize("text", ["twistknot:V=12", "hopftwist:V=9",
+                                  "kribbon:k=3,m=3"])
+def test_power_sums_past_the_degree_match_closed_paths(text):
+    # k_max = 2V: the sums for k > V run with a_k = 0 and a slice cut at a_V
+    d = fam.generate(fam.parse_spec_string(text))
+    m = sp.adjacency(d)
+    v = d.vertex_count
+    sums = power_sums_from_charpoly(charpoly(m), 2 * v)
+    assert sums == [sp.closed_path_count(m, k) for k in range(1, 2 * v + 1)]
+
+
+def signed_newton_sums(p, k_max):
+    """power_sums_from_charpoly before it read the coefficients directly:
+    the signed elementary symmetric functions in an interpreted double
+    loop."""
+    n = p.degree
+    e = [(-1) ** i * p[n - i] if i <= n else 0 for i in range(k_max + 1)]
+    sums = []
+    for k in range(1, k_max + 1):
+        pk = (-1) ** (k - 1) * k * e[k] if k <= n else 0
+        for i in range(1, k):
+            pk += (-1) ** (i - 1) * e[i] * sums[k - i - 1] if i <= n else 0
+        sums.append(pk)
+    return sums
+
+
+def test_power_sums_match_the_signed_newton_loop():
+    rng = random.Random(20066)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        p = IntPoly(tuple(rng.randint(-9, 9) for _ in range(n)) + (1,))
+        for k_max in (0, 1, n - 1, n, n + 1, 3 * n):
+            assert (power_sums_from_charpoly(p, k_max)
+                    == signed_newton_sums(p, k_max)), (p, k_max)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient rules
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +132,106 @@ def test_trace_strands_refuses_non_int_entries(rows):
     assert m.problems() == ["matrix entries must be integers"]
     with pytest.raises(ValueError, match="must be integers"):
         sp.trace_strands(m)
+
+
+def test_strands_of_one_matrix_are_walked_once(monkeypatch):
+    m = matrix_of(fam.CYCLIC_TORUS, (6,))
+    dec = sp.trace_strands(m)
+    checks = []
+    problems = sp.AdjMatrix.problems
+    monkeypatch.setattr(sp.AdjMatrix, "problems",
+                        lambda self: checks.append(self) or problems(self))
+    assert sp.trace_strands(m) is dec
+    pairs = sp.permutation_decompositions(m)
+    assert checks == []
+    assert pairs == sp.permutation_decompositions(sp.AdjMatrix(m.rows))
+    assert len(checks) == 1
+
+
+def test_interleaved_strand_walks_equal_fresh_ones():
+    a = matrix_of(fam.CYCLIC_TORUS, (6,))
+    b = matrix_of(fam.CLOSED_CHAIN, (3,))
+    for m in (a, b, a, b, a):
+        fresh = sp.AdjMatrix(m.rows)  # equal rows, a different object
+        assert fresh.rows is not m.rows
+        assert sp.trace_strands(m) == sp.trace_strands(fresh)
+        assert (sp.permutation_decompositions(m)
+                == sp.permutation_decompositions(fresh))
+
+
+def test_strand_slot_threads_on_different_matrices():
+    specs = [(fam.CYCLIC_TORUS, (8,)), (fam.TWO_RIBBON, (4, 3)),
+             (fam.CLOSED_CHAIN, (4,)), (fam.TWIST_KNOTS, (8,))]
+    matrices = [matrix_of(family, params) for family, params in specs]
+    refs = [(sp.trace_strands(sp.AdjMatrix(m.rows)),
+             sp.permutation_decompositions(sp.AdjMatrix(m.rows)))
+            for m in matrices]
+    errors = []
+
+    def walk(m, ref):
+        for _ in range(200):
+            if (sp.trace_strands(m), sp.permutation_decompositions(m)) != ref:
+                errors.append(m.n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=walk, args=pair)
+                   for pair in zip(matrices, refs)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_strand_slot_does_not_pass_an_equal_matrix_of_other_types(value):
+    m = matrix_of(fam.CYCLIC_TORUS, (3,))
+    sp.trace_strands(m)
+    j = m.rows[0].index(1)
+    rows = ((*m.rows[0][:j], value, *m.rows[0][j + 1:]),) + m.rows[1:]
+    assert rows == m.rows
+    for call in (sp.trace_strands, sp.permutation_decompositions):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(sp.AdjMatrix(rows))
+
+
+def test_refused_matrix_leaves_the_strand_slot():
+    m = matrix_of(fam.CYCLIC_TORUS, (4,))
+    dec = sp.trace_strands(m)
+    slot = sp._strands_slot
+    for bad in (((1, 0), (0, 1)), ((2.0, 0), (0, 2)), ()):
+        with pytest.raises(ValueError):
+            sp.trace_strands(sp.AdjMatrix(bad))
+        assert sp._strands_slot is slot
+    assert sp.trace_strands(m) is dec
+
+
+FIRST_CALLS_ON_THE_EMPTY_MATRIX = """
+from altknot import spectra as sp
+for call in (lambda: sp.closed_path_count(sp.AdjMatrix(()), 1),
+             lambda: sp.trace_strands(sp.parse_matrix("[]"))):
+    try:
+        print(call())
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_empty_matrix_is_refused_before_any_slot_is_filled():
+    # a fresh process, so neither slot holds a matrix yet; the empty
+    # tuple, being shared, must not stand for "no matrix"
+    env = {**os.environ, "PYTHONPATH": str(Path(sp.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c",
+                          FIRST_CALLS_ON_THE_EMPTY_MATRIX],
+                         capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert (out.returncode, out.stdout) == (
+        0, "matrix is empty\nnot an adjacency matrix: matrix is empty\n")
 
 
 def random_adjacency(rng, n):

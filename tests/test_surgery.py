@@ -682,6 +682,41 @@ def test_readers_refuse_dart_fields_that_are_not_integers(field, value):
             reader(bad)
 
 
+@pytest.mark.parametrize("count", [3.0, True, "3"])
+def test_readers_refuse_vertex_counts_that_are_not_integers(count):
+    # 3.0 equals the true count, so a reader that compared it by value
+    # coded the map and called it isomorphic to the sound one
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, vertex_count=count)
+    problem = f"vertex count: V must be an integer, got {count!r}"
+    assert dg.validate(bad) == [problem]
+    for reader in READERS:
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
+            reader(bad)
+
+
+def test_isomorphic_refuses_a_float_vertex_count():
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, vertex_count=3.0)
+    for call in (lambda: dg.isomorphic(d, bad), lambda: dg.isomorphic(bad, d)):
+        with pytest.raises(dg.DiagramError, match="^vertex count: V must be"):
+            call()
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_readers_refuse_a_twin_equal_to_an_int(value):
+    # dart 0 of cyclic:V=3 has twin 1: True and 1.0 pass every range and
+    # pairing test, so only the type tells, as validate reports
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = (dataclasses.replace(d.darts[0], twin=value),) + d.darts[1:]
+    bad = dataclasses.replace(d, darts=darts)
+    problem = f"dart 0: twin must be an integer, got {value!r}"
+    assert dg.validate(bad) == [problem]
+    for reader in READERS:
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
+            reader(bad)
+
+
 def outcome(call):
     """A call's result as one line: the result's kind and the sha256 of its
     JSON, the `Unknot` text, or the exception's type and message."""

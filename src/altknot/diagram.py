@@ -62,28 +62,36 @@ class Diagram:
     # -- basic accessors --------------------------------------------------
 
     def twin(self, dart_id: int) -> int:
+        """`Dart.twin` of the dart."""
         return self.darts[dart_id].twin
 
     def vertex_of(self, dart_id: int) -> int:
+        """`Dart.vertex` of the dart; defined on maps `validate` accepts."""
         return self.darts[dart_id].vertex
 
     def direction(self, dart_id: int) -> str:
+        """`Dart.direction` of the dart."""
         return self.darts[dart_id].direction
 
     def rotation_successor(self, dart_id: int) -> int:
+        """The next dart in the ring `Dart.vertex` names, read in O(1);
+        defined on maps `validate` accepts."""
         ring = self.rotation[self.vertex_of(dart_id)]
         return ring[(ring.index(dart_id) + 1) % 4]
 
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (tail_vertex, head_vertex), one per edge,
-        ordered by tail dart id."""
-        return [(d.vertex, self.vertex_of(d.twin))
-                for d in self.darts if d.direction == OUT]
+        ordered by tail dart id; `_flat` reads each vertex from the rings."""
+        twin, _, out, vertex = _flat(self)
+        return [(vertex[i], vertex[t])
+                for i, t in enumerate(twin) if out[i]]
 
     def loop_count(self) -> int:
+        """Out darts whose twin is in their own ring (`_kind`'s loop test):
+        reads the rings and each listed dart's twin and direction."""
         darts = self.darts
-        return sum(1 for d in darts
-                   if d.direction == OUT and darts[d.twin].vertex == d.vertex)
+        return sum([darts[x].twin in ring for ring in self.rotation
+                    for x in ring if darts[x].direction == OUT])
 
     def __str__(self) -> str:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
@@ -94,56 +102,54 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     """twin, rotation successor, is-outgoing and vertex (the index of the
     ring that lists it) of every dart, as lists indexed by dart id: what
     the readers and the surgery builder read instead of the Dart objects.
-    The one incidence check: raises `error` unless the ids are 0, 1, ...
-    in order, the rings list every dart once, four per vertex, and the
-    twins pair each out dart with one in dart; alternation is left to the
-    walks.  `_rings` reads the rotation first, so one that is not rings of
-    integers raises DiagramError.  Like the ids, the vertex count and the
-    twins must be `int`, and are refused with `validate`'s text otherwise:
-    a count `3.0` or a twin `True` equals the `int` it stands for and would
-    pass every later test."""
-    try:
-        darts = d.darts
-        n = len(darts)
-        succ, vertex = _rings(d.rotation, n)
-        if type(d.vertex_count) is not int:
-            raise error("vertex count: V must be an integer, "
-                        f"got {d.vertex_count!r}")
-        ids = [x.id for x in darts]
-        if ids != list(range(n)) or not set(map(type, ids)) <= {int}:
-            raise error("dart ids must be 0, 1, ... in order")
-        # n entries in n/4 rings reach all n darts only if each is listed once
-        if -1 in vertex or not n == 4 * len(d.rotation) == 4 * d.vertex_count:
-            raise error("the rotation rings do not list every dart "
-                        "exactly once, four per vertex")
-        twin = [x.twin for x in darts]
-        if not set(map(type, twin)) <= {int}:
-            i = next(i for i, t in enumerate(twin) if type(t) is not int)
-            raise error(f"dart {i}: twin must be an integer, got {twin[i]!r}")
-        if n and not 0 <= min(twin) <= max(twin) < n:
-            raise error("a dart's twin is out of range")
-        direction = [x.direction for x in darts]
-        out = [x == OUT for x in direction]
-        # an involution whose pairs differ in direction has no fixed point
-        if (list(map(twin.__getitem__, twin)) != list(range(n))
-                or not {OUT, IN}.issuperset(direction)
-                or any(map(eq, map(out.__getitem__, twin), out))):
-            raise error("the twins do not pair each out dart with "
-                        "one in dart")
-    except TypeError as exc:  # e.g. a twin 1.0, a direction that is a list
-        raise error(f"a value of the wrong type ({exc})") from exc
+    Reads the rotation, the vertex count and each dart's id, twin and
+    direction; `Dart.vertex` only has its type checked.  The one gate:
+    raises `error` with `_type_problem`'s text, and unless the ids
+    are 0, 1, ... in order, the rings list every dart once, four per
+    vertex, and the twins pair each out dart with one in dart (a direction
+    is compared with OUT and IN, never hashed); alternation is left to the
+    walks."""
+    problem = _type_problem(d)
+    if problem:
+        raise error(problem)
+    darts = d.darts
+    n = len(darts)
+    succ, vertex = _rings(d.rotation, n)
+    if [x.id for x in darts] != list(range(n)):
+        raise error("dart ids must be 0, 1, ... in order")
+    # n entries in n/4 rings reach all n darts only if each is listed once
+    if -1 in vertex or not n == 4 * len(d.rotation) == 4 * d.vertex_count:
+        raise error("the rotation rings do not list every dart "
+                    "exactly once, four per vertex")
+    twin = [x.twin for x in darts]
+    if n and not 0 <= min(twin) <= max(twin) < n:
+        raise error("a dart's twin is out of range")
+    direction = [x.direction for x in darts]
+    out = [x == OUT for x in direction]
+    # an involution whose pairs differ in direction has no fixed point
+    if (list(map(twin.__getitem__, twin)) != list(range(n))
+            or direction.count(OUT) + direction.count(IN) != n
+            or any(map(eq, map(out.__getitem__, twin), out))):
+        raise error("the twins do not pair each out dart with "
+                    "one in dart")
     return twin, succ, out, vertex
 
 
 def _type_problem(d: Diagram) -> str | None:
-    """The problem with the first value of d that is not an `int` (`bool`
-    and `float` included): its vertex count, then a `Dart` field among id,
-    vertex and twin, then a rotation-ring entry, after the rotation and
-    each ring are checked to be sequences; None when every one is.  Set
-    passes when they are, the fastest form measured."""
+    """The type rule, `validate`'s text for the first field of d of the
+    wrong type, or None: the vertex count, the darts (a sequence of `Dart`
+    records), a dart's id, vertex or twin, the rotation (a sequence of
+    sequences), a ring entry.  Every number must be an `int` (`bool` and
+    `float` refused).  Set passes when all pass, the fastest form measured."""
     if type(d.vertex_count) is not int:
         return f"vertex count: V must be an integer, got {d.vertex_count!r}"
     darts = d.darts
+    if not isinstance(darts, Sequence):
+        return f"darts: must be a sequence of Dart records, got {darts!r}"
+    if not set(map(type, darts)) <= {Dart}:
+        for i, x in enumerate(darts):
+            if not isinstance(x, Dart):
+                return f"darts: entry {i} must be a Dart record, got {x!r}"
     if not ({type(x.id) for x in darts} | {type(x.vertex) for x in darts}
             | {type(x.twin) for x in darts}) <= {int}:
         for i, x in enumerate(darts):
@@ -169,20 +175,16 @@ def _type_problem(d: Diagram) -> str | None:
 
 def _rings(rotation: Sequence[Sequence[int]],
            n: int) -> tuple[list[int], list[int]]:
-    """Rotation successor and ring index (the vertex) of each of n darts;
-    -1 for a dart in no ring.  Raises DiagramError when `rotation` is not
-    a sequence of rings of integer dart ids."""
+    """Rotation successor and ring index (the vertex) of each of n darts,
+    read from the rotation alone; -1 for a dart in no ring.  Every caller
+    passes rings of `int` dart ids, as `_type_problem` checks them."""
     succ, ring_of = [-1] * n, [-1] * n
-    try:
-        for v, ring in enumerate(rotation):
-            if len(ring) == 4:
-                a, b, c, e = ring
-                if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
-                    succ[a], succ[b], succ[c], succ[e] = b, c, e, a
-                    ring_of[a] = ring_of[b] = ring_of[c] = ring_of[e] = v
-    except TypeError as exc:
-        raise DiagramError(
-            f"rotation: not a sequence of rings of dart ids ({exc})") from exc
+    for v, ring in enumerate(rotation):
+        if len(ring) == 4:
+            a, b, c, e = ring
+            if 0 <= a < n and 0 <= b < n and 0 <= c < n and 0 <= e < n:
+                succ[a], succ[b], succ[c], succ[e] = b, c, e, a
+                ring_of[a] = ring_of[b] = ring_of[c] = ring_of[e] = v
     return succ, ring_of
 
 
@@ -531,10 +533,10 @@ def canonical_code(d: Diagram) -> tuple:
     successor, and a map with loops runs at most one root per loop.  Any
     other runs its in darts, half of all.
     """
-    n = len(d.darts)
+    twin, succ, out, _ = _flat(d)
+    n = len(twin)
     if not n:
         raise DiagramError("canonical code of a diagram with no darts")
-    twin, succ, out, _ = _flat(d)
     # the roots of least first entry: the darts whose successor is their
     # twin, in darts first, and if there are none, the in darts
     loops = list(compress(range(n), map(eq, succ, twin)))
@@ -573,8 +575,6 @@ def canonical_code(d: Diagram) -> tuple:
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:
-    if a.vertex_count != b.vertex_count:
-        return False
     return canonical_code(a) == canonical_code(b)
 
 

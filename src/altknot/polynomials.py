@@ -261,6 +261,17 @@ def check_generating_function(k_max: int) -> bool:
 # Characteristic polynomials, exactly.
 # ---------------------------------------------------------------------------
 
+def _shape_problem(rows: Sequence[Sequence[int]]) -> str:
+    """Why rows is not a square matrix of ints (bool, float refused), or ''."""
+    if not rows:
+        return "matrix is empty"
+    if any(len(row) != len(rows) for row in rows):
+        return "matrix is not square"
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        return "matrix entries must be integers"
+    return ""
+
+
 def charpoly(matrix) -> IntPoly:
     """det(x*I - M) of an integer matrix, exact.
 
@@ -291,21 +302,18 @@ def charpoly(matrix) -> IntPoly:
     slots, and slot i of row i, less half, is (M^k)_ii.
 
     Matrix rows are consumed as any sequence of sequences of ints (an
-    AdjMatrix works too); an entry of any other type, `bool` and `float`
-    included, raises ValueError rather than being truncated.
+    AdjMatrix works too); a matrix that is empty, not square or has an
+    entry of any other type, `bool` and `float` included, raises
+    ValueError with `_shape_problem`'s text rather than being truncated.
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
-    if n == 0:
-        raise ValueError("characteristic polynomial of an empty matrix")
     if n > max_vertices():
         raise ValueError(
             f"matrix dimension {n} above the cap {max_vertices()} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        raise ValueError("matrix entries must be integers")
+    if problem := _shape_problem(rows):
+        raise ValueError(problem)
 
     r = max(1, *[sum(map(abs, row)) for row in rows])
     w = n * (r - 1).bit_length() + 2

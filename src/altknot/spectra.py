@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, and_, rshift
 
 from .diagram import OUT, Diagram
+from .polynomials import _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _shape_problem(rows: Matrix) -> str:
-    """Why rows is not a square matrix of ints (bool, float refused), or ''."""
-    if not rows:
-        return "matrix is empty"
-    if any(len(row) != len(rows) for row in rows):
-        return "matrix is not square"
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        return "matrix entries must be integers"
-    return ""
 
 
 def _line_sums(rows: Matrix) -> tuple[list[int], list[int]]:
@@ -97,7 +87,9 @@ def adjacency(d: Diagram) -> AdjMatrix:
     """Count directed edges between vertex pairs; loops land on the diagonal.
 
     The matrix determines the directed multigraph of the diagram but not
-    its sphere embedding.
+    its sphere embedding.  Reads the vertex count and each dart's
+    `direction`, `twin` and `vertex` fields, unchecked: defined on maps
+    `validate` accepts.
     """
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
-                      _flat, _kind, _rings, _traces, _type_problem)
+                      _flat, _kind, _rings, _traces)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -78,16 +78,13 @@ class _Builder:
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet.  d's fields must be
-        integers (`_type_problem`) and its incidence sound (`_flat`); every
-        operation reads its input only through this check."""
+        """A builder holding d, or holding nothing yet.  d's field types
+        and incidence must pass `_flat`; every operation reads its input
+        only through this check."""
         if d is None:
             self.darts, self.rotation = (), []
             self.twin, self.direction = [], []
             return
-        bad_field = _type_problem(d)
-        if bad_field:
-            raise SurgeryError(bad_field)
         self.twin = _flat(d, SurgeryError)[0]
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `build` reuses each one whose

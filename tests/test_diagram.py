@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -170,6 +171,19 @@ def test_component_count_matches_matrix_walk(member_diagrams):
 def test_derive_kind(member_diagrams):
     for spec, d in member_diagrams:
         assert d.kind == dg.derive_kind(d), str(spec)
+
+
+def test_loops_and_edges_read_each_vertex_from_the_rings():
+    # dart 0's vertex set to its twin's: the rings still say edge 0 joins
+    # two vertices, and loop_count once read a loop from the Dart field
+    d = trefoil()
+    darts = list(d.darts)
+    darts[0] = dataclasses.replace(darts[0], vertex=darts[1].vertex)
+    bad = dataclasses.replace(d, darts=tuple(darts))
+    assert bad.loop_count() == d.loop_count() == 0
+    assert dg.derive_kind(bad) == "knot"
+    assert bad.edges() == d.edges()
+    assert dg.to_dot(bad) == dg.to_dot(d)
 
 
 # ---------------------------------------------------------------------------

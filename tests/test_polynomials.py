@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 
@@ -196,6 +197,15 @@ def test_charpoly_rejects_bad_input():
         charpoly(())
     with pytest.raises(ValueError):
         charpoly(((1, 2),))
+
+
+@pytest.mark.parametrize("rows", [(), ((1, 2),), ((0, 2), (2, True))],
+                         ids=["empty", "not-square", "bool-entry"])
+def test_charpoly_refuses_a_matrix_with_the_shape_rule_text(rows):
+    # one shape rule, so the text is AdjMatrix.problems()'s
+    problem = sp.AdjMatrix(rows).problems()[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        charpoly(rows)
 
 
 @pytest.mark.parametrize("entry", [2.9, 0.5, "2", True])

@@ -506,8 +506,8 @@ def test_ring_entries_that_are_not_integers_are_refused(entry):
 ], ids=["none", "int", "ring-int", "ring-none"])
 def test_rotations_that_are_not_sequences_of_rings_are_refused(rotate,
                                                                problem):
-    # validate reports it, every operation raises SurgeryError with the
-    # same text, and every reader of the rings raises DiagramError
+    # validate reports it, and every operation and every reader of the
+    # rings raises with the same text
     d = member(fam.CYCLIC_TORUS, 3)
     bad = dataclasses.replace(d, rotation=rotate(d.rotation))
     assert dg.validate(bad) == [problem]
@@ -515,17 +515,64 @@ def test_rotations_that_are_not_sequences_of_rings_are_refused(rotate,
     _each_operation_refuses(bad, d, refused)
     for reader in (dg.canonical_code, dg.faces, dg.face_of_dart,
                    dg.face_orientations, dg.component_count, dg.derive_kind):
-        with pytest.raises(dg.DiagramError, match="^rotation: not a sequence"):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
             reader(bad)
 
 
-@pytest.mark.parametrize("entry", ["0", 0.0])
+@pytest.mark.parametrize("entry", ["0", 0.0, True])
 def test_readers_refuse_ring_entries_that_are_not_integers(entry):
+    # each entry stands where the dart id int(entry) stood; True indexes
+    # like that 1 and passes every count and pairing test, so only the
+    # type tells it apart
     d = member(fam.CYCLIC_TORUS, 3)
-    ring = (entry,) + d.rotation[0][1:]
-    bad = dataclasses.replace(d, rotation=(ring,) + d.rotation[1:])
+    dart = int(entry)
+    v = d.darts[dart].vertex
+    ring = tuple(entry if x == dart else x for x in d.rotation[v])
+    bad = dataclasses.replace(
+        d, rotation=d.rotation[:v] + (ring,) + d.rotation[v + 1:])
+    problem = f"rotation: ring of vertex {v} must hold integers, got {entry!r}"
+    assert dg.validate(bad) == [problem]
     for reader in (dg.canonical_code, dg.faces, dg.component_count):
-        with pytest.raises(dg.DiagramError, match="^rotation: not a sequence"):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
+            reader(bad)
+
+
+def _darts_none(d):
+    return dataclasses.replace(d, darts=None)
+
+
+def _dart_int(d):
+    return dataclasses.replace(d, darts=d.darts[:1] + (5,) + d.darts[2:])
+
+
+@pytest.mark.parametrize("fault, problem", [
+    (_darts_none, "darts: must be a sequence of Dart records, got None"),
+    (_dart_int, "darts: entry 1 must be a Dart record, got 5"),
+], ids=["darts-none", "dart-int"])
+def test_darts_that_are_not_dart_records_are_refused(fault, problem):
+    # once leaked TypeError or AttributeError from validate, every
+    # operation and canonical_code
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = fault(d)
+    assert dg.validate(bad) == [problem]
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+    for reader in READERS + (lambda d: d.edges(), dg.to_dot):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
+            reader(bad)
+
+
+def test_a_direction_that_cannot_be_hashed_is_refused():
+    # a list is compared with OUT and IN, not looked up in a set
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = (dataclasses.replace(d.darts[0], direction=[dg.OUT]),) + d.darts[1:]
+    bad = dataclasses.replace(d, darts=darts)
+    assert dg.validate(bad)
+    problem = "the twins do not pair each out dart with one in dart"
+    refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
+    _each_operation_refuses(bad, d, refused)
+    for reader in READERS + (lambda d: d.edges(), dg.to_dot):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
             reader(bad)
 
 
@@ -693,6 +740,17 @@ def test_readers_refuse_vertex_counts_that_are_not_integers(count):
     for reader in READERS:
         with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
             reader(bad)
+
+
+@pytest.mark.parametrize("count", ["3", 4])
+def test_isomorphic_reads_both_maps_before_comparing(count):
+    # it once compared the two vertex counts first and returned False
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = dataclasses.replace(d, vertex_count=count)
+    for call in (lambda: dg.isomorphic(d, bad), lambda: dg.isomorphic(bad, d)):
+        with pytest.raises(dg.DiagramError):
+            call()
+    assert not dg.isomorphic(d, member(fam.CYCLIC_TORUS, 4))
 
 
 def test_isomorphic_refuses_a_float_vertex_count():

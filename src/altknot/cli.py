@@ -53,7 +53,7 @@ def _load_source(text: str,
         raise InputError(f"{text!r} is neither a family spec nor a file")
     try:
         doc = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{text}: {exc}") from exc
     failure = "not a diagram or matrix: " if matrix else ""
     if matrix and not doc.lstrip().startswith("{"):

@@ -178,22 +178,11 @@ def _grow_twist(b: _Builder, extra: int) -> _Builder:
     return b
 
 
-def _two_ribbon(j: int, k: int) -> _Builder:
-    b = _cyclic_torus(j + 1)
-    b.ribbon(0, k)
-    return b
-
-
-def _three_ribbon_p(k: int, l: int, m: int) -> _Builder:
-    b = _cyclic_torus(m + 2)
-    b.ribbon(0, k)
-    b.ribbon(1, l)
-    return b
-
-
-def _three_ribbon_g(k: int, l: int, m: int) -> _Builder:
-    b = _cyclic_torus(3)
-    for base, length in enumerate((k, l, m)):
+def _necklace(v: int, *lengths: int) -> _Builder:
+    """The v-crossing necklace with crossing i grown into a ribbon of
+    lengths[i] crossings."""
+    b = _cyclic_torus(v)
+    for base, length in enumerate(lengths):
         b.ribbon(base, length)
     return b
 
@@ -202,10 +191,7 @@ def _k_ribbon_cyclic(k: int, m: int) -> _Builder:
     if k == 1:
         # a single ribbon closed on itself is the twisted circle
         return _twist_chain(m)
-    b = _cyclic_torus(k)
-    for base in range(k):
-        b.ribbon(base, m)
-    return b
+    return _necklace(k, *[m] * k)
 
 
 def _chained_cyclic(k: int, n: int) -> _Builder:
@@ -288,19 +274,21 @@ FAMILIES: tuple[Family, ...] = (
            lambda v: ((X - 2) * (X + 1)
                       * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4)))),
     Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
-           lambda v: _grow_twist(_two_ribbon(2, 2), v - 4),
+           lambda v: _grow_twist(_necklace(3, 2), v - 4),
            lambda v: (X - 2) * (_FOUR_KNOT_A * jpoly(v - 4)
                                 - _FOUR_KNOT_B * jpoly(v - 5))),
     Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
-           lambda v: _two_ribbon(v - 2, 2),
+           lambda v: _necklace(v - 1, 2),
            lambda v: ((X ** 3 - X - 2) * jpoly(v - 3)
                       - X * X * jpoly(v - 4) - 2 * X)),
     Family(TWO_RIBBON, "f", ("j", "k"), (1, 1), _total,
-           _two_ribbon, two_ribbon_poly, descending=True),
+           lambda j, k: _necklace(j + 1, k), two_ribbon_poly,
+           descending=True),
     Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1), _total,
-           _three_ribbon_p, three_ribbon_p_poly),
+           lambda k, l, m: _necklace(m + 2, k, l), three_ribbon_p_poly),
     Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1), _total,
-           _three_ribbon_g, three_ribbon_g_poly, descending=True),
+           lambda k, l, m: _necklace(3, k, l, m), three_ribbon_g_poly,
+           descending=True),
     Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: 2 * k,
            lambda k: _k_ribbon_cyclic(k, 2),
            lambda k, x=X, J=jpoly: cyclic_poly(k, x, J) * x ** k),

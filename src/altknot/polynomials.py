@@ -272,6 +272,67 @@ def _shape_problem(rows: Sequence[Sequence[int]]) -> str:
     return ""
 
 
+def _power_plan(lines: Sequence[Sequence[int]], capacity: int) -> tuple:
+    """Plan for packed powers of L, the square int matrix whose rows are
+    `lines`, and L^0 = I packed: the plan `_power_step` reads, and I.
+
+    Row i of L^k is one Python int, sum over j of (L^k)_ij * 2^(w*j), so
+    entry j sits in the w-bit slot j (Kronecker substitution).  As
+    L^k = L * L^(k-1), row i of L^k sums L_ij times packed row j of
+    L^(k-1) over the nonzero L_ij.  The plan turns that into C-level
+    passes over the list of rows: `layers[l]` names, for every row i, the
+    l-th column of its support (n past a short support, where the packed
+    list holds an appended 0), and `extra` holds (i, j, L_ij - 1) for each
+    entry L_ij != 1, added after the passes.  For an adjacency matrix that
+    is two passes plus one term per 2-entry, with no interpreted step per
+    entry.
+
+    The width suffices for every k <= K, the capacity.  Let c = max(1,
+    ||L||_inf), the largest sum of |L_ij| over a row, and w =
+    K*ceil(log2 c) + 2.  The infinity norm is submultiplicative, so
+    |(L^k)_ij| <= ||L^k||_inf <= c^k <= c^K <= 2^(K*ceil(log2 c)) =
+    2^(w - 2).  Packing is linear, so the packed row is the exact integer
+    above whatever its entries; only reading needs the bound.  Adding
+    half = 2^(w-1) to every slot (the bias) makes every digit entry + half
+    lie in [2^(w-2), 3*2^(w-2)], inside [0, 2^w), so these are the row's
+    base-2^w digits with no borrow between slots, and slot i of row i,
+    masked and less half, is (L^k)_ii; the offset is n*half.
+
+    Either packing of a matrix M is covered.  Rows of M (L = M) take c
+    from ||M||_inf; columns of M are the rows of L = M^T, whose powers are
+    (M^k)^T, and take c from ||M^T||_inf = ||M||_1.  Both norms bound every
+    entry of M^k, and trace((M^T)^k) = trace(M^k).
+    """
+    n = len(lines)
+    supports = [list(compress(range(n), line)) for line in lines]
+    c = max(1, *[sum(map(abs, line)) for line in lines])
+    w = capacity * (c - 1).bit_length() + 2
+    half = 1 << (w - 1)
+    shifts = range(0, n * w, w)
+    layers = [[s[l] if l < len(s) else n for s in supports]
+              for l in range(max(1, *map(len, supports)))]
+    extra = [(i, j, lines[i][j] - 1) for i, s in enumerate(supports)
+             for j in s if lines[i][j] != 1]
+    plan = (layers, extra, shifts, sum(map(half.__lshift__, shifts)),
+            (1 << w) - 1, n * half)
+    return plan, [*map((1).__lshift__, shifts), 0]
+
+
+def _power_step(plan: tuple, power: list[int]) -> tuple[list[int], int]:
+    """L^k and trace(L^k) from L^(k-1), packed as `_power_plan` lays out;
+    never mutates `power`."""
+    layers, extra, shifts, bias, mask, offset = plan
+    get = power.__getitem__
+    prod = list(map(get, layers[0]))
+    for layer in layers[1:]:
+        prod = list(map(add, prod, map(get, layer)))
+    for i, j, v in extra:
+        prod[i] += v * power[j]
+    prod.append(0)
+    return prod, sum(map(and_, map(rshift, map(add, prod, repeat(bias)),
+                                   shifts), repeat(mask))) - offset
+
+
 def charpoly(matrix) -> IntPoly:
     """det(x*I - M) of an integer matrix, exact.
 
@@ -279,27 +340,8 @@ def charpoly(matrix) -> IntPoly:
     det(x*I - M) = x^n + c_1*x^(n-1) + ... + c_n by Newton's identities,
     k*c_k = -(c_(k-1)*p_1 + c_(k-2)*p_2 + ... + c_0*p_k) with c_0 = 1.  The
     division by k is exact because the c_k are integers; a remainder
-    raises ArithmeticError.
-
-    The powers are computed on packed rows (Kronecker substitution): row i
-    of M^k is one Python int, sum over j of (M^k)_ij * 2^(w*j), so entry j
-    sits in the w-bit slot j.  Row i of M * M^(k-1) is the sum over the
-    nonzero M_ij of M_ij times packed row j of M^(k-1).  It is formed by
-    C-level passes over the list of rows: pass l adds, to every row i, the
-    packed row named by row i's l-th nonzero column (a row with fewer
-    reads an appended 0), and each entry v != 1 then adds (v - 1) times
-    its row.  For an adjacency matrix that is two passes plus one term per
-    2-entry, with no interpreted step per entry.
-
-    The slot width is sufficient.  Let r = max(1, max_i sum_j |M_ij|), the
-    infinity norm of M.  For every k <= n,
-    |(M^k)_ij| <= ||M^k||_inf <= ||M||_inf^k = r^k <= r^n
-    <= 2^(n*ceil(log2 r)) = 2^(w - 2) for w = n*ceil(log2 r) + 2.  Packing
-    is linear, so the packed row is the exact integer above whatever its
-    entries; only reading needs the bound.  Adding half = 2^(w-1) to every
-    slot makes every digit entry + half lie in [2^(w-2), 3*2^(w-2)], inside
-    [0, 2^w), so these are the row's base-2^w digits with no borrow between
-    slots, and slot i of row i, less half, is (M^k)_ii.
+    raises ArithmeticError.  The traces come from `_power_step` on the
+    packed rows of M, planned with capacity n.
 
     Matrix rows are consumed as any sequence of sequences of ints (an
     AdjMatrix works too); a matrix that is empty, not square or has an
@@ -315,33 +357,12 @@ def charpoly(matrix) -> IntPoly:
     if problem := _shape_problem(rows):
         raise ValueError(problem)
 
-    r = max(1, *[sum(map(abs, row)) for row in rows])
-    w = n * (r - 1).bit_length() + 2
-    half = 1 << (w - 1)
-    mask = (1 << w) - 1
-    shifts = range(0, n * w, w)
-    bias = sum(map(half.__lshift__, shifts))  # half in every slot
-
-    cols = [list(compress(range(n), row)) for row in rows]
-    layers = [[c[l] if l < len(c) else n for c in cols]
-              for l in range(max(1, *map(len, cols)))]
-    extra = [(i, j, rows[i][j] - 1) for i, c in enumerate(cols) for j in c
-             if rows[i][j] != 1]
-
-    power = [*map((1).__lshift__, shifts), 0]  # M^0 = I, then the zero row
+    plan, power = _power_plan(rows, n)
     coeffs = [1]
     traces: list[int] = []
     for k in range(1, n + 1):
-        get = power.__getitem__
-        prod = list(map(get, layers[0]))
-        for layer in layers[1:]:
-            prod = list(map(add, prod, map(get, layer)))
-        for i, j, v in extra:
-            prod[i] += v * power[j]
-        prod.append(0)
-        power = prod
-        traces.append(sum(map(and_, map(rshift, map(add, power, repeat(bias)),
-                                        shifts), repeat(mask))) - n * half)
+        power, trace = _power_step(plan, power)
+        traces.append(trace)
         q, rem = divmod(sum(map(mul, reversed(coeffs), traces)), k)
         if rem:
             raise ArithmeticError(

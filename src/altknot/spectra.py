@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, and_, rshift
+from itertools import compress
 
 from .diagram import OUT, Diagram
-from .polynomials import _shape_problem
+from .polynomials import _power_plan, _power_step, _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -250,26 +249,9 @@ def all_ones_check(m: AdjMatrix) -> bool:
     return all(s == 2 for line in _line_sums(m.rows) for s in line)
 
 
-def _path_slot(rows: Matrix, capacity: int) -> tuple:
-    """closed_path_count's slot for M: rows, K, plan, M^0 = I, no traces."""
-    n = len(rows)
-    cols = list(zip(*rows))
-    support = [list(compress(range(n), c)) for c in cols]
-    norm = max(1, *[sum(map(abs, map(c.__getitem__, s)))
-                    for c, s in zip(cols, support)])
-    w = capacity * (norm - 1).bit_length() + 2
-    shifts = range(0, n * w, w)
-    layers = [[s[l] if l < len(s) else n for s in support]
-              for l in range(max(1, *map(len, support)))]
-    extra = [(j, t, cols[j][t] - 1) for j, s in enumerate(support) for t in s
-             if cols[j][t] != 1]
-    plan = (layers, extra, shifts, sum(map((1 << w - 1).__lshift__, shifts)),
-            (1 << w) - 1, n << w - 1)
-    return rows, capacity, plan, [*map((1).__lshift__, shifts), 0], ()
-
-
-# The last matrix swept by closed_path_count (none at first), as _path_slot
-# makes it: replaced whole, never mutated, so threads never see it torn.
+# The last matrix swept by closed_path_count (none at first): its rows, the
+# capacity K, the plan of its columns, the packed power and the traces so
+# far.  Replaced whole, never mutated, so threads never see it torn.
 _paths_slot: tuple = (None, 0, None, None, ())
 
 
@@ -277,27 +259,17 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
     M^j of the last matrix asked about is kept with the traces of M^1..M^j,
-    so a sweep k = 1..V costs V products, not V(V + 1)/2.  Column j of M^j
-    is one packed int, sum over i of (M^j)_ij * 2^(w*i).  As
-    M^k = M^(k-1) * M, column j of M^k sums M_tj times column t of M^(k-1)
-    over the nonzero M_tj: C-level pass l adds to every column the one
-    named by its l-th nonzero row (0 past a short support), then each entry
-    v != 1 adds (v - 1) times its column.  For an adjacency matrix that is
-    two passes, so a sweep is O(V^2) interpreted steps.
+    so a sweep k = 1..V costs V products, not V(V + 1)/2.  The powers are
+    `altknot.polynomials._power_step`'s on the packed columns of M, which
+    are the rows of M^T, and trace((M^T)^j) = trace(M^j).  A sweep starts
+    with capacity K = max(k, V), the largest power the plan's width is
+    proved for; a call with k > K restarts with capacity max(k, 2K), so no
+    call does more products than computing M^k from scratch.
 
-    The width suffices.  A sweep starts with capacity K = max(k, V) and
-    w = K*ceil(log2 c) + 2, c = max(1, ||M||_1) the largest column sum of
-    |M_ij|: for j <= K, |(M^j)_ij| <= ||M^j||_1 <= c^j <= 2^(w - 2).  The
-    packing is linear, so only reading needs that bound: with half =
-    2^(w-1) added to every slot each digit is in [2^(w-2), 3*2^(w-2)], no
-    borrow crosses a slot, and slot j of column j less half is (M^j)_jj.
-    A call with k > K restarts with capacity max(k, 2K), so no call does
-    more products than computing M^k from scratch.
-
-    Independent of :func:`altknot.polynomials.charpoly`'s packed rows (left
-    products, width from ||M||_inf) on purpose: these traces check the ones
-    Newton's identities recover from it.  An empty or non-square M, a
-    non-int entry (bool and float too) or k not an int >= 1: ValueError.
+    `charpoly` runs the same kernel on the rows of M, so the traces it
+    turns into coefficients and these are one computation on M and M^T.
+    An empty or non-square M, a non-int entry (bool and float too) or k not
+    an int >= 1: ValueError.
     """
     global _paths_slot
     if type(k) is not int or k < 1:
@@ -308,20 +280,14 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
         if problem := _shape_problem(rows):
             raise ValueError(problem)
         if slot[0] != rows:
-            slot = _path_slot(rows, max(k, len(rows)))
+            slot = (rows, 0, None, None, ())  # capacity 0: planned below
     if k > slot[1]:
-        slot = _path_slot(rows, max(k, 2 * slot[1]))
+        capacity = max(k, len(rows), 2 * slot[1])
+        slot = (rows, capacity, *_power_plan(list(zip(*rows)), capacity), ())
     _, capacity, plan, power, traces = slot
-    layers, extra, shifts, bias, mask, offset = plan
     traces = list(traces)
     for _ in range(k - len(traces)):
-        prod = list(map(power.__getitem__, layers[0]))
-        for layer in layers[1:]:
-            prod = list(map(add, prod, map(power.__getitem__, layer)))
-        for j, t, v in extra:
-            prod[j] += v * power[t]
-        power = [*prod, 0]
-        traces.append(sum(map(and_, map(rshift, map(add, power, repeat(bias)),
-                                        shifts), repeat(mask))) - offset)
+        power, trace = _power_step(plan, power)
+        traces.append(trace)
     _paths_slot = (rows, capacity, plan, power, tuple(traces))
     return traces[k - 1]

@@ -49,7 +49,14 @@ def lane_preserving_face(d: Diagram, face_darts) -> str:
     Expanding a vertex splits the corners of the two faces whose boundary
     runs with the lane's darts: LANE_OUT grows the outgoing-coherent faces
     and keeps incoming-coherent corners, LANE_IN the other way around.
+    A face dart that is not an `int` id of the map (`bool` included)
+    raises SurgeryError.
     """
+    face_darts, count = list(face_darts), len(d.darts)
+    for dart in face_darts:
+        if type(dart) is not int or not 0 <= dart < count:
+            raise SurgeryError(
+                f"face dart {dart!r} is not a dart id in 0..{count - 1}")
     directions = {d.direction(dart) for dart in face_darts}
     if len(directions) != 1:
         raise SurgeryError("face is not coherently oriented")

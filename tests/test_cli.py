@@ -99,6 +99,15 @@ def test_charpoly_missing_input(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command", ["charpoly", "census"])
+def test_undecodable_file_is_input_error_naming_it(capsys, tmp_path, command):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe[[0]]")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+
+
 @pytest.mark.parametrize("command", ["charpoly", "components", "decompose"])
 @pytest.mark.parametrize("doc", [
     "[1, 2]",              # rows that are not lists

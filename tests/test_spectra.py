@@ -14,6 +14,7 @@ from test_acceptance import class_matrix
 
 from altknot import families as fam
 from altknot import spectra as sp
+from altknot.polynomials import charpoly
 
 
 def matrix_of(family, params):
@@ -505,6 +506,26 @@ def test_closed_path_count_matches_dense_powers_on_random_matrices():
         for index, k in queries:
             assert (sp.closed_path_count(matrices[index], k)
                     == refs[index][k - 1]), (matrices[index].rows, k)
+
+
+def test_charpoly_and_closed_path_counts_agree_on_the_transpose():
+    """Row packing of M^T is column packing of M, so both kernels must give
+    the same answers on M and M^T although their slot widths differ: one
+    dense row of 3s makes ||M||_inf = 3n while ||M||_1 <= n + 2."""
+    rng = random.Random(19)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        rows = [[rng.choice((-3, 3)) for _ in range(n)]]
+        rows += [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+        rng.shuffle(rows)
+        m = sp.AdjMatrix(rows)
+        t = sp.AdjMatrix(list(zip(*rows)))
+        assert max(sum(map(abs, r)) for r in m.rows) > max(
+            sum(map(abs, r)) for r in t.rows), rows
+        assert charpoly(m) == charpoly(t), rows
+        for k in range(1, 2 * n + 1):
+            assert (sp.closed_path_count(m, k)
+                    == sp.closed_path_count(t, k)), (rows, k)
 
 
 def reference_decompositions(m):

@@ -350,6 +350,16 @@ def test_lane_helpers_pick_growth_direction():
     assert poly_of(sg.expand_vertex(d, 0, split)) == fam.two_ribbon_poly(3, 2)
 
 
+@pytest.mark.parametrize("helper", [sg.lane_preserving_face,
+                                    sg.lane_splitting_face])
+@pytest.mark.parametrize("face", [[-1], [99], [12], [True], [0.0], [0, "1"]])
+def test_lane_helpers_refuse_dart_ids_outside_the_map(helper, face):
+    # -1 once read the last dart, 99 leaked IndexError
+    d = member(fam.CYCLIC_TORUS, 3)
+    with pytest.raises(sg.SurgeryError, match="not a dart id in 0..11"):
+        helper(d, face)
+
+
 # ---------------------------------------------------------------------------
 # Malformed maps: surgery raises DiagramError subclasses, nothing else
 # ---------------------------------------------------------------------------

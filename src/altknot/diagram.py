@@ -61,22 +61,30 @@ class Diagram:
 
     # -- basic accessors --------------------------------------------------
 
+    def _dart(self, dart_id: int) -> Dart:
+        """The dart with this id, read in O(1) by every accessor below;
+        DiagramError unless the id is an int (not bool) in 0..len(darts)-1."""
+        if type(dart_id) is not int or not 0 <= dart_id < len(self.darts):
+            raise DiagramError(f"{dart_id!r} is not a dart id in "
+                               f"0..{len(self.darts) - 1}")
+        return self.darts[dart_id]
+
     def twin(self, dart_id: int) -> int:
         """`Dart.twin` of the dart."""
-        return self.darts[dart_id].twin
+        return self._dart(dart_id).twin
 
     def vertex_of(self, dart_id: int) -> int:
         """`Dart.vertex` of the dart; defined on maps `validate` accepts."""
-        return self.darts[dart_id].vertex
+        return self._dart(dart_id).vertex
 
     def direction(self, dart_id: int) -> str:
         """`Dart.direction` of the dart."""
-        return self.darts[dart_id].direction
+        return self._dart(dart_id).direction
 
     def rotation_successor(self, dart_id: int) -> int:
         """The next dart in the ring `Dart.vertex` names, read in O(1);
         defined on maps `validate` accepts."""
-        ring = self.rotation[self.vertex_of(dart_id)]
+        ring = self.rotation[self._dart(dart_id).vertex]
         return ring[(ring.index(dart_id) + 1) % 4]
 
     def edges(self) -> list[tuple[int, int]]:

@@ -272,20 +272,19 @@ def _shape_problem(rows: Sequence[Sequence[int]]) -> str:
     return ""
 
 
-def _power_plan(lines: Sequence[Sequence[int]], capacity: int) -> tuple:
-    """Plan for packed powers of L, the square int matrix whose rows are
-    `lines`, and L^0 = I packed: the plan `_power_step` reads, and I.
+def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
+    """trace(L^k) for k = 1..K, K the capacity, of the square int matrix L
+    whose rows are `lines`, from its packed powers.
 
     Row i of L^k is one Python int, sum over j of (L^k)_ij * 2^(w*j), so
     entry j sits in the w-bit slot j (Kronecker substitution).  As
     L^k = L * L^(k-1), row i of L^k sums L_ij times packed row j of
-    L^(k-1) over the nonzero L_ij.  The plan turns that into C-level
-    passes over the list of rows: `layers[l]` names, for every row i, the
-    l-th column of its support (n past a short support, where the packed
-    list holds an appended 0), and `extra` holds (i, j, L_ij - 1) for each
-    entry L_ij != 1, added after the passes.  For an adjacency matrix that
-    is two passes plus one term per 2-entry, with no interpreted step per
-    entry.
+    L^(k-1) over the nonzero L_ij.  That runs as C-level passes over the
+    list of rows: `layers[l]` names, for every row i, the l-th column of
+    its support (n past a short support, where the packed list holds an
+    appended 0), and `extra` holds (i, j, L_ij - 1) for each entry
+    L_ij != 1, added after the passes.  For an adjacency matrix that is two
+    passes plus one term per 2-entry, with no interpreted step per entry.
 
     The width suffices for every k <= K, the capacity.  Let c = max(1,
     ||L||_inf), the largest sum of |L_ij| over a row, and w =
@@ -313,24 +312,22 @@ def _power_plan(lines: Sequence[Sequence[int]], capacity: int) -> tuple:
               for l in range(max(1, *map(len, supports)))]
     extra = [(i, j, lines[i][j] - 1) for i, s in enumerate(supports)
              for j in s if lines[i][j] != 1]
-    plan = (layers, extra, shifts, sum(map(half.__lshift__, shifts)),
-            (1 << w) - 1, n * half)
-    return plan, [*map((1).__lshift__, shifts), 0]
-
-
-def _power_step(plan: tuple, power: list[int]) -> tuple[list[int], int]:
-    """L^k and trace(L^k) from L^(k-1), packed as `_power_plan` lays out;
-    never mutates `power`."""
-    layers, extra, shifts, bias, mask, offset = plan
-    get = power.__getitem__
-    prod = list(map(get, layers[0]))
-    for layer in layers[1:]:
-        prod = list(map(add, prod, map(get, layer)))
-    for i, j, v in extra:
-        prod[i] += v * power[j]
-    prod.append(0)
-    return prod, sum(map(and_, map(rshift, map(add, prod, repeat(bias)),
-                                   shifts), repeat(mask))) - offset
+    bias = sum(map(half.__lshift__, shifts))
+    mask, offset = (1 << w) - 1, n * half
+    power = [*map((1).__lshift__, shifts), 0]
+    traces = []
+    for _ in range(capacity):
+        get = power.__getitem__
+        prod = list(map(get, layers[0]))
+        for layer in layers[1:]:
+            prod = list(map(add, prod, map(get, layer)))
+        for i, j, v in extra:
+            prod[i] += v * power[j]
+        prod.append(0)
+        power = prod
+        traces.append(sum(map(and_, map(rshift, map(add, prod, repeat(bias)),
+                                        shifts), repeat(mask))) - offset)
+    return traces
 
 
 def charpoly(matrix) -> IntPoly:
@@ -340,8 +337,8 @@ def charpoly(matrix) -> IntPoly:
     det(x*I - M) = x^n + c_1*x^(n-1) + ... + c_n by Newton's identities,
     k*c_k = -(c_(k-1)*p_1 + c_(k-2)*p_2 + ... + c_0*p_k) with c_0 = 1.  The
     division by k is exact because the c_k are integers; a remainder
-    raises ArithmeticError.  The traces come from `_power_step` on the
-    packed rows of M, planned with capacity n.
+    raises ArithmeticError.  The traces come from `_power_traces` on the
+    rows of M, with capacity n.
 
     Matrix rows are consumed as any sequence of sequences of ints (an
     AdjMatrix works too); a matrix that is empty, not square or has an
@@ -357,12 +354,9 @@ def charpoly(matrix) -> IntPoly:
     if problem := _shape_problem(rows):
         raise ValueError(problem)
 
-    plan, power = _power_plan(rows, n)
+    traces = _power_traces(rows, n)
     coeffs = [1]
-    traces: list[int] = []
     for k in range(1, n + 1):
-        power, trace = _power_step(plan, power)
-        traces.append(trace)
         q, rem = divmod(sum(map(mul, reversed(coeffs), traces)), k)
         if rem:
             raise ArithmeticError(
@@ -434,7 +428,10 @@ def power_sums_from_charpoly(p: IntPoly, k_max: int) -> list[int]:
     p = x^n + a_1 x^(n-1) + ... + a_n and a_i = 0 for i > n, they read
     p_k = -k*a_k - (a_1 p_(k-1) + ... + a_(k-1) p_1), and the sum is one
     C-level pass over a_1..a_min(k-1,n) against the sums so far, reversed.
+    A k_max that is not an int (bool and float too) raises ValueError.
     """
+    if type(k_max) is not int:
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     n = p.degree
     if n < 1 or p[n] != 1:
         raise ValueError("expected a monic characteristic polynomial")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .diagram import OUT, Diagram
-from .polynomials import _power_plan, _power_step, _shape_problem
+from .polynomials import _power_traces, _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -249,22 +249,21 @@ def all_ones_check(m: AdjMatrix) -> bool:
     return all(s == 2 for line in _line_sums(m.rows) for s in line)
 
 
-# The last matrix swept by closed_path_count (none at first): its rows, the
-# capacity K, the plan of its columns, the packed power and the traces so
-# far.  Replaced whole, never mutated, so threads never see it torn.
-_paths_slot: tuple = (None, 0, None, None, ())
+# The last matrix swept by closed_path_count (none at first) and the traces
+# of its powers so far.  Replaced whole, never mutated, so threads never see
+# it torn.
+_paths_slot: tuple = (None, ())
 
 
 def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
-    M^j of the last matrix asked about is kept with the traces of M^1..M^j,
-    so a sweep k = 1..V costs V products, not V(V + 1)/2.  The powers are
-    `altknot.polynomials._power_step`'s on the packed columns of M, which
-    are the rows of M^T, and trace((M^T)^j) = trace(M^j).  A sweep starts
-    with capacity K = max(k, V), the largest power the plan's width is
-    proved for; a call with k > K restarts with capacity max(k, 2K), so no
-    call does more products than computing M^k from scratch.
+    The traces are `altknot.polynomials._power_traces` of the columns of M,
+    which are the rows of M^T, and trace((M^T)^j) = trace(M^j).  Those of
+    the last matrix asked about are kept, so a sweep k = 1..V costs V
+    products, not V(V + 1)/2.  The first call on a matrix computes
+    K = max(k, V) traces at once, so a single call with a small k costs V
+    products, not k; a call with k > K computes max(k, 2K) afresh.
 
     `charpoly` runs the same kernel on the rows of M, so the traces it
     turns into coefficients and these are one computation on M and M^T.
@@ -275,19 +274,14 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     if type(k) is not int or k < 1:
         raise ValueError("path length must be an integer >= 1")
     rows = m.rows
-    slot = _paths_slot
-    if slot[0] is not rows:  # a matrix object not checked yet
+    key, traces = _paths_slot
+    if key is not rows:  # a matrix object not checked yet
         if problem := _shape_problem(rows):
             raise ValueError(problem)
-        if slot[0] != rows:
-            slot = (rows, 0, None, None, ())  # capacity 0: planned below
-    if k > slot[1]:
-        capacity = max(k, len(rows), 2 * slot[1])
-        slot = (rows, capacity, *_power_plan(list(zip(*rows)), capacity), ())
-    _, capacity, plan, power, traces = slot
-    traces = list(traces)
-    for _ in range(k - len(traces)):
-        power, trace = _power_step(plan, power)
-        traces.append(trace)
-    _paths_slot = (rows, capacity, plan, power, tuple(traces))
+        if key != rows:
+            traces = ()
+    if k > len(traces):
+        traces = _power_traces(list(zip(*rows)),
+                               max(k, len(rows), 2 * len(traces)))
+    _paths_slot = (rows, traces)
     return traces[k - 1]

@@ -49,10 +49,15 @@ def lane_preserving_face(d: Diagram, face_darts) -> str:
     Expanding a vertex splits the corners of the two faces whose boundary
     runs with the lane's darts: LANE_OUT grows the outgoing-coherent faces
     and keeps incoming-coherent corners, LANE_IN the other way around.
-    A face dart that is not an `int` id of the map (`bool` included)
-    raises SurgeryError.
+    A face that is not an iterable, or a face dart that is not an `int`
+    id of the map (`bool` included), raises SurgeryError.
     """
-    face_darts, count = list(face_darts), len(d.darts)
+    try:
+        face_darts = list(face_darts)
+    except TypeError as exc:
+        raise SurgeryError(f"face {face_darts!r} is not an iterable of "
+                           "dart ids") from exc
+    count = len(d.darts)
     for dart in face_darts:
         if type(dart) is not int or not 0 <= dart < count:
             raise SurgeryError(

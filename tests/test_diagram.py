@@ -186,6 +186,16 @@ def test_loops_and_edges_read_each_vertex_from_the_rings():
     assert dg.to_dot(bad) == dg.to_dot(d)
 
 
+@pytest.mark.parametrize("accessor", ["twin", "vertex_of", "direction",
+                                      "rotation_successor"])
+@pytest.mark.parametrize("dart_id", [-1, 12, 99, True, 1.0])
+def test_accessors_refuse_ids_outside_the_map(accessor, dart_id):
+    # -1 once read the last dart and True dart 1; 99, 1.0 and
+    # rotation_successor(-1) leaked IndexError, TypeError and ValueError
+    with pytest.raises(dg.DiagramError, match="not a dart id in 0..11"):
+        getattr(trefoil(), accessor)(dart_id)
+
+
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------

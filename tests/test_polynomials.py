@@ -396,6 +396,13 @@ def signed_newton_sums(p, k_max):
     return sums
 
 
+@pytest.mark.parametrize("k_max", [True, False, 2.5, 3.0, "3", None])
+def test_power_sums_k_max_must_be_an_integer(k_max):
+    # True once returned [0] and 2.5 leaked TypeError from range
+    with pytest.raises(ValueError, match="k_max must be an integer"):
+        power_sums_from_charpoly(charpoly(TREFOIL_MATRIX), k_max)
+
+
 def test_power_sums_match_the_signed_newton_loop():
     rng = random.Random(20066)
     for _ in range(200):

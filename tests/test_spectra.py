@@ -13,6 +13,7 @@ from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 
 from altknot import families as fam
+from altknot import polynomials as pl
 from altknot import spectra as sp
 from altknot.polynomials import charpoly
 
@@ -416,6 +417,34 @@ def test_closed_path_count_descending_repeated_and_beyond_v():
     # an equal matrix built separately shares the stored sweep
     again = sp.AdjMatrix(tuple(list(row) for row in m.rows))
     assert sp.closed_path_count(again, 3 * m.n - 1) == ref[3 * m.n - 2]
+
+
+def test_closed_path_count_reuses_the_kernel(monkeypatch):
+    """A sweep k = 1..V is one kernel call of capacity V, so V products;
+    k = V + 1 is one more of capacity 2V and a repeat or an equal matrix
+    none.  charpoly is one call of capacity n."""
+    calls, kernel = [], pl._power_traces
+
+    def counted(lines, capacity):
+        calls.append(capacity)
+        return kernel(lines, capacity)
+
+    monkeypatch.setattr(sp, "_power_traces", counted)
+    monkeypatch.setattr(pl, "_power_traces", counted)
+    monkeypatch.setattr(sp, "_paths_slot", (None, ()))
+    m = sp.adjacency(fam.generate(fam.parse_spec_string("twistknot:V=24")))
+    v = m.n
+    ref = reference_path_counts(m, 2 * v)
+    assert [sp.closed_path_count(m, k) for k in range(1, v + 1)] == ref[:v]
+    assert calls == [v]
+    assert sp.closed_path_count(m, v + 1) == ref[v]
+    assert calls == [v, 2 * v]
+    assert sp.closed_path_count(m, v + 1) == ref[v]
+    again = sp.AdjMatrix([list(row) for row in m.rows])
+    assert sp.closed_path_count(again, 2 * v) == ref[2 * v - 1]
+    assert calls == [v, 2 * v]
+    charpoly(m)
+    assert calls == [v, 2 * v, v]
 
 
 def test_closed_path_count_threads_on_different_matrices():

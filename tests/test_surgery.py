@@ -360,6 +360,16 @@ def test_lane_helpers_refuse_dart_ids_outside_the_map(helper, face):
         helper(d, face)
 
 
+@pytest.mark.parametrize("helper", [sg.lane_preserving_face,
+                                    sg.lane_splitting_face])
+@pytest.mark.parametrize("face", [5, None])
+def test_lane_helpers_refuse_a_face_that_is_not_iterable(helper, face):
+    # both once leaked TypeError
+    d = member(fam.CYCLIC_TORUS, 3)
+    with pytest.raises(sg.SurgeryError, match="not an iterable of dart ids"):
+        helper(d, face)
+
+
 # ---------------------------------------------------------------------------
 # Malformed maps: surgery raises DiagramError subclasses, nothing else
 # ---------------------------------------------------------------------------

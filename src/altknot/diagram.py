@@ -213,94 +213,112 @@ def validate(d: Diagram) -> list[str]:
     if bad_field:
         problems.append(bad_field)
         return problems
-    if d.vertex_count < 1:
-        problems.append("vertex count: V must be >= 1")
-        return problems
-    n_darts = 4 * d.vertex_count
-    if len(d.darts) != n_darts:
-        problems.append(
-            f"dart count: expected {n_darts} darts, found {len(d.darts)}")
-        return problems
-    for i, dart in enumerate(d.darts):
-        if dart.id != i:
-            problems.append(f"dart ids: dart at index {i} has id {dart.id}")
-            return problems
-        if not 0 <= dart.vertex < d.vertex_count:
-            problems.append(f"dart {i}: vertex {dart.vertex} out of range")
-            return problems
-        if not 0 <= dart.twin < n_darts:
-            problems.append(f"dart {i}: twin {dart.twin} out of range")
-            return problems
+    twin = [x.twin for x in d.darts]
+    vertex = [x.vertex for x in d.darts]
+    direction = [x.direction for x in d.darts]
+    out = [x == OUT for x in direction]
+    succ, ring_of = _rings(d.rotation, len(twin))
+    if _map_problems(problems, d.vertex_count, d.rotation, succ, ring_of,
+                     [x.id for x in d.darts], vertex, twin, direction, out):
+        kind = _kind(twin, succ, out, vertex)
+        if d.kind != kind:
+            problems.append(f"kind: the structure makes it a {kind}, "
+                            f"but kind is {d.kind!r}")
+    return problems
 
-    darts = d.darts
-    twin = [x.twin for x in darts]
-    succ = _rings(d.rotation, n_darts)[0]
-    out = [x.direction == OUT for x in darts]
-    vertex = [x.vertex for x in darts]
-    for i, t in enumerate(twin):
-        if t == i:
-            problems.append(f"twin involution: dart {i} is its own twin")
-        elif twin[t] != i:
-            problems.append(f"twin involution: twin({t}) != {i}")
-        elif i < t and (darts[i].direction, darts[t].direction) not in _EDGE:
-            problems.append(
-                f"twin directions: edge ({i},{t}) must have "
-                "one out and one in dart")
+
+def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
+                  succ: list[int], ring_of: list[int], ids: Sequence[int],
+                  vertex: list[int], twin: list[int], direction: list[str],
+                  out: list[bool]) -> bool:
+    """`validate`'s checks from the vertex count through Euler on lists by
+    dart id, for it and the surgery builder: appends to `problems` and
+    returns whether they ran to the end, where `validate` compares kinds
+    (a problem listed before stops them after the twin checks).  A loop runs
+    only where C-level passes fail, to write the texts.  Ring listing
+    passes when `ring_of == vertex`: the 4V darts then fill at most V rings
+    of four, so each is listed once (pigeonhole), and each ring alternates
+    iff `out[succ[i]] != out[i]` for its darts."""
+    n = len(twin)
+    if vertex_count < 1:
+        problems.append("vertex count: V must be >= 1")
+        return False
+    if n != 4 * vertex_count:
+        problems.append(
+            f"dart count: expected {4 * vertex_count} darts, found {n}")
+        return False
+    if (list(ids) != list(range(n)) or not 0 <= min(twin) <= max(twin) < n
+            or not 0 <= min(vertex) <= max(vertex) < vertex_count):
+        for i, (x, v, t) in enumerate(zip(ids, vertex, twin)):
+            if x != i:
+                problems.append(f"dart ids: dart at index {i} has id {x}")
+            elif not 0 <= v < vertex_count:
+                problems.append(f"dart {i}: vertex {v} out of range")
+            elif not 0 <= t < n:
+                problems.append(f"dart {i}: twin {t} out of range")
+            else:
+                continue
+            return False
+
+    if (list(map(twin.__getitem__, twin)) != list(range(n))
+            or direction.count(OUT) + direction.count(IN) != n
+            or any(map(eq, map(out.__getitem__, twin), out))):
+        for i, t in enumerate(twin):
+            if t == i:
+                problems.append(f"twin involution: dart {i} is its own twin")
+            elif twin[t] != i:
+                problems.append(f"twin involution: twin({t}) != {i}")
+            elif i < t and (direction[i], direction[t]) not in _EDGE:
+                problems.append(f"twin directions: edge ({i},{t}) must "
+                                "have one out and one in dart")
     if problems:
-        return problems
+        return False
 
     # every direction is OUT or IN from here on, so `out` says it all
-    if len(d.rotation) != d.vertex_count:
+    if len(rotation) != vertex_count:
         problems.append("rotation: one ring per vertex required")
-        return problems
-    darts_at: list[list[int]] = [[] for _ in range(d.vertex_count)]
-    for i, v in enumerate(vertex):
-        darts_at[v].append(i)
-    for v, ring in enumerate(d.rotation):
-        if sorted(ring) != darts_at[v] or len(ring) != 4:
+        return False
+    if ring_of != vertex or any(map(eq, map(out.__getitem__, succ), out)):
+        darts_at: list[list[int]] = [[] for _ in range(vertex_count)]
+        for i, v in enumerate(vertex):
+            darts_at[v].append(i)
+        for v, ring in enumerate(rotation):
+            if sorted(ring) != darts_at[v] or len(ring) != 4:
+                problems.append(
+                    f"rotation: ring of vertex {v} does not list its 4 darts")
+                continue
+            a, b, c, e = ring
+            if out[a] == out[c] != out[b] == out[e]:
+                continue  # alternates, so two out darts
+            outs = out[a] + out[b] + out[c] + out[e]
             problems.append(
-                f"rotation: ring of vertex {v} does not list its 4 darts")
-            continue
-        a, b, c, e = ring
-        if out[a] == out[c] != out[b] == out[e]:
-            continue  # alternates, so two out darts
-        outs = out[a] + out[b] + out[c] + out[e]
-        if outs != 2:
-            problems.append(
-                f"in/out balance: vertex {v} has {outs} out darts, needs 2")
-        else:
-            problems.append(
-                f"rotation alternation: vertex {v} does not alternate "
-                "out/in around the vertex")
-    if problems:
-        return problems
+                f"in/out balance: vertex {v} has {outs} out darts, needs 2"
+                if outs != 2 else f"rotation alternation: vertex {v} does "
+                "not alternate out/in around the vertex")
+        if problems:
+            return False
 
     # every ring now holds exactly its vertex's darts, so the darts are
     # connected iff the vertices are
-    seen = [False] * d.vertex_count
+    seen = [False] * vertex_count
     seen[vertex[0]] = True
     stack = [vertex[0]]
     while stack:
-        for dart in d.rotation[stack.pop()]:
+        for dart in rotation[stack.pop()]:
             w = vertex[twin[dart]]
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
     if not all(seen):
         problems.append("connectivity: the map is not connected")
-        return problems
+        return False
 
     face_count = len(_traces(twin, succ))
-    if face_count != d.vertex_count + 2:
+    if face_count != vertex_count + 2:
         problems.append(
             f"euler: face tracing gives {face_count} faces, a sphere "
-            f"map with V={d.vertex_count} must have {d.vertex_count + 2}")
-
-    kind = _kind(twin, succ, out, vertex)
-    if d.kind != kind:
-        problems.append(
-            f"kind: the structure makes it a {kind}, but kind is {d.kind!r}")
-    return problems
+            f"map with V={vertex_count} must have {vertex_count + 2}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +467,8 @@ def derive_kind(d: Diagram) -> str:
 def _kind(twin: list[int], succ: list[int], out: list[bool],
           vertex: list[int]) -> str:
     """derive_kind on flat arrays: a map with a loop edge is a twist."""
-    if any(out[i] and vertex[t] == vertex[i] for i, t in enumerate(twin)):
+    if any(map(eq, map(vertex.__getitem__, compress(twin, out)),
+               compress(vertex, out))):
         return "twist"
     return "knot" if _strand_count(twin, succ, out) == 1 else "link"
 

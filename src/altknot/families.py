@@ -4,14 +4,14 @@ Each family is produced operationally from a small seed diagram: cyclic
 necklaces are built directly, twist families grow by extending the bigon
 chain at a loop-carrying vertex, ribbon families grow cross ribbons out of
 necklace vertices, and chained families thread rings around edges.  All
-moves of one member edit one ``surgery._Builder``; its kind is derived
-and it is validated once, when ``generate`` finishes it.  The closed forms
-are combinations of the Chebyshev-type basis in :mod:`altknot.polynomials`;
-``verify_member`` checks a generator against its formula by exact
-characteristic-polynomial equality.  The registry ``FAMILIES`` holds one
-``Family`` record per family (tag, spec prefix, parameters, size,
-generator, closed form); everything that dispatches on a family, the CLI
-included, reads it from there.
+moves of one member edit one ``surgery._Builder``; ``generate`` finishes
+it, deriving the kind and running ``validate``'s checks on the builder's
+own lists once.  The closed forms are combinations of the Chebyshev-type
+basis in :mod:`altknot.polynomials`; ``verify_member`` checks a generator
+against its formula by exact characteristic-polynomial equality.  The
+registry ``FAMILIES`` holds one ``Family`` record per family (tag, spec
+prefix, parameters, size, generator, closed form); everything that
+dispatches on a family, the CLI included, reads it from there.
 """
 
 from __future__ import annotations

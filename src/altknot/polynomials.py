@@ -428,10 +428,11 @@ def power_sums_from_charpoly(p: IntPoly, k_max: int) -> list[int]:
     p = x^n + a_1 x^(n-1) + ... + a_n and a_i = 0 for i > n, they read
     p_k = -k*a_k - (a_1 p_(k-1) + ... + a_(k-1) p_1), and the sum is one
     C-level pass over a_1..a_min(k-1,n) against the sums so far, reversed.
-    A k_max that is not an int (bool and float too) raises ValueError.
+    A k_max that is not an int >= 0 (bool and float too) raises
+    ValueError; k_max = 0 gives [].
     """
-    if type(k_max) is not int:
-        raise ValueError(f"k_max must be an integer, got {k_max!r}")
+    if type(k_max) is not int or k_max < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     n = p.degree
     if n < 1 or p[n] != 1:
         raise ValueError("expected a monic characteristic polynomial")

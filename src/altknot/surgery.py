@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (IN, OUT, Dart, Diagram, DiagramError, validate,
-                      _flat, _kind, _rings, _traces)
+from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _flat, _kind,
+                      _map_problems, _rings, _traces)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -80,13 +80,13 @@ def lane_splitting_face(d: Diagram, face_darts) -> str:
 class _Builder:
     """Mutable `twin` and `direction` lists indexed by dart id, plus the
     rotation ring of every vertex.  A dart's vertex is the ring that
-    lists it; `build` works it out once.
+    lists it; `finish` works it out once.
 
     The growth moves append darts and vertices in a fixed order and touch
     only the darts they rewire, in time independent of the diagram's size;
-    `build` then makes the `Dart` tuple and derives the kind once, and
-    `finish` also validates once.  No move changes a dart's direction, and
-    only `drop` renumbers darts.
+    `finish` then derives the kind, checks the result and makes the `Dart`
+    tuple, each once.  No move changes a dart's direction, and only `drop`
+    renumbers darts.
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
@@ -99,7 +99,7 @@ class _Builder:
             return
         self.twin = _flat(d, SurgeryError)[0]
         # d's Dart objects whose id and direction are still those of the
-        # builder's dart at their index; `build` reuses each one whose
+        # builder's dart at their index; `finish` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts
         self.direction = [x.direction for x in self.darts]
@@ -255,33 +255,28 @@ class _Builder:
                          for ring in self.rotation]
         self.darts = self.darts[:min(darts)]  # the ids that did not move
 
-    def build(self) -> Diagram:
-        """The diagram, with the kind its structure dictates.  An unchanged
-        dart is the input's `Dart` object, so only the darts a move adds or
-        rewires are made anew."""
-        n = len(self.twin)
-        succ, vertex = _rings(self.rotation, n)
-        darts = [x if x.vertex == v and x.twin == t
-                 else Dart(x.id, v, t, x.direction)
-                 for x, v, t in zip(self.darts, vertex, self.twin)]
-        k = len(darts)
-        darts += map(Dart, range(k, n), vertex[k:], self.twin[k:],
-                     self.direction[k:])
-        kind = _kind(self.twin, succ, [r == OUT for r in self.direction],
-                     vertex)
-        return Diagram(kind, len(self.rotation), tuple(darts),
-                       tuple(self.rotation))
-
     def finish(self, what: str,
                error: type[Exception] = SurgeryError) -> Diagram:
-        """`build`, validated once: raises `error` naming `what` when the
-        diagram breaks an invariant."""
-        out = self.build()
-        problems = validate(out)
+        """The diagram, its kind derived first (so the strand walk refuses
+        an inconsistent map), then `validate`'s checks on the builder's
+        lists, raising `error` naming `what`; unchanged `Dart`s are kept."""
+        twin, direction, rotation = self.twin, self.direction, self.rotation
+        n = len(twin)
+        succ, vertex = _rings(rotation, n)
+        out = [r == OUT for r in direction]
+        kind = _kind(twin, succ, out, vertex)
+        problems: list[str] = []
+        _map_problems(problems, len(rotation), rotation, succ, vertex,
+                      range(n), vertex, twin, direction, out)
         if problems:
             raise error(f"{what} produced an invalid diagram: "
                         + "; ".join(problems))
-        return out
+        darts = [x if x.vertex == v and x.twin == t
+                 else Dart(x.id, v, t, x.direction)
+                 for x, v, t in zip(self.darts, vertex, twin)]
+        k = len(darts)
+        darts += map(Dart, range(k, n), vertex[k:], twin[k:], direction[k:])
+        return Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +286,7 @@ class _Builder:
 def _expand(d: Diagram, vertex_id: int, lane: str) -> tuple[Diagram, int, tuple[int, int]]:
     """Expansion core; returns (diagram, new vertex id, new bigon's face darts).
 
-    The result is validated once, like every surgery result.  The move
+    The result is checked once, like every surgery result.  The move
     leaves the other rings as they were, writes two alternating rings only
     from a ring that alternates, and keeps connectivity and V - E + F, so
     this refuses exactly the maps `validate` rejects that the builder

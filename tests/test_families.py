@@ -633,22 +633,38 @@ def test_compose_twist_is_golden():
 
 def test_generate_validates_each_member_once(monkeypatch):
     # growth moves edit one builder; only finishing derives the kind and
-    # validates, so the cost of a member stays linear in its size
-    calls = []
-    real = sg.validate
-    monkeypatch.setattr(sg, "validate", lambda d: calls.append(d) or real(d))
+    # checks the map, once, on the builder's own lists, so the cost of a
+    # member stays linear in its size
+    calls, kinds = [], []
+    real, real_kind = sg._map_problems, sg._kind
+
+    def check(problems, v, rotation, succ, ring_of, ids, vertex, twin, *rest):
+        calls.append((vertex[:], twin[:]))
+        return real(problems, v, rotation, succ, ring_of, ids, vertex, twin,
+                    *rest)
+
+    monkeypatch.setattr(sg, "_map_problems", check)
+    monkeypatch.setattr(sg, "_kind", lambda *a: kinds.append(a)
+                        or real_kind(*a))
+
+    def checked(d):
+        return [([x.vertex for x in d.darts], [x.twin for x in d.darts])]
+
     for text in ("hopftwist:V=9", "p:k=3,l=4,m=2", "lchain:k=3,n=2",
                  "kribbon:k=3,m=3", "cyclic:V=4"):
         calls.clear()
+        kinds.clear()
         d = fam.generate(fam.parse_spec_string(text))
-        assert calls == [d], text
+        assert calls == checked(d) and len(kinds) == 1, text
     calls.clear()
+    kinds.clear()
     d = fam.waist_ring_diagram(8, "clasp")
-    assert calls == [d]
+    assert calls == checked(d) and len(kinds) == 1
 
 
 def test_generator_failure_names_the_generator(monkeypatch):
-    monkeypatch.setattr(sg, "validate", lambda d: ["made up"])
+    monkeypatch.setattr(sg, "_map_problems",
+                        lambda problems, *a: problems.append("made up"))
     with pytest.raises(fam.FamilyError,
                        match="generator produced an invalid diagram: made up"):
         fam.generate(spec(fam.CYCLIC_TORUS, 3))

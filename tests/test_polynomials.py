@@ -403,6 +403,15 @@ def test_power_sums_k_max_must_be_an_integer(k_max):
         power_sums_from_charpoly(charpoly(TREFOIL_MATRIX), k_max)
 
 
+@pytest.mark.parametrize("k_max", [-1, -3])
+def test_power_sums_refuse_a_negative_k_max(k_max):
+    # -3 once returned [] silently; 0 still asks for no sums
+    p = charpoly(TREFOIL_MATRIX)
+    with pytest.raises(ValueError, match=f"k_max must be .* got {k_max}$"):
+        power_sums_from_charpoly(p, k_max)
+    assert power_sums_from_charpoly(p, 0) == []
+
+
 def test_power_sums_match_the_signed_newton_loop():
     rng = random.Random(20066)
     for _ in range(200):

@@ -649,6 +649,127 @@ def corrupt(d, rng):
                                rotation=tuple(map(tuple, rotation)))
 
 
+def reference_validate(d):
+    """`dg.validate` with one interpreted loop per check: the oracle for
+    every C-level pass of `dg._map_problems`."""
+    problems = []
+    if d.kind not in dg.KINDS:
+        problems.append(f"kind: {d.kind!r} is not one of {dg.KINDS}")
+    bad_field = dg._type_problem(d)
+    if bad_field:
+        problems.append(bad_field)
+        return problems
+    if d.vertex_count < 1:
+        problems.append("vertex count: V must be >= 1")
+        return problems
+    n_darts = 4 * d.vertex_count
+    if len(d.darts) != n_darts:
+        problems.append(
+            f"dart count: expected {n_darts} darts, found {len(d.darts)}")
+        return problems
+    for i, dart in enumerate(d.darts):
+        if dart.id != i:
+            problems.append(f"dart ids: dart at index {i} has id {dart.id}")
+            return problems
+        if not 0 <= dart.vertex < d.vertex_count:
+            problems.append(f"dart {i}: vertex {dart.vertex} out of range")
+            return problems
+        if not 0 <= dart.twin < n_darts:
+            problems.append(f"dart {i}: twin {dart.twin} out of range")
+            return problems
+
+    darts = d.darts
+    twin = [x.twin for x in darts]
+    succ = dg._rings(d.rotation, n_darts)[0]
+    out = [x.direction == dg.OUT for x in darts]
+    vertex = [x.vertex for x in darts]
+    for i, t in enumerate(twin):
+        if t == i:
+            problems.append(f"twin involution: dart {i} is its own twin")
+        elif twin[t] != i:
+            problems.append(f"twin involution: twin({t}) != {i}")
+        elif (i < t and (darts[i].direction, darts[t].direction)
+              not in dg._EDGE):
+            problems.append(
+                f"twin directions: edge ({i},{t}) must have "
+                "one out and one in dart")
+    if problems:
+        return problems
+
+    # every direction is OUT or IN from here on, so `out` says it all
+    if len(d.rotation) != d.vertex_count:
+        problems.append("rotation: one ring per vertex required")
+        return problems
+    darts_at = [[] for _ in range(d.vertex_count)]
+    for i, v in enumerate(vertex):
+        darts_at[v].append(i)
+    for v, ring in enumerate(d.rotation):
+        if sorted(ring) != darts_at[v] or len(ring) != 4:
+            problems.append(
+                f"rotation: ring of vertex {v} does not list its 4 darts")
+            continue
+        a, b, c, e = ring
+        if out[a] == out[c] != out[b] == out[e]:
+            continue  # alternates, so two out darts
+        outs = out[a] + out[b] + out[c] + out[e]
+        if outs != 2:
+            problems.append(
+                f"in/out balance: vertex {v} has {outs} out darts, needs 2")
+        else:
+            problems.append(
+                f"rotation alternation: vertex {v} does not alternate "
+                "out/in around the vertex")
+    if problems:
+        return problems
+
+    # every ring now holds exactly its vertex's darts, so the darts are
+    # connected iff the vertices are
+    seen = [False] * d.vertex_count
+    seen[vertex[0]] = True
+    stack = [vertex[0]]
+    while stack:
+        for dart in d.rotation[stack.pop()]:
+            w = vertex[twin[dart]]
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        problems.append("connectivity: the map is not connected")
+        return problems
+
+    face_count = len(dg._traces(twin, succ))
+    if face_count != d.vertex_count + 2:
+        problems.append(
+            f"euler: face tracing gives {face_count} faces, a sphere "
+            f"map with V={d.vertex_count} must have {d.vertex_count + 2}")
+
+    kind = dg._kind(twin, succ, out, vertex)
+    if d.kind != kind:
+        problems.append(
+            f"kind: the structure makes it a {kind}, but kind is {d.kind!r}")
+    return problems
+
+
+
+def test_validate_matches_reference_validate():
+    # every sweep(8) member, then seeded single and double faults of
+    # sweep(4) members, a third of them with a kind named at random (a
+    # kind outside KINDS stops validate after the twin checks)
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        d = fam.generate(s)
+        assert dg.validate(d) == reference_validate(d) == [], s
+    rng = random.Random(23)
+    seeds = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
+    for i in range(3000):
+        bad = corrupt(rng.choice(seeds), rng)
+        if i % 2:
+            bad = corrupt(bad, rng)
+        if i % 3 == 0:
+            bad = dataclasses.replace(bad, kind=rng.choice(
+                ("knot", "link", "twist", "banana")))
+        assert dg.validate(bad) == reference_validate(bad), i
+
+
 def _call_hung(signum, frame):
     raise TimeoutError("a surgery operation on a corrupted map did not stop")
 

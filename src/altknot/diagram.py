@@ -105,18 +105,28 @@ class Diagram:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
 
 
+_flat_slot: tuple = (None, None)
+
+
 def _flat(d: Diagram, error: type[DiagramError] = DiagramError
           ) -> tuple[list[int], list[int], list[bool], list[int]]:
     """twin, rotation successor, is-outgoing and vertex (the index of the
     ring that lists it) of every dart, as lists indexed by dart id: what
-    the readers and the surgery builder read instead of the Dart objects.
-    Reads the rotation, the vertex count and each dart's id, twin and
-    direction; `Dart.vertex` only has its type checked.  The one gate:
+    the readers and the surgery builder read instead of the Dart objects,
+    and read-only for every caller.  Reads the rotation, the vertex count
+    and each dart's id, twin and direction; `Dart.vertex` only has its
+    type checked.  The one gate:
     raises `error` with `_type_problem`'s text, and unless the ids
     are 0, 1, ... in order, the rings list every dart once, four per
     vertex, and the twins pair each out dart with one in dart (a direction
     is compared with OUT and IN, never hashed); alternation is left to the
-    walks."""
+    walks.  The lists of the last diagram `surgery._Builder.finish` made,
+    which its `_map_problems` run checked, are kept in one slot that this
+    function reads but never writes; that diagram is immutable through
+    and through, so for the same object they are returned as they are."""
+    slot = _flat_slot
+    if slot[0] is d:
+        return slot[1]
     problem = _type_problem(d)
     if problem:
         raise error(problem)
@@ -141,6 +151,13 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
         raise error("the twins do not pair each out dart with "
                     "one in dart")
     return twin, succ, out, vertex
+
+
+def _seed_flat(d: Diagram, flat: tuple) -> None:
+    """Keep `_flat`'s lists of d, which `_map_problems` has passed and the
+    caller no longer holds: the slot's one writer, for the builder."""
+    global _flat_slot
+    _flat_slot = (d, flat)
 
 
 def _type_problem(d: Diagram) -> str | None:
@@ -204,7 +221,8 @@ def validate(d: Diagram) -> list[str]:
     """All violated invariants as human-readable strings; empty means valid.
 
     Violations are data, not exceptions: arbitrary candidate structures are
-    accepted and reported on.
+    accepted and reported on.  A kind outside KINDS is listed first, and
+    the map's own checks run on a list of their own, so it hides none.
     """
     problems: list[str] = []
     if d.kind not in KINDS:
@@ -218,13 +236,14 @@ def validate(d: Diagram) -> list[str]:
     direction = [x.direction for x in d.darts]
     out = [x == OUT for x in direction]
     succ, ring_of = _rings(d.rotation, len(twin))
-    if _map_problems(problems, d.vertex_count, d.rotation, succ, ring_of,
+    found: list[str] = []
+    if _map_problems(found, d.vertex_count, d.rotation, succ, ring_of,
                      [x.id for x in d.darts], vertex, twin, direction, out):
         kind = _kind(twin, succ, out, vertex)
         if d.kind != kind:
-            problems.append(f"kind: the structure makes it a {kind}, "
-                            f"but kind is {d.kind!r}")
-    return problems
+            found.append(f"kind: the structure makes it a {kind}, "
+                         f"but kind is {d.kind!r}")
+    return problems + found
 
 
 def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
@@ -234,11 +253,12 @@ def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
     """`validate`'s checks from the vertex count through Euler on lists by
     dart id, for it and the surgery builder: appends to `problems` and
     returns whether they ran to the end, where `validate` compares kinds
-    (a problem listed before stops them after the twin checks).  A loop runs
-    only where C-level passes fail, to write the texts.  Ring listing
-    passes when `ring_of == vertex`: the 4V darts then fill at most V rings
-    of four, so each is listed once (pigeonhole), and each ring alternates
-    iff `out[succ[i]] != out[i]` for its darts."""
+    (a problem listed before stops them after the twin checks, so every
+    caller passes an empty list).  A loop runs only where C-level passes
+    fail, to write the texts.  Ring listing passes when `ring_of ==
+    vertex`: the 4V darts then fill at most V rings of four, so each is
+    listed once (pigeonhole), and each ring alternates iff
+    `out[succ[i]] != out[i]` for its darts."""
     n = len(twin)
     if vertex_count < 1:
         problems.append("vertex count: V must be >= 1")

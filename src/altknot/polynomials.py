@@ -370,13 +370,14 @@ def charpoly_cofactor(matrix) -> IntPoly:
     """det(x*I - M) by cofactor expansion over Z[x].
 
     Exponential in the dimension; only sensible for small matrices.  Serves
-    as an independent oracle for :func:`charpoly`.
+    as an independent oracle for :func:`charpoly`, and refuses the
+    matrices it refuses with the same ValueError: `_shape_problem`'s text.
     """
     rows = getattr(matrix, "rows", matrix)
+    if problem := _shape_problem(rows):
+        raise ValueError(problem)
     n = len(rows)
-    if n == 0:
-        raise ValueError("characteristic polynomial of an empty matrix")
-    xi_minus_m = [[X - rows[i][j] if i == j else IntPoly((-int(rows[i][j]),))
+    xi_minus_m = [[X - rows[i][j] if i == j else IntPoly((-rows[i][j],))
                    for j in range(n)] for i in range(n)]
 
     def det(mat: list[list[IntPoly]]) -> IntPoly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _flat, _kind,
-                      _map_problems, _rings, _traces)
+                      _map_problems, _rings, _seed_flat, _traces)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -92,18 +92,19 @@ class _Builder:
     def __init__(self, d: Diagram | None = None) -> None:
         """A builder holding d, or holding nothing yet.  d's field types
         and incidence must pass `_flat`; every operation reads its input
-        only through this check."""
+        only through this check.  `_flat`'s lists are read-only, so twin
+        is copied; rings become tuples, so what `finish` makes is frozen."""
         if d is None:
             self.darts, self.rotation = (), []
             self.twin, self.direction = [], []
             return
-        self.twin = _flat(d, SurgeryError)[0]
+        self.twin = _flat(d, SurgeryError)[0][:]
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `finish` reuses each one whose
         # vertex and twin are unchanged too
         self.darts = d.darts
         self.direction = [x.direction for x in self.darts]
-        self.rotation = list(d.rotation)
+        self.rotation = [*map(tuple, d.rotation)]
 
     def disjoint(self, d: Diagram) -> int:
         """Add a copy of d, its dart ids shifted past the existing ones;
@@ -259,7 +260,8 @@ class _Builder:
                error: type[Exception] = SurgeryError) -> Diagram:
         """The diagram, its kind derived first (so the strand walk refuses
         an inconsistent map), then `validate`'s checks on the builder's
-        lists, raising `error` naming `what`; unchanged `Dart`s are kept."""
+        lists, raising `error` naming `what`; unchanged `Dart`s are kept,
+        and the checked lists go to `_flat`'s slot."""
         twin, direction, rotation = self.twin, self.direction, self.rotation
         n = len(twin)
         succ, vertex = _rings(rotation, n)
@@ -276,7 +278,9 @@ class _Builder:
                  for x, v, t in zip(self.darts, vertex, twin)]
         k = len(darts)
         darts += map(Dart, range(k, n), vertex[k:], twin[k:], direction[k:])
-        return Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
+        d = Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
+        _seed_flat(d, (twin, succ, out, vertex))
+        return d
 
 
 # ---------------------------------------------------------------------------

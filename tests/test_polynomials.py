@@ -217,6 +217,17 @@ def test_charpoly_rejects_non_integer_entries(entry):
         charpoly(((0, 2), (2, entry)))
 
 
+@pytest.mark.parametrize("rows, problem", [
+    ([[0, 2.7], [True, 0]], "matrix entries must be integers"),
+    ([[0, 1], [1]], "matrix is not square"),
+], ids=["float-and-bool", "ragged"])
+def test_cofactor_oracle_refuses_what_charpoly_refuses(rows, problem):
+    # the oracle once read these as x^2 - 2 and leaked IndexError
+    for f in (charpoly, charpoly_cofactor):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            f(rows)
+
+
 def test_charpoly_against_cofactor_oracle_random():
     rng = random.Random(20240801)
     for _ in range(25):

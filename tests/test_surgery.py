@@ -3,6 +3,8 @@ import hashlib
 import random
 import re
 import signal
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -651,10 +653,17 @@ def corrupt(d, rng):
 
 def reference_validate(d):
     """`dg.validate` with one interpreted loop per check: the oracle for
-    every C-level pass of `dg._map_problems`."""
+    every C-level pass of `dg._map_problems`.  A kind outside KINDS is
+    listed first and hides none of the map's own problems."""
+    head = ([f"kind: {d.kind!r} is not one of {dg.KINDS}"]
+            if d.kind not in dg.KINDS else [])
+    return head + reference_map_problems(d)
+
+
+def reference_map_problems(d):
+    """`reference_validate` past the kind name: the type rule, then one
+    loop per check from the vertex count through the kind comparison."""
     problems = []
-    if d.kind not in dg.KINDS:
-        problems.append(f"kind: {d.kind!r} is not one of {dg.KINDS}")
     bad_field = dg._type_problem(d)
     if bad_field:
         problems.append(bad_field)
@@ -754,7 +763,7 @@ def reference_validate(d):
 def test_validate_matches_reference_validate():
     # every sweep(8) member, then seeded single and double faults of
     # sweep(4) members, a third of them with a kind named at random (a
-    # kind outside KINDS stops validate after the twin checks)
+    # kind outside KINDS is listed first and hides no later problem)
     for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
         d = fam.generate(s)
         assert dg.validate(d) == reference_validate(d) == [], s
@@ -855,6 +864,16 @@ def test_readers_refuse_maps_validate_rejects(fault, problem):
                  lambda: dg.isomorphic(bad, d), lambda: dg.isomorphic(d, bad)):
         with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}"):
             call()
+
+
+def test_a_kind_outside_kinds_hides_no_map_problem():
+    # the kind name once stopped validate after the twin checks, so the
+    # cut ring went unreported
+    bad = dataclasses.replace(_cut_ring(member(fam.CYCLIC_TORUS, 3)),
+                              kind="banana")
+    assert dg.validate(bad) == reference_validate(bad) == [
+        f"kind: 'banana' is not one of {dg.KINDS}",
+        "rotation: ring of vertex 0 does not list its 4 darts"]
 
 
 @pytest.mark.parametrize("value", ["1", 1.0, None])
@@ -1061,3 +1080,123 @@ def test_random_surgery_keeps_the_polynomial_laws(start, steps):
         mirrored = dg.mirror(d)
         assert dg.validate(mirrored) == [], d
         assert charpoly(sp.adjacency(mirrored)) == p, d
+
+
+# ---------------------------------------------------------------------------
+# The `_flat` slot: the builder's last output and the lists it checked
+# ---------------------------------------------------------------------------
+
+def assert_slot_sound(d):
+    """d is the builder's last output, and `_flat` hands back the slot's
+    lists for it, equal to those an equal copy of d is checked into; d
+    cannot change while the slot holds it."""
+    assert dg._flat_slot[0] is d
+    assert type(d.darts) is type(d.rotation) is tuple
+    assert {type(ring) for ring in d.rotation} == {tuple}
+    assert dg._flat(d) is dg._flat_slot[1]
+    assert dg._flat(d) == dg._flat(dataclasses.replace(d))
+
+
+def test_the_slot_holds_what_a_cold_flat_gives_on_sweep():
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        assert_slot_sound(fam.generate(s))
+
+
+@pytest.mark.parametrize("text", ["twistknot:V=8", "p:k=3,l=4,m=2",
+                                  "lchain:k=3,n=2"])
+def test_the_slot_holds_what_a_cold_flat_gives_on_round_trips(text):
+    d = fam.generate(fam.parse_spec_string(text))
+    code = dg.canonical_code(d)
+    for v in range(d.vertex_count):
+        for lane in sg.LANES:
+            grown, _, bigon = sg._expand(d, v, lane)
+            assert_slot_sound(grown)
+            back = sg.contract_bigon(grown, face_id_of_darts(grown, bigon))
+            assert_slot_sound(back)
+            assert dg.canonical_code(back) == code, (v, lane)
+
+
+def test_an_unfinished_or_refused_build_leaves_the_slot_alone():
+    d = member(fam.CYCLIC_TORUS, 4)
+    flat = [x[:] for x in dg._flat(d)]
+    sg._Builder(d).expand(0, sg.LANE_IN)  # never finished
+    assert dg._flat_slot[0] is d and list(dg._flat(d)) == flat
+    b = sg._Builder(d)
+    b.disjoint(d)
+    with pytest.raises(sg.SurgeryError, match="connectivity"):
+        b.finish("union")
+    assert dg._flat_slot[0] is d and list(dg._flat(d)) == flat
+    assert_slot_sound(d)
+    # rings given as lists come out as tuples
+    lists = dataclasses.replace(d, rotation=[list(r) for r in d.rotation])
+    assert_slot_sound(sg.expand_vertex(lists, 0, sg.LANE_IN))
+
+
+@pytest.mark.parametrize("fault, problem", [
+    (_cut_ring, "the rotation rings do not list every dart exactly once"),
+    (_far_twin, "a dart's twin is out of range"),
+], ids=["ring-cut", "twin-99"])
+def test_a_corrupted_copy_of_the_slots_diagram_is_refused(fault, problem):
+    # the copy shares the darts or the rings of the diagram in the slot
+    d = member(fam.CYCLIC_TORUS, 3)
+    bad = fault(d)
+    assert dg._flat_slot[0] is d
+    for reader in (dg.faces, dg.canonical_code):
+        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}"):
+            reader(bad)
+
+
+def test_readers_of_builder_outputs_skip_the_gate(monkeypatch):
+    # the type rule runs first in every cold `_flat`, so its calls count
+    # the gates run
+    calls = []
+    type_problem = dg._type_problem
+    monkeypatch.setattr(dg, "_type_problem",
+                        lambda d: calls.append(d) or type_problem(d))
+    d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
+    dg.faces(d)
+    dg.canonical_code(d)
+    d.edges()
+    assert calls == []
+    grown, _, bigon = sg._expand(d, 0, sg.LANE_IN)
+    face = face_id_of_darts(grown, bigon)
+    sg.contract_bigon(grown, face)
+    assert calls == []
+    copy = dataclasses.replace(d)
+    dg.faces(copy)
+    assert calls == [copy]
+
+
+def test_flat_slot_threads_on_different_members():
+    # each thread builds its own member and reads it back while the others
+    # replace the slot; a reader must never see another diagram's lists
+    texts = ["cyclic:V=8", "p:k=3,l=4,m=2", "lchain:k=3,n=2", "twistknot:V=8"]
+    specs = [fam.parse_spec_string(t) for t in texts]
+    refs = []
+    for spec in specs:
+        d = dataclasses.replace(fam.generate(spec))
+        refs.append((dg.faces(d), dg.canonical_code(d), d.edges()))
+    errors = []
+
+    def build(spec, ref):
+        for _ in range(100):
+            d = fam.generate(spec)
+            if (dg.faces(d), dg.canonical_code(d), d.edges()) != ref:
+                errors.append(str(spec))
+            grown = sg.expand_vertex(d, 0, sg.LANE_IN)
+            if dg._flat(grown) != dg._flat(dataclasses.replace(grown)):
+                errors.append(str(spec))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=pair)
+                   for pair in zip(specs, refs)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []

@@ -8,6 +8,12 @@ Hot paths build tuples from lists (``tuple([...])``), not from generators:
 ``tuple()`` of an iterator of unknown length grows a 10-slot tuple, and
 over a long run that parks megabytes of freed tuples on CPython's per-size
 free lists, which stay resident.
+
+The public `IntPoly(...)` constructor is the one type gate for
+coefficients.  `IntPoly`'s own arithmetic, `charpoly` and `divide_out`
+compute their coefficients from checked ones, so they build their results
+through the private `IntPoly._of`, which takes a list of ints, pops its
+trailing zeros and checks nothing again.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, and_, mul, rshift
+from operator import add, and_, mul, neg, sub
 from typing import Sequence
 
 from .limits import max_vertices
@@ -27,7 +33,9 @@ class IntPoly:
 
     ``IntPoly((-2, -3, 0, 1))`` is ``x^3 - 3*x - 2``.  The zero polynomial
     is the empty tuple.  A coefficient of any type but `int` (`bool` and
-    `float` included) raises ValueError rather than being truncated.
+    `float` included) raises ValueError rather than being truncated, and so
+    does a scalar operand, an exponent of `**` or a point of evaluation of
+    any type but `int`.
     """
 
     coeffs: tuple[int, ...] = ()
@@ -61,45 +69,60 @@ class IntPoly:
 
     # -- arithmetic ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, coeffs: list[int]) -> IntPoly:
+        """The polynomial of a list of `int` coefficients that the caller
+        made from checked ones and no longer holds: trailing zeros are
+        popped in place, and no type is checked again."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(coeffs))
+        return p
+
     def __add__(self, other: IntPoly | int) -> IntPoly:
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs, _coerce(other).coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPoly(tuple(out))
+        return IntPoly._of([*map(add, a, b), *a[len(b):]])
 
     __radd__ = __add__
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple([-v for v in self.coeffs]))
+        return IntPoly._of(list(map(neg, self.coeffs)))
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
-        return self + (-_coerce(other))
+        a, b = self.coeffs, _coerce(other).coeffs
+        return IntPoly._of([*map(sub, a, b), *a[len(b):],
+                            *map(neg, b[len(a):])])
 
     def __rsub__(self, other: int) -> IntPoly:
         return _coerce(other) - self
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(tuple([other * v for v in self.coeffs]))
-        if self.is_zero() or other.is_zero():
+        """Product with a polynomial, or with a scalar whose type is `int`;
+        any other operand, `bool` included, raises ValueError."""
+        if type(other) is int:
+            return IntPoly._of(list(map(mul, self.coeffs, repeat(other))))
+        a, b = self.coeffs, _coerce(other).coeffs
+        if not a or not b:
             return ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(tuple(out))
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return IntPoly._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
+        """Power by squaring; an exponent that is not an `int` >= 0
+        (`bool` included) raises ValueError."""
+        if type(n) is not int or n < 0:
+            raise ValueError(f"power of a polynomial must be an integer "
+                             f">= 0, got {n!r}")
         result = ONE
         base = self
         while n:
@@ -110,7 +133,11 @@ class IntPoly:
         return result
 
     def __call__(self, x: int) -> int:
-        """Evaluate at an integer by Horner's rule."""
+        """Evaluate at an integer by Horner's rule; a point that is not an
+        `int` (`bool` included) raises ValueError."""
+        if type(x) is not int:
+            raise ValueError(f"a polynomial is evaluated at an integer, "
+                             f"got {x!r}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -119,11 +146,12 @@ class IntPoly:
     # -- presentation ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts: list[str] = []
-        for power in range(self.degree, -1, -1):
-            c = self[power]
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -287,15 +315,22 @@ def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
     passes plus one term per 2-entry, with no interpreted step per entry.
 
     The width suffices for every k <= K, the capacity.  Let c = max(1,
-    ||L||_inf), the largest sum of |L_ij| over a row, and w =
-    K*ceil(log2 c) + 2.  The infinity norm is submultiplicative, so
-    |(L^k)_ij| <= ||L^k||_inf <= c^k <= c^K <= 2^(K*ceil(log2 c)) =
-    2^(w - 2).  Packing is linear, so the packed row is the exact integer
-    above whatever its entries; only reading needs the bound.  Adding
-    half = 2^(w-1) to every slot (the bias) makes every digit entry + half
-    lie in [2^(w-2), 3*2^(w-2)], inside [0, 2^w), so these are the row's
-    base-2^w digits with no borrow between slots, and slot i of row i,
-    masked and less half, is (L^k)_ii; the offset is n*half.
+    ||L||_inf), the largest sum of |L_ij| over a row (for a matrix with no
+    negative entry, the largest row sum), b = K*ceil(log2 c) and
+    w = b + 2 + bitlen(n).  The infinity norm is submultiplicative, so
+    |(L^k)_ij| <= ||L^k||_inf <= c^k <= c^K <= 2^b.  Packing is linear,
+    so the packed row is the exact integer above whatever its entries;
+    only reading needs the bound.  With no negative entry in L, no power
+    has one, and every entry is its own digit in [0, 2^b]; otherwise
+    adding h = 2^(b+1) to every slot (the bias) makes every digit entry + h
+    lie in [2^b, 3*2^b].  Either way the digits lie in [0, 2^(b+2)), inside
+    [0, 2^w), so they are the row's base-2^w digits with no borrow between
+    slots, and ANDing row i with the mask of its own slot i keeps
+    digit_ii * 2^(w*i) alone.  The sum S of these n terms is read in one
+    fold, S mod (2^w - 1): as 2^w = 1 modulo 2^w - 1, S is congruent to
+    the sum of the n diagonal digits, which is below n * 2^(b+2) <=
+    (2^bitlen(n) - 1) * 2^(b+2) < 2^w - 1, so the remainder is that sum
+    itself.  The trace is that sum less n*h (0 with no bias).
 
     Either packing of a matrix M is covered.  Rows of M (L = M) take c
     from ||M||_inf; columns of M are the rows of L = M^T, whose powers are
@@ -304,16 +339,21 @@ def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
     """
     n = len(lines)
     supports = [list(compress(range(n), line)) for line in lines]
-    c = max(1, *[sum(map(abs, line)) for line in lines])
-    w = capacity * (c - 1).bit_length() + 2
-    half = 1 << (w - 1)
+    signed = min(map(min, lines)) < 0
+    sums = ([sum(map(abs, line)) for line in lines] if signed
+            else map(sum, lines))
+    c = max(1, *sums)
+    b = capacity * (c - 1).bit_length()
+    w = b + 2 + n.bit_length()
     shifts = range(0, n * w, w)
     layers = [[s[l] if l < len(s) else n for s in supports]
               for l in range(max(1, *map(len, supports)))]
     extra = [(i, j, lines[i][j] - 1) for i, s in enumerate(supports)
              for j in s if lines[i][j] != 1]
-    bias = sum(map(half.__lshift__, shifts))
-    mask, offset = (1 << w) - 1, n * half
+    fold = (1 << w) - 1
+    masks = [*map(fold.__lshift__, shifts)]
+    h = 1 << (b + 1) if signed else 0
+    bias, offset = sum(map(h.__lshift__, shifts)), n * h
     power = [*map((1).__lshift__, shifts), 0]
     traces = []
     for _ in range(capacity):
@@ -323,10 +363,10 @@ def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
             prod = list(map(add, prod, map(get, layer)))
         for i, j, v in extra:
             prod[i] += v * power[j]
+        digits = map(add, prod, repeat(bias)) if signed else prod
+        traces.append(sum(map(and_, digits, masks)) % fold - offset)
         prod.append(0)
         power = prod
-        traces.append(sum(map(and_, map(rshift, map(add, prod, repeat(bias)),
-                                        shifts), repeat(mask))) - offset)
     return traces
 
 
@@ -363,7 +403,7 @@ def charpoly(matrix) -> IntPoly:
                 f"Newton's identities: division by {k} not exact")
         coeffs.append(-q)
     coeffs.reverse()
-    return IntPoly(tuple(coeffs))
+    return IntPoly._of(coeffs)
 
 
 def charpoly_cofactor(matrix) -> IntPoly:
@@ -408,17 +448,18 @@ def divide_out(p: IntPoly, root_factor: IntPoly) -> tuple[IntPoly, bool]:
         raise ValueError("divisor must be linear with leading coefficient +-1")
     lead, const = root_factor[1], root_factor[0]
     root = -const * lead  # the divisor's zero, as an exact integer
-    if p.is_zero():
+    coeffs = p.coeffs
+    if not coeffs:
         return ZERO, True
     quotient = [0] * max(p.degree, 1)
     acc = 0
     for power in range(p.degree, 0, -1):
-        acc = acc * root + p[power]
+        acc = acc * root + coeffs[power]
         quotient[power - 1] = acc
-    remainder = acc * root + p[0]
+    remainder = acc * root + coeffs[0]
     if lead == -1:
         quotient = [-q for q in quotient]
-    return IntPoly(tuple(quotient)), remainder == 0
+    return IntPoly._of(quotient), remainder == 0
 
 
 def power_sums_from_charpoly(p: IntPoly, k_max: int) -> list[int]:

@@ -92,13 +92,16 @@ class _Builder:
     def __init__(self, d: Diagram | None = None) -> None:
         """A builder holding d, or holding nothing yet.  d's field types
         and incidence must pass `_flat`; every operation reads its input
-        only through this check.  `_flat`'s lists are read-only, so twin
-        is copied; rings become tuples, so what `finish` makes is frozen."""
+        only through this check, and `flat` keeps the lists it returned,
+        which describe d, not the builder after a move.  They are
+        read-only, so twin is copied; rings become tuples, so what
+        `finish` makes is frozen."""
         if d is None:
-            self.darts, self.rotation = (), []
+            self.darts, self.rotation, self.flat = (), [], None
             self.twin, self.direction = [], []
             return
-        self.twin = _flat(d, SurgeryError)[0][:]
+        self.flat = _flat(d, SurgeryError)
+        self.twin = self.flat[0][:]
         # d's Dart objects whose id and direction are still those of the
         # builder's dart at their index; `finish` reuses each one whose
         # vertex and twin are unchanged too
@@ -325,8 +328,8 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     circle is a whole strand; contracting it would cut the strand off).
     """
     b = _Builder(d)
-    succ, ring_of = _rings(b.rotation, len(b.twin))
-    face_list = _traces(b.twin, succ)
+    twin, succ, _, ring_of = b.flat
+    face_list = _traces(twin, succ)
     if type(face_id) is not int or not 0 <= face_id < len(face_list):
         raise SurgeryError(f"no face {face_id!r}")
     trace = face_list[face_id]

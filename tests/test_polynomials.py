@@ -40,6 +40,68 @@ def test_arithmetic():
     assert 2 * (X + 1) == IntPoly((2, 2))
 
 
+def _convolve(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_arithmetic_against_list_oracle():
+    # every result equals, hashes and prints as the polynomial built by
+    # hand through the public constructor, whose coefficients are the
+    # oracle's lists less their trailing zeros
+    rng = random.Random(23)
+
+    def coeffs():
+        return [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+
+    def padded(a, b):
+        size = max(len(a), len(b))
+        return a + [0] * (size - len(a)), b + [0] * (size - len(b))
+
+    for _ in range(400):
+        a, b, s, e = coeffs(), coeffs(), rng.randint(-4, 4), rng.randint(0, 4)
+        p, q = IntPoly(tuple(a)), IntPoly(tuple(b))
+        pa, pb = padded(a, b)
+        power = [1]
+        for _ in range(e):
+            power = _convolve(power, a)
+        cases = [
+            (p + q, [x + y for x, y in zip(pa, pb)]),
+            (p - q, [x - y for x, y in zip(pa, pb)]),
+            (-p, [-x for x in a]),
+            (p * q, _convolve(a, b)),
+            (p * s, [x * s for x in a]),
+            (s * p, [s * x for x in a]),
+            (p + s, [x + y for x, y in zip(*padded(a, [s]))]),
+            (s - p, [y - x for x, y in zip(*padded(a, [s]))]),
+            (p ** e, power),
+            (p - p, []),
+        ]
+        for got, want in cases:
+            ref = IntPoly(tuple(want))
+            while want and want[-1] == 0:
+                want.pop()
+            assert got.coeffs == tuple(want), (a, b, s, e)
+            assert got == ref and hash(got) == hash(ref)
+            assert repr(got) == repr(ref)
+        assert (p - p).coeffs == () and (p - p) == ZERO
+
+
+@pytest.mark.parametrize("operand", [2.5, 2.0, True, None])
+def test_arithmetic_operands_follow_the_type_rule(operand):
+    # a float once leaked AttributeError from `*` and TypeError from `**`;
+    # True multiplied and raised to a power as 1, while `+` refused it
+    for op in (lambda: X * operand, lambda: operand * X,
+               lambda: X + operand, lambda: operand + X,
+               lambda: X - operand, lambda: operand - X,
+               lambda: X ** operand, lambda: X(operand)):
+        with pytest.raises(ValueError):
+            op()
+
+
 @pytest.mark.parametrize("poly,text", [
     (X ** 3 - 3 * X - 2, "x^3 - 3*x - 2"),
     (X ** 4 - 2 * X ** 2 - 4 * X, "x^4 - 2*x^2 - 4*x"),

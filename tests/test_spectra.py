@@ -398,6 +398,31 @@ def reference_path_counts(m, k_max):
     return out
 
 
+WIDTH_EDGE_SCALARS = (1, 2, 3, 2 ** 5 - 1, 2 ** 5, 2 ** 5 + 1, 2 ** 17,
+                      2 ** 17 + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_traces_at_the_width_edge(n):
+    # every entry c: each row sum, the lemma's c, is n*|c|, and the trace
+    # of every power is (n*c)^k; on the diagonal every slot holds
+    # |c|^k, the largest entry the width allows, so the n diagonal digits
+    # read at once sum to n times that.  Both branches: no negative entry
+    # (unbiased digits) and a negative entry (biased ones).
+    for c in WIDTH_EDGE_SCALARS:
+        for sign in (1, -1):
+            full = [[sign * c] * n for _ in range(n)]
+            one_negative = [[c] * n for _ in range(n)]
+            one_negative[n - 1][0] = -c
+            diagonal = [[sign * c * (i == j) for j in range(n)]
+                        for i in range(n)]
+            for rows in (full, one_negative, diagonal):
+                ref = reference_path_counts(sp.AdjMatrix(rows), 2 * n)
+                for capacity in (1, n, 2 * n):
+                    assert (pl._power_traces(rows, capacity)
+                            == ref[:capacity]), (rows, capacity)
+
+
 def test_closed_path_count_interleaved_matrices():
     a = matrix_of(fam.CYCLIC_TORUS, (7,))
     b = matrix_of(fam.K_RIBBON_CYCLIC, (3, 2))

@@ -1167,6 +1167,26 @@ def test_readers_of_builder_outputs_skip_the_gate(monkeypatch):
     assert calls == [copy]
 
 
+def test_contraction_reads_the_rings_once_per_map(monkeypatch):
+    # `_flat` reads the input's rings and `finish` the result's; the face
+    # trace takes its lists from the builder's `_flat` call
+    calls = []
+    rings = dg._rings
+
+    def counted(rotation, n):
+        calls.append(n)
+        return rings(rotation, n)
+
+    monkeypatch.setattr(dg, "_rings", counted)
+    monkeypatch.setattr(sg, "_rings", counted)
+    d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
+    grown, _, bigon = sg._expand(d, 0, sg.LANE_IN)
+    cold = dataclasses.replace(grown)  # not in the slot
+    calls.clear()
+    back = sg.contract_bigon(cold, face_id_of_darts(grown, bigon))
+    assert calls == [len(grown.darts), len(back.darts)]
+
+
 def test_flat_slot_threads_on_different_members():
     # each thread builds its own member and reads it back while the others
     # replace the slot; a reader must never see another diagram's lists

@@ -105,7 +105,7 @@ class Diagram:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
 
 
-_flat_slot: tuple = (None, None)
+_flat_slot: tuple = (None, None, None)
 
 
 def _flat(d: Diagram, error: type[DiagramError] = DiagramError
@@ -121,9 +121,10 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     vertex, and the twins pair each out dart with one in dart (a direction
     is compared with OUT and IN, never hashed); alternation is left to the
     walks.  The lists of the last diagram `surgery._Builder.finish` made,
-    which its `_map_problems` run checked, are kept in one slot that this
-    function reads but never writes; that diagram is immutable through
-    and through, so for the same object they are returned as they are."""
+    which its `_map_problems` run checked, are kept in one slot with the
+    face trace of that run; this function, `_face_traces` and `validate`
+    read it but never write it.  That diagram is immutable through and
+    through, so for the same object they are returned as they are."""
     slot = _flat_slot
     if slot[0] is d:
         return slot[1]
@@ -153,11 +154,11 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     return twin, succ, out, vertex
 
 
-def _seed_flat(d: Diagram, flat: tuple) -> None:
-    """Keep `_flat`'s lists of d, which `_map_problems` has passed and the
-    caller no longer holds: the slot's one writer, for the builder."""
+def _seed_flat(d: Diagram, flat: tuple, faces: list) -> None:
+    """Keep `_flat`'s lists of d, which `_map_problems` passed, and the face
+    trace it returned: the slot's one writer, for the builder."""
     global _flat_slot
-    _flat_slot = (d, flat)
+    _flat_slot = (d, flat, faces)
 
 
 def _type_problem(d: Diagram) -> str | None:
@@ -223,7 +224,11 @@ def validate(d: Diagram) -> list[str]:
     Violations are data, not exceptions: arbitrary candidate structures are
     accepted and reported on.  A kind outside KINDS is listed first, and
     the map's own checks run on a list of their own, so it hides none.
+    The builder's last output is valid without a check: `finish` derived
+    its kind and ran `_map_problems` on the lists it was made from.
     """
+    if _flat_slot[0] is d:
+        return []
     problems: list[str] = []
     if d.kind not in KINDS:
         problems.append(f"kind: {d.kind!r} is not one of {KINDS}")
@@ -249,11 +254,12 @@ def validate(d: Diagram) -> list[str]:
 def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
                   succ: list[int], ring_of: list[int], ids: Sequence[int],
                   vertex: list[int], twin: list[int], direction: list[str],
-                  out: list[bool]) -> bool:
+                  out: list[bool]) -> list[tuple[int, ...]] | bool:
     """`validate`'s checks from the vertex count through Euler on lists by
     dart id, for it and the surgery builder: appends to `problems` and
-    returns whether they ran to the end, where `validate` compares kinds
-    (a problem listed before stops them after the twin checks, so every
+    returns the Euler check's face trace when they ran to the end, where
+    `validate` compares kinds, and False when they stopped early (a
+    problem listed before stops them after the twin checks, so every
     caller passes an empty list).  A loop runs only where C-level passes
     fail, to write the texts.  Ring listing passes when `ring_of ==
     vertex`: the 4V darts then fill at most V rings of four, so each is
@@ -333,12 +339,12 @@ def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
         problems.append("connectivity: the map is not connected")
         return False
 
-    face_count = len(_traces(twin, succ))
-    if face_count != vertex_count + 2:
+    face_list = _traces(twin, succ)
+    if len(face_list) != vertex_count + 2:
         problems.append(
-            f"euler: face tracing gives {face_count} faces, a sphere "
+            f"euler: face tracing gives {len(face_list)} faces, a sphere "
             f"map with V={vertex_count} must have {vertex_count + 2}")
-    return True
+    return face_list
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +388,24 @@ def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
     return faces
 
 
+def _face_traces(d: Diagram, flat: tuple | None = None
+                 ) -> list[tuple[int, ...]]:
+    """`_traces` of d, read-only: the slot's trace when d is the builder's
+    last output, else traced from `flat`, d's `_flat` lists if the caller
+    holds them, or from a fresh `_flat(d)`."""
+    slot = _flat_slot
+    if slot[0] is d:
+        return slot[2]
+    return _traces(*(flat or _flat(d))[:2])
+
+
 def faces(d: Diagram) -> tuple[list[tuple[int, ...]], FaceCensus]:
     """All faces as cyclic dart sequences, plus the census.
 
     From a dart the boundary continues with the rotation successor of its
     twin; every dart lies on exactly one face.
     """
-    face_list = _traces(*_flat(d)[:2])
+    face_list = _face_traces(d)[:]  # the caller's own list
     counts: dict[int, int] = {}
     for trace in face_list:
         counts[len(trace)] = counts.get(len(trace), 0) + 1
@@ -434,7 +451,7 @@ def face_orientations(d: Diagram) -> dict[int, str]:
 def face_of_dart(d: Diagram) -> dict[int, int]:
     """Map each dart id to the index of the face whose trace contains it."""
     mapping: dict[int, int] = {}
-    for idx, trace in enumerate(_traces(*_flat(d)[:2])):
+    for idx, trace in enumerate(_face_traces(d)):
         for dart in trace:
             mapping[dart] = idx
     return mapping

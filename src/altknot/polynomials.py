@@ -62,7 +62,11 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __getitem__(self, power: int) -> int:
-        """Coefficient of x**power (0 outside the stored range)."""
+        """Coefficient of x**power (0 outside the stored range); a power
+        that is not an `int` (`bool` included) raises ValueError."""
+        if type(power) is not int:
+            raise ValueError(f"a coefficient is indexed by an integer "
+                             f"power, got {power!r}")
         if 0 <= power < len(self.coeffs):
             return self.coeffs[power]
         return 0
@@ -384,6 +388,8 @@ def charpoly(matrix) -> IntPoly:
     AdjMatrix works too); a matrix that is empty, not square or has an
     entry of any other type, `bool` and `float` included, raises
     ValueError with `_shape_problem`'s text rather than being truncated.
+    Only an AdjMatrix that `spectra.adjacency` made, marked square, skips
+    that scan.
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
@@ -391,7 +397,8 @@ def charpoly(matrix) -> IntPoly:
         raise ValueError(
             f"matrix dimension {n} above the cap {max_vertices()} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    if problem := _shape_problem(rows):
+    if (not getattr(matrix, "_square", False)
+            and (problem := _shape_problem(rows))):
         raise ValueError(problem)
 
     traces = _power_traces(rows, n)
@@ -442,8 +449,12 @@ def divide_out(p: IntPoly, root_factor: IntPoly) -> tuple[IntPoly, bool]:
 
     Returns ``(quotient, exact)`` where exact means the remainder is zero.
     The divisor must be degree 1 with leading coefficient +-1 (all designated
-    factors here, like (x - 2) and (x + 1), are monic).
+    factors here, like (x - 2) and (x + 1), are monic).  An argument that
+    is not an IntPoly raises ValueError.
     """
+    for arg in (p, root_factor):
+        if not isinstance(arg, IntPoly):
+            raise ValueError(f"divide_out takes polynomials, got {arg!r}")
     if root_factor.degree != 1 or abs(root_factor[1]) != 1:
         raise ValueError("divisor must be linear with leading coefficient +-1")
     lead, const = root_factor[1], root_factor[0]

@@ -10,6 +10,7 @@ two permutation matrices.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -29,6 +30,17 @@ class AdjMatrix:
     """Square nonnegative integer matrix with all row and column sums 2."""
 
     rows: Matrix
+    _square = False  # True only as `_of` sets it
+
+    @classmethod
+    def _of(cls, rows: Matrix) -> AdjMatrix:
+        """The matrix of the n tuples of n `int`s `adjacency` just built,
+        marked (n >= 1) as the nonempty square `int` matrix it is, so
+        `problems`, `charpoly` and `closed_path_count` skip the scan."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_square", bool(rows))
+        return m
 
     def __post_init__(self) -> None:
         # tuple([...]) rather than tuple(genexpr): see altknot.polynomials
@@ -42,7 +54,7 @@ class AdjMatrix:
         return sum(self.rows[i][i] for i in range(self.n))
 
     def problems(self) -> list[str]:
-        if problem := _shape_problem(self.rows):
+        if not self._square and (problem := _shape_problem(self.rows)):
             return [problem]
         out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
         for name, line in zip(("row", "column"), _line_sums(self.rows)):
@@ -63,7 +75,9 @@ class AdjMatrix:
 def parse_matrix(text: str) -> AdjMatrix:
     """Accepts rows of space-separated integers, or a JSON array of arrays
     of integers; anything else in JSON (a bare number, a float, a boolean)
-    raises ValueError rather than being coerced."""
+    raises ValueError rather than being coerced, and so does a text token
+    that is not ASCII decimal digits with an optional sign (`0_2` and
+    non-ASCII digits, which `int()` would read, included)."""
     stripped = text.strip()
     if stripped.startswith("["):
         try:
@@ -78,7 +92,12 @@ def parse_matrix(text: str) -> AdjMatrix:
     for line in stripped.splitlines():
         line = line.strip()
         if line:
-            rows.append(tuple(int(tok) for tok in line.split()))
+            tokens = line.split()
+            for tok in tokens:
+                if not re.fullmatch(r"[+-]?[0-9]+", tok):
+                    raise ValueError(f"matrix entry {tok!r} is not a "
+                                     "decimal integer")
+            rows.append(tuple(int(tok) for tok in tokens))
     return AdjMatrix(tuple(rows))
 
 
@@ -96,7 +115,7 @@ def adjacency(d: Diagram) -> AdjMatrix:
     for x in darts:
         if x.direction == OUT:
             rows[x.vertex][darts[x.twin].vertex] += 1
-    return AdjMatrix(tuple([tuple(row) for row in rows]))
+    return AdjMatrix._of(tuple([tuple(row) for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +287,7 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     `charpoly` runs the same kernel on the rows of M, so the traces it
     turns into coefficients and these are one computation on M and M^T.
     An empty or non-square M, a non-int entry (bool and float too) or k not
-    an int >= 1: ValueError.
+    an int >= 1: ValueError; a matrix `adjacency` made is not scanned.
     """
     global _paths_slot
     if type(k) is not int or k < 1:
@@ -276,7 +295,7 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     rows = m.rows
     key, traces = _paths_slot
     if key is not rows:  # a matrix object not checked yet
-        if problem := _shape_problem(rows):
+        if not m._square and (problem := _shape_problem(rows)):
             raise ValueError(problem)
         if key != rows:
             traces = ()

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _flat, _kind,
-                      _map_problems, _rings, _seed_flat, _traces)
+from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _face_traces,
+                      _flat, _kind, _map_problems, _rings, _seed_flat)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -264,15 +264,16 @@ class _Builder:
         """The diagram, its kind derived first (so the strand walk refuses
         an inconsistent map), then `validate`'s checks on the builder's
         lists, raising `error` naming `what`; unchanged `Dart`s are kept,
-        and the checked lists go to `_flat`'s slot."""
+        and the checked lists and the face trace of the check go to
+        `_flat`'s slot."""
         twin, direction, rotation = self.twin, self.direction, self.rotation
         n = len(twin)
         succ, vertex = _rings(rotation, n)
         out = [r == OUT for r in direction]
         kind = _kind(twin, succ, out, vertex)
         problems: list[str] = []
-        _map_problems(problems, len(rotation), rotation, succ, vertex,
-                      range(n), vertex, twin, direction, out)
+        faces = _map_problems(problems, len(rotation), rotation, succ, vertex,
+                              range(n), vertex, twin, direction, out)
         if problems:
             raise error(f"{what} produced an invalid diagram: "
                         + "; ".join(problems))
@@ -282,7 +283,7 @@ class _Builder:
         k = len(darts)
         darts += map(Dart, range(k, n), vertex[k:], twin[k:], direction[k:])
         d = Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
-        _seed_flat(d, (twin, succ, out, vertex))
+        _seed_flat(d, (twin, succ, out, vertex), faces)
         return d
 
 
@@ -328,8 +329,8 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     circle is a whole strand; contracting it would cut the strand off).
     """
     b = _Builder(d)
-    twin, succ, _, ring_of = b.flat
-    face_list = _traces(twin, succ)
+    ring_of = b.flat[3]
+    face_list = _face_traces(d, b.flat)
     if type(face_id) is not int or not 0 <= face_id < len(face_list):
         raise SurgeryError(f"no face {face_id!r}")
     trace = face_list[face_id]

@@ -138,6 +138,31 @@ def test_matrix_file_must_be_adjacency(capsys, tmp_path, command, doc,
     assert problem in err
 
 
+@pytest.mark.parametrize("doc", ["0 0_2\n0_2 0", "0 \u0662\n\u0662 0"])
+def test_matrix_text_must_be_ascii_decimal(capsys, tmp_path, doc):
+    # int() reads 0_2 and the Arabic-Indic digit two as 2, so such a file
+    # once printed x^2 - 4 and exited 0
+    path = tmp_path / "m.txt"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, "charpoly", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "is not a decimal integer" in err
+
+
+@pytest.mark.parametrize("command", ["census", "charpoly"])
+@pytest.mark.parametrize("spec", ["p:k=3,l=4,m=2", "kribbon:k=4,m=3",
+                                  "lchain:k=3,n=4"])
+def test_a_spec_and_its_json_give_the_same_output(capsys, tmp_path, command,
+                                                  spec):
+    # the spec is answered from the builder's slot (face trace, verdict);
+    # its JSON goes through from_json, the full validate and a fresh trace
+    path = tmp_path / "d.json"
+    assert main(["gen", spec, "--out", str(path)]) == 0
+    hot = run(capsys, command, spec)
+    assert hot[0] == 0 and hot[1]
+    assert run(capsys, command, str(path)) == hot
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

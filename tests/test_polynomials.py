@@ -102,6 +102,15 @@ def test_arithmetic_operands_follow_the_type_rule(operand):
             op()
 
 
+@pytest.mark.parametrize("power", [2.5, 1.0, True, None, "1"])
+def test_coefficient_index_follows_the_type_rule(power):
+    # 2.5 once leaked TypeError and True read the x^1 coefficient
+    p = X ** 2 + 3 * X + 5
+    with pytest.raises(ValueError, match="integer power"):
+        p[power]
+    assert [p[k] for k in (-1, 0, 1, 2, 3)] == [0, 5, 3, 1, 0]
+
+
 @pytest.mark.parametrize("poly,text", [
     (X ** 3 - 3 * X - 2, "x^3 - 3*x - 2"),
     (X ** 4 - 2 * X ** 2 - 4 * X, "x^4 - 2*x^2 - 4*x"),
@@ -432,6 +441,14 @@ def test_divide_out():
     assert exact and q == X ** 2 - 3
     with pytest.raises(ValueError):
         divide_out(X ** 2, 2 * X - 1)
+
+
+@pytest.mark.parametrize("args", [(X ** 2 - 4, 5), (5, X - 2),
+                                  ((-4, 0, 1), X - 2), (X ** 2 - 4, None)])
+def test_divide_out_takes_polynomials(args):
+    # an int once leaked AttributeError from either position
+    with pytest.raises(ValueError, match="takes polynomials"):
+        divide_out(*args)
 
 
 def test_power_sums_match_closed_paths(member_diagrams):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -663,6 +664,59 @@ def test_deeply_nested_json_matrix_is_a_value_error():
     # json.loads raises RecursionError on nesting past the recursion limit
     with pytest.raises(ValueError, match="not valid JSON"):
         sp.parse_matrix("[" * 100_000)
+
+
+@pytest.mark.parametrize("token", ["0_2", "\u0662", "\uff12", "2.0",
+                                   "+-2", "0x2", "2e0"])
+def test_matrix_text_tokens_are_ascii_decimal_integers(token):
+    # int() reads the first three as 2, so such a file once gave x^2 - 4
+    with pytest.raises(ValueError, match="is not a decimal integer"):
+        sp.parse_matrix(f"0 {token}\n{token} 0")
+
+
+def test_matrix_text_tokens_may_be_signed():
+    assert sp.parse_matrix("+0 +2\n2 -0").rows == ((0, 2), (2, 0))
+
+
+def test_adjacency_matrices_skip_the_shape_scan(monkeypatch):
+    # `adjacency` builds a nonempty square int matrix; every other one,
+    # equal by value, parsed from its text or replaced, is scanned once
+    # per call
+    scans = []
+    scan = pl._shape_problem
+    monkeypatch.setattr(pl, "_shape_problem",
+                        lambda rows: scans.append(rows) or scan(rows))
+    monkeypatch.setattr(sp, "_shape_problem", pl._shape_problem)
+    m = sp.adjacency(fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2")))
+    calls = (charpoly, lambda x: sp.closed_path_count(x, 2),
+             sp.AdjMatrix.problems, sp.trace_strands)
+    for call in calls:
+        call(m)
+    assert scans == []
+    for other in (sp.AdjMatrix(m.rows), sp.parse_matrix(m.to_text()),
+                  dataclasses.replace(m)):
+        assert other == m
+        for call in calls:
+            scans.clear()
+            call(other)
+            assert scans == [other.rows], call
+
+
+@pytest.mark.parametrize("rows,problem", [
+    ([[0, True], [1, 0]], "matrix entries must be integers"),
+    ([[0, 2.0], [2, 0]], "matrix entries must be integers"),
+    ([[0, 2], [2]], "matrix is not square"),
+])
+def test_only_adjacency_matrices_skip_the_shape_scan(rows, problem):
+    m = sp.adjacency(fam.generate(fam.parse_spec_string("cyclic:V=2")))
+    for bad in (sp.AdjMatrix(rows), dataclasses.replace(m, rows=rows)):
+        assert bad.problems() == [problem]
+        for call in (charpoly, lambda x: sp.closed_path_count(x, 1),
+                     sp.trace_strands):
+            with pytest.raises(ValueError, match=f"{problem}$"):
+                call(bad)
+    with pytest.raises(ValueError, match=problem):
+        charpoly(rows)
 
 
 def test_matrix_text_round_trip():

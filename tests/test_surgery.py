@@ -1204,7 +1204,10 @@ def test_flat_slot_threads_on_different_members():
             if (dg.faces(d), dg.canonical_code(d), d.edges()) != ref:
                 errors.append(str(spec))
             grown = sg.expand_vertex(d, 0, sg.LANE_IN)
-            if dg._flat(grown) != dg._flat(dataclasses.replace(grown)):
+            copy = dataclasses.replace(grown)
+            if (dg._flat(grown) != dg._flat(copy)
+                    or dg.faces(grown) != dg.faces(copy)
+                    or dg.validate(grown) != []):
                 errors.append(str(spec))
 
     interval = sys.getswitchinterval()
@@ -1220,3 +1223,123 @@ def test_flat_slot_threads_on_different_members():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
+
+
+# ---------------------------------------------------------------------------
+# The slot's face trace and verdict: what `finish` built is not checked again
+# ---------------------------------------------------------------------------
+
+def result_or_error(call, *args):
+    """call(*args), or the type and text of the DiagramError it raises."""
+    try:
+        return call(*args)
+    except dg.DiagramError as exc:
+        return type(exc), str(exc)
+
+
+def assert_hot_reads_equal_cold(d, face=None):
+    """d is the builder's last output: `validate`, `faces`, `face_of_dart`,
+    `face_orientations` and then `contract_bigon` (at `face`, else at d's
+    first bigon, else at face 0) answer from the slot and equal their
+    results on an equal copy, which the slot never answers for.  Returns
+    the contraction's result on the copy, which is then in the slot."""
+    copy = dataclasses.replace(d)
+    for reader in (dg.validate, dg.faces, dg.face_of_dart,
+                   dg.face_orientations):
+        assert dg._flat_slot[0] is d
+        hot, cold = result_or_error(reader, d), result_or_error(reader, copy)
+        assert hot == cold, reader
+    if face is None:
+        sizes = [len(t) for t in dg.faces(copy)[0]]
+        face = sizes.index(2) if 2 in sizes else 0
+    assert dg._flat_slot[0] is d
+    hot = result_or_error(sg.contract_bigon, d, face)
+    cold = result_or_error(sg.contract_bigon, copy, face)
+    assert hot == cold
+    return cold
+
+
+def test_slot_readers_equal_cold_reads_on_sweep():
+    count = 0
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        assert_hot_reads_equal_cold(fam.generate(s))
+        count += 1
+    assert count == 852
+
+
+@pytest.mark.parametrize("text", ["twistknot:V=8", "p:k=3,l=4,m=2",
+                                  "lchain:k=3,n=2"])
+def test_slot_readers_equal_cold_reads_on_round_trips(text):
+    d = fam.generate(fam.parse_spec_string(text))
+    for v in range(d.vertex_count):
+        for lane in sg.LANES:
+            grown, _, bigon = sg._expand(d, v, lane)
+            back = assert_hot_reads_equal_cold(
+                grown, face_id_of_darts(grown, bigon))
+            assert back.vertex_count == d.vertex_count, (v, lane)
+            assert_hot_reads_equal_cold(back)
+
+
+def test_a_round_trip_traces_faces_twice(monkeypatch):
+    # once in each `finish`, for its Euler check; `validate`, `faces` and
+    # the contraction read that trace from the slot
+    calls = []
+    traces = dg._traces
+    monkeypatch.setattr(dg, "_traces",
+                        lambda twin, succ: calls.append(len(twin))
+                        or traces(twin, succ))
+    for text in ("twistknot:V=8", "p:k=3,l=4,m=2", "lchain:k=3,n=2"):
+        d = fam.generate(fam.parse_spec_string(text))
+        for v in range(d.vertex_count):
+            for lane in sg.LANES:
+                calls.clear()
+                grown = sg.expand_vertex(d, v, lane)
+                assert dg.validate(grown) == []
+                face_list, _ = dg.faces(grown)
+                bigon = next(i for i, t in enumerate(face_list)
+                             if len(t) == 2 and min(t) >= len(d.darts))
+                back = sg.contract_bigon(grown, bigon)
+                assert calls == [len(grown.darts), len(back.darts)]
+
+
+def test_validate_answers_from_the_slot(monkeypatch):
+    d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
+    calls = []
+    type_problem, map_problems = dg._type_problem, dg._map_problems
+    monkeypatch.setattr(dg, "_type_problem",
+                        lambda d: calls.append("type") or type_problem(d))
+    monkeypatch.setattr(dg, "_map_problems",
+                        lambda *a: calls.append("map") or map_problems(*a))
+    assert dg.validate(d) == [] and calls == []
+    assert dg.validate(dataclasses.replace(d)) == []
+    assert calls == ["type", "map"]
+
+
+def test_an_equal_copy_is_not_answered_from_the_slot():
+    # Dart(True, ...) == Dart(1, ...), so the copy equals the slot's
+    # diagram by value; only the same object may be answered from it
+    d = member(fam.CYCLIC_TORUS, 3)
+    darts = list(d.darts)
+    darts[1] = dataclasses.replace(darts[1], id=True)
+    copy = dataclasses.replace(d, darts=tuple(darts))
+    assert copy == d and dg._flat_slot[0] is d
+    problem = "dart 1: id must be an integer, got True"
+    assert dg.validate(copy) == [problem]
+    for reader in (dg.faces, dg.face_of_dart, dg.face_orientations,
+                   dg.canonical_code, lambda x: sg.contract_bigon(x, 0)):
+        with pytest.raises(dg.DiagramError, match=f"^{problem}$"):
+            reader(copy)
+
+
+def test_a_build_refused_at_euler_leaves_the_slot_alone():
+    d = member(fam.CYCLIC_TORUS, 4)
+    slot = dg._flat_slot
+    b = sg._Builder(d)
+    a, c = b.tail(0), b.tail(5)  # cross two heads: a map on the torus
+    head_a, head_c = b.twin[a], b.twin[c]
+    b.twin[a], b.twin[head_c], b.twin[c], b.twin[head_a] = head_c, a, head_a, c
+    with pytest.raises(sg.SurgeryError, match="euler: face tracing gives 4"):
+        b.finish("crossing")
+    assert dg._flat_slot is slot
+    assert dg.validate(d) == [] and dg.faces(d) == dg.faces(
+        dataclasses.replace(d))

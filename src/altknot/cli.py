@@ -20,6 +20,7 @@ from . import diagram as dg
 from . import families as fam
 from . import polynomials as poly
 from . import spectra as sp
+from .limits import decimal_int
 
 _USAGE_ERROR = 2
 _VERIFY_FAILURE = 1
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", default="all",
                           choices=("all", "identities",
                                    *(f.prefix for f in fam.FAMILIES)))
-    p_verify.add_argument("--max", type=int, default=8,
+    p_verify.add_argument("--max", type=decimal_int, default=8,
                           help="largest index swept (default 8)")
     p_verify.add_argument("--report", choices=("csv", "text"), default="text")
     p_verify.set_defaults(func=cmd_verify)

@@ -361,12 +361,6 @@ class FaceCensus:
     counts: dict[int, int]
     largest: int
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def size_sum(self) -> int:
-        return sum(j * c for j, c in self.counts.items())
-
 
 def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
     """Faces in order of their smallest dart, each traced from it on flat
@@ -640,16 +634,6 @@ def canonical_code(d: Diagram) -> tuple:
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:
     return canonical_code(a) == canonical_code(b)
-
-
-def mirror(d: Diagram) -> Diagram:
-    """The reflected diagram: every rotation ring reversed.
-
-    Mirrors share all invariants here (census, matrix, polynomial) but are
-    kept distinct as embeddings; this flips between them.
-    """
-    return Diagram(d.kind, d.vertex_count, d.darts,
-                   tuple(tuple(reversed(ring)) for ring in d.rotation))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .diagram import IN, OUT, Diagram
-from .limits import max_vertices
+from .limits import decimal_int, max_vertices
 from .polynomials import IntPoly, X, _jgrow, charpoly, divide_out, jpoly
 from .spectra import adjacency
 from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
@@ -659,11 +659,6 @@ def catalog() -> list[CatalogEntry]:
     return entries
 
 
-def lookup(label: str) -> list[CatalogEntry]:
-    """All catalog entries carrying the given standard-table label."""
-    return [e for e in catalog() if e.rolfsen_label == label]
-
-
 # ---------------------------------------------------------------------------
 # CLI spec strings
 # ---------------------------------------------------------------------------
@@ -691,7 +686,7 @@ def parse_spec_string(text: str) -> FamilySpec:
         if key in given:
             raise FamilyError(f"{head}: parameter {key} is given twice")
         try:
-            given[key] = int(val)
+            given[key] = decimal_int(val)
         except ValueError as exc:
             raise FamilyError(f"parameter {key} must be an integer") from exc
     missing = [n for n in names if n not in given]

@@ -1,20 +1,34 @@
-"""Runtime caps shared across the package."""
+"""Runtime caps shared across the package, and the one rule for integers
+read from text."""
 
 from __future__ import annotations
 
 import os
+import re
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
+
+
+def decimal_int(text: str) -> int:
+    """The integer that `text` spells in ASCII decimal digits, with an
+    optional sign and surrounding whitespace.  Anything else raises
+    ValueError: a value that is not a `str`, and `0_2` or non-ASCII digits,
+    which `int()` would read, included."""
+    if type(text) is not str or not _DECIMAL(text.strip()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def max_vertices() -> int:
     """Dimension cap for diagrams and matrices, overridable through the
     ALTKNOT_MAX_V environment variable (read on every call).
 
-    Raises ValueError, naming the variable, unless the value is an integer
-    of at least 1.
+    Raises ValueError, naming the variable, unless the value is a decimal
+    integer (`decimal_int`) of at least 1.
     """
     raw = os.environ.get("ALTKNOT_MAX_V", "64")
     try:
-        cap = int(raw)
+        cap = decimal_int(raw)
     except ValueError:
         cap = 0
     if cap < 1:

@@ -18,13 +18,12 @@ trailing zeros and checks nothing again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, and_, mul, neg, sub
 from typing import Sequence
 
-from .limits import max_vertices
+from .limits import decimal_int, max_vertices
 
 
 @dataclass(frozen=True)
@@ -182,10 +181,16 @@ class IntPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> IntPoly:
-        """Reads decimal strings only, as `to_json_dict` writes them."""
-        if not set(map(type, data["coeffs"])) <= {str}:
-            raise ValueError("polynomial coefficients must be decimal strings")
-        return cls(tuple([int(s) for s in data["coeffs"]]))
+        """Reads a list of decimal strings (`limits.decimal_int`) only, as
+        `to_json_dict` writes them; anything else raises ValueError."""
+        coeffs = data.get("coeffs") if isinstance(data, dict) else None
+        problem = "polynomial coefficients must be a list of decimal strings"
+        if type(coeffs) is not list:
+            raise ValueError(problem)
+        try:
+            return cls(tuple([decimal_int(s) for s in coeffs]))
+        except ValueError as exc:
+            raise ValueError(problem) from exc
 
 
 ZERO = IntPoly(())
@@ -233,60 +238,6 @@ def jpoly(k: int) -> IntPoly:
         if len(table) > len(_jtable):
             _jtable = table
     return table[k]
-
-
-def jpoly_explicit(k: int) -> IntPoly:
-    """jpoly(k) by the closed binomial sum instead of the recurrence.
-
-    J_k(x) = sum_{j=0}^{floor(k/2)} (-1)^j * C(k-j, j) * x^(k-2j).
-    Kept as an independent code path so the two can be checked against
-    each other.
-    """
-    if type(k) is not int or k < -1:
-        raise ValueError(f"jpoly index must be an integer >= -1, got {k!r}")
-    if k == -1:
-        return ZERO
-    coeffs = [0] * (k + 1)
-    for j in range(k // 2 + 1):
-        coeffs[k - 2 * j] = (-1) ** j * math.comb(k - j, j)
-    return IntPoly(tuple(coeffs))
-
-
-def check_quadratic_identity(k: int) -> bool:
-    """True iff J_k^2 - x*J_k*J_{k-1} + J_{k-1}^2 == 1 exactly."""
-    if k < 1:
-        raise ValueError("quadratic identity needs k >= 1")
-    jk, jk1 = jpoly(k), jpoly(k - 1)
-    return jk * jk - X * jk * jk1 + jk1 * jk1 == ONE
-
-
-def invert_power_series(denominator: Sequence[IntPoly | int],
-                        n_terms: int) -> list[IntPoly]:
-    """Coefficients of 1/denominator as a power series in t over Z[x].
-
-    ``denominator`` lists polynomial coefficients of powers of t and must
-    have constant term 1 (or -1) so the inverse stays integral.
-    """
-    den = [_coerce(c) for c in denominator]
-    if not den or den[0] not in (ONE, -ONE):
-        raise ValueError("series inversion needs constant term +1 or -1")
-    lead = 1 if den[0] == ONE else -1
-    out: list[IntPoly] = []
-    for k in range(n_terms + 1):
-        acc = ONE if k == 0 else ZERO
-        for i in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[i] * out[k - i]
-        out.append(acc * lead)
-    return out
-
-
-def check_generating_function(k_max: int) -> bool:
-    """Expand 1/(1 - t*x + t^2) in t and compare each coefficient to jpoly.
-
-    Returns True iff coefficients of t^0..t^k_max all equal J_0..J_{k_max}.
-    """
-    terms = invert_power_series([ONE, -X, ONE], k_max)
-    return all(terms[k] == jpoly(k) for k in range(k_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -411,37 +362,6 @@ def charpoly(matrix) -> IntPoly:
         coeffs.append(-q)
     coeffs.reverse()
     return IntPoly._of(coeffs)
-
-
-def charpoly_cofactor(matrix) -> IntPoly:
-    """det(x*I - M) by cofactor expansion over Z[x].
-
-    Exponential in the dimension; only sensible for small matrices.  Serves
-    as an independent oracle for :func:`charpoly`, and refuses the
-    matrices it refuses with the same ValueError: `_shape_problem`'s text.
-    """
-    rows = getattr(matrix, "rows", matrix)
-    if problem := _shape_problem(rows):
-        raise ValueError(problem)
-    n = len(rows)
-    xi_minus_m = [[X - rows[i][j] if i == j else IntPoly((-rows[i][j],))
-                   for j in range(n)] for i in range(n)]
-
-    def det(mat: list[list[IntPoly]]) -> IntPoly:
-        size = len(mat)
-        if size == 1:
-            return mat[0][0]
-        total = ZERO
-        rest = mat[1:]
-        for j in range(size):
-            if mat[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1:] for row in rest]
-            term = mat[0][j] * det(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return det(xi_minus_m)
 
 
 def divide_out(p: IntPoly, root_factor: IntPoly) -> tuple[IntPoly, bool]:

@@ -10,19 +10,14 @@ two permutation matrices.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from itertools import compress
 
 from .diagram import OUT, Diagram
+from .limits import decimal_int
 from .polynomials import _power_traces, _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-def _line_sums(rows: Matrix) -> tuple[list[int], list[int]]:
-    """Row sums and column sums of a square matrix, each in one pass."""
-    return list(map(sum, rows)), list(map(sum, zip(*rows)))
 
 
 @dataclass(frozen=True)
@@ -50,20 +45,14 @@ class AdjMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
     def problems(self) -> list[str]:
         if not self._square and (problem := _shape_problem(self.rows)):
             return [problem]
         out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
-        for name, line in zip(("row", "column"), _line_sums(self.rows)):
+        for name, lines in (("row", self.rows), ("column", zip(*self.rows))):
             out += [f"{name} {i} sums to {s}, not 2"
-                    for i, s in enumerate(line) if s != 2]
+                    for i, s in enumerate(map(sum, lines)) if s != 2]
         return out
-
-    def is_valid(self) -> bool:
-        return not self.problems()
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
@@ -76,8 +65,7 @@ def parse_matrix(text: str) -> AdjMatrix:
     """Accepts rows of space-separated integers, or a JSON array of arrays
     of integers; anything else in JSON (a bare number, a float, a boolean)
     raises ValueError rather than being coerced, and so does a text token
-    that is not ASCII decimal digits with an optional sign (`0_2` and
-    non-ASCII digits, which `int()` would read, included)."""
+    that `limits.decimal_int` refuses."""
     stripped = text.strip()
     if stripped.startswith("["):
         try:
@@ -92,12 +80,10 @@ def parse_matrix(text: str) -> AdjMatrix:
     for line in stripped.splitlines():
         line = line.strip()
         if line:
-            tokens = line.split()
-            for tok in tokens:
-                if not re.fullmatch(r"[+-]?[0-9]+", tok):
-                    raise ValueError(f"matrix entry {tok!r} is not a "
-                                     "decimal integer")
-            rows.append(tuple(int(tok) for tok in tokens))
+            try:
+                rows.append(tuple([decimal_int(tok) for tok in line.split()]))
+            except ValueError as exc:
+                raise ValueError(f"matrix entry {exc}") from None
     return AdjMatrix(tuple(rows))
 
 
@@ -259,14 +245,6 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
 # ---------------------------------------------------------------------------
 # Eigen-structure facts that stay in integer arithmetic
 # ---------------------------------------------------------------------------
-
-def all_ones_check(m: AdjMatrix) -> bool:
-    """True iff the all-ones vector is a left and right eigenvector with
-    eigenvalue 2, i.e. all row and column sums equal 2."""
-    if any(len(row) != m.n for row in m.rows):
-        return False
-    return all(s == 2 for line in _line_sums(m.rows) for s in line)
-
 
 # The last matrix swept by closed_path_count (none at first) and the traces
 # of its powers so far.  Replaced whole, never mutated, so threads never see

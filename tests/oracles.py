@@ -1,0 +1,78 @@
+"""Independent oracles the tests check the library against: each states a
+fact of the paper or a law of the code by a second method."""
+
+from __future__ import annotations
+
+import math
+
+from altknot import diagram as dg
+from altknot.polynomials import ONE, ZERO, X, IntPoly, jpoly
+
+
+def jpoly_explicit(k):
+    """J_k by the closed binomial sum instead of the recurrence:
+    J_k(x) = sum_{j=0}^{floor(k/2)} (-1)^j * C(k-j, j) * x^(k-2j)."""
+    coeffs = [0] * (k + 1)
+    for j in range(k // 2 + 1):
+        coeffs[k - 2 * j] = (-1) ** j * math.comb(k - j, j)
+    return IntPoly(tuple(coeffs))
+
+
+def check_quadratic_identity(k):
+    """True iff J_k^2 - x*J_k*J_{k-1} + J_{k-1}^2 == 1 exactly."""
+    jk, jk1 = jpoly(k), jpoly(k - 1)
+    return jk * jk - X * jk * jk1 + jk1 * jk1 == ONE
+
+
+def invert_power_series(denominator, n_terms):
+    """Coefficients of t^0..t^n_terms of 1/denominator over Z[x], for a
+    list of coefficients of powers of t with constant term 1."""
+    out = []
+    for k in range(n_terms + 1):
+        acc = ONE if k == 0 else ZERO
+        for i in range(1, min(k, len(denominator) - 1) + 1):
+            acc = acc - denominator[i] * out[k - i]
+        out.append(acc)
+    return out
+
+
+def check_generating_function(k_max):
+    """True iff 1/(1 - t*x + t^2) expands to J_0..J_{k_max} in t."""
+    terms = invert_power_series([ONE, -X, ONE], k_max)
+    return all(terms[k] == jpoly(k) for k in range(k_max + 1))
+
+
+def charpoly_cofactor(matrix):
+    """det(x*I - M) by cofactor expansion over Z[x]: exponential in the
+    dimension."""
+    rows = getattr(matrix, "rows", matrix)
+    n = len(rows)
+
+    def det(mat):
+        if len(mat) == 1:
+            return mat[0][0]
+        total = ZERO
+        for j, entry in enumerate(mat[0]):
+            if entry:
+                minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+                term = entry * det(minor)
+                total = total + term if j % 2 == 0 else total - term
+        return total
+
+    return det([[(X if i == j else ZERO) - rows[i][j] for j in range(n)]
+                for i in range(n)])
+
+
+def all_ones_check(m):
+    """True iff the all-ones vector is a left and right eigenvector with
+    eigenvalue 2, i.e. all row and column sums equal 2."""
+    if any(len(row) != m.n for row in m.rows):
+        return False
+    return all(s == 2 for lines in (m.rows, zip(*m.rows))
+               for s in map(sum, lines))
+
+
+def mirror(d):
+    """The reflected diagram: every rotation ring reversed."""
+    return dg.Diagram(d.kind, d.vertex_count, d.darts,
+                      tuple(tuple(reversed(ring)) for ring in d.rotation))

@@ -95,8 +95,11 @@ def test_charpoly_matrix_file(capsys, tmp_path):
 
 
 def test_charpoly_missing_input(capsys):
-    code, _, err = run(capsys, "charpoly", "no_such_file.json")
-    assert code == 2 and "error:" in err
+    # int() reads 1_0 as 10 and the Arabic-Indic digit three as 3, so
+    # these specs once built V = 10 and V = 3
+    for source in ("no_such_file.json", "cyclic:V=1_0", "cyclic:V=\u0663"):
+        code, _, err = run(capsys, "charpoly", source)
+        assert code == 2 and "error:" in err, source
 
 
 @pytest.mark.parametrize("command", ["charpoly", "census"])
@@ -181,6 +184,11 @@ def test_verify_empty_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cyclic", "--max", "0")
     assert code == 0
     assert "0 rows" in out
+    for maximum in ("1_0", "\u0663"):  # once swept to 10 and to 3
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--family", "cyclic", "--max", maximum)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("maximum", ["0", "-3"])
@@ -215,7 +223,7 @@ def test_verify_all_csv_golden(capsys):
         "e4b00271bbb709ddd8aba91564cf7161c6d635eee57bfa4edc0e8327aad2cfcf")
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize("value", ["0", "-5", "abc", "1_0", "\u0663"])
 def test_bad_vertex_cap_is_input_error(capsys, monkeypatch, value):
     monkeypatch.setenv("ALTKNOT_MAX_V", value)
     with pytest.raises(ValueError, match="ALTKNOT_MAX_V"):

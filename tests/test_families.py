@@ -63,7 +63,8 @@ def test_spec_strings():
     assert s == spec(fam.THREE_RIBBON_P, 3, 2, 2)
     assert fam.spec_string(s) == "p:k=3,l=2,m=2"
     assert fam.parse_spec_string("cyclic:V=5") == spec(fam.CYCLIC_TORUS, 5)
-    for text in ("nonsense", "cyclic", "cyclic:V=x", "cyclic:W=3", "f:j=2"):
+    for text in ("nonsense", "cyclic", "cyclic:V=x", "cyclic:W=3", "f:j=2",
+                 "cyclic:V=1_0", "cyclic:V=\u0663"):
         with pytest.raises(fam.FamilyError):
             fam.parse_spec_string(text)
 
@@ -533,17 +534,19 @@ def test_waist_ring_component_counts():
 # Catalog
 # ---------------------------------------------------------------------------
 
+def lookup(label):
+    return [e for e in fam.catalog() if e.rolfsen_label == label]
+
+
 def test_catalog_lookups():
-    assert any(e.family == spec(fam.TWO_RIBBON, 2, 2)
-               for e in fam.lookup("4_1"))
-    assert any(e.family == spec(fam.TWO_RIBBON, 5, 4)
-               for e in fam.lookup("9_4"))
+    assert any(e.family == spec(fam.TWO_RIBBON, 2, 2) for e in lookup("4_1"))
+    assert any(e.family == spec(fam.TWO_RIBBON, 5, 4) for e in lookup("9_4"))
     assert any(e.family == spec(fam.THREE_RIBBON_G, 3, 3, 2)
-               for e in fam.lookup("8_5"))
+               for e in lookup("8_5"))
 
 
 def test_catalog_flags_inconsistent_duplicate():
-    six, twenty = fam.lookup("10_6"), fam.lookup("10_20")
+    six, twenty = lookup("10_6"), lookup("10_20")
     assert six and twenty
     assert six[0].family == twenty[0].family
     assert fam.FLAG_INCONSISTENT in six[0].flags
@@ -559,7 +562,7 @@ def test_catalog_members_verify():
 def test_same_label_different_polynomials_is_allowed():
     # one table label may appear in several families whose polynomials
     # disagree; the polynomial is only a semi-invariant
-    entries = fam.lookup("5_2")
+    entries = lookup("5_2")
     polys = {str(fam.closed_form(e.family)) for e in entries}
     assert len(entries) >= 2
     assert len(polys) == 2

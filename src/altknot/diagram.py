@@ -58,6 +58,7 @@ class Diagram:
     vertex_count: int
     darts: tuple[Dart, ...]
     rotation: tuple[tuple[int, int, int, int], ...]
+    _checked = None  # `_flat`'s lists and face trace, set by `_carry` only
 
     # -- basic accessors --------------------------------------------------
 
@@ -105,29 +106,21 @@ class Diagram:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
 
 
-_flat_slot: tuple = (None, None, None)
-
-
 def _flat(d: Diagram, error: type[DiagramError] = DiagramError
           ) -> tuple[list[int], list[int], list[bool], list[int]]:
     """twin, rotation successor, is-outgoing and vertex (the index of the
-    ring that lists it) of every dart, as lists indexed by dart id: what
-    the readers and the surgery builder read instead of the Dart objects,
-    and read-only for every caller.  Reads the rotation, the vertex count
-    and each dart's id, twin and direction; `Dart.vertex` only has its
-    type checked.  The one gate:
-    raises `error` with `_type_problem`'s text, and unless the ids
-    are 0, 1, ... in order, the rings list every dart once, four per
-    vertex, and the twins pair each out dart with one in dart (a direction
-    is compared with OUT and IN, never hashed); alternation is left to the
-    walks.  The lists of the last diagram `surgery._Builder.finish` made,
-    which its `_map_problems` run checked, are kept in one slot with the
-    face trace of that run; this function, `_face_traces` and `validate`
-    read it but never write it.  That diagram is immutable through and
-    through, so for the same object they are returned as they are."""
-    slot = _flat_slot
-    if slot[0] is d:
-        return slot[1]
+    ring that lists it) of every dart, as lists indexed by dart id, which
+    the readers and the surgery builder read, read-only: the lists d
+    carries (`_carry`), which its tuples of frozen records and ints cannot
+    change under, else read from the rotation, the vertex count and each
+    dart's id, twin and direction (`Dart.vertex` is only type-checked)
+    behind the one gate: raises `error` with `_type_problem`'s text, and
+    unless the ids are 0, 1, ... in order, the rings list every dart once,
+    four per vertex, and the twins pair each out dart with one in dart (a
+    direction is compared with OUT and IN, never hashed); alternation is
+    left to the walks."""
+    if checked := d._checked:
+        return checked[0]
     problem = _type_problem(d)
     if problem:
         raise error(problem)
@@ -154,11 +147,12 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     return twin, succ, out, vertex
 
 
-def _seed_flat(d: Diagram, flat: tuple, faces: list) -> None:
-    """Keep `_flat`'s lists of d, which `_map_problems` passed, and the face
-    trace it returned: the slot's one writer, for the builder."""
-    global _flat_slot
-    _flat_slot = (d, flat, faces)
+def _carry(d: Diagram, flat: tuple, faces: list) -> Diagram:
+    """d, carrying the `_flat` lists and face trace of a check that found
+    nothing: for the surgery builder's `finish` and `from_json_dict`, which
+    make d's darts and rings tuples."""
+    object.__setattr__(d, "_checked", (flat, faces))
+    return d
 
 
 def _type_problem(d: Diagram) -> str | None:
@@ -223,32 +217,36 @@ def validate(d: Diagram) -> list[str]:
 
     Violations are data, not exceptions: arbitrary candidate structures are
     accepted and reported on.  A kind outside KINDS is listed first, and
-    the map's own checks run on a list of their own, so it hides none.
-    The builder's last output is valid without a check: `finish` derived
-    its kind and ran `_map_problems` on the lists it was made from.
+    the map's own checks run on a list of their own, so it hides none.  A
+    diagram that carries checked lists passed these checks when it was made.
     """
-    if _flat_slot[0] is d:
-        return []
+    return [] if d._checked else _check(d)[0]
+
+
+def _check(d: Diagram) -> tuple[list[str], tuple | None]:
+    """`validate`'s report on d's records, and the `_flat` lists and face
+    trace it built if it is empty."""
     problems: list[str] = []
     if d.kind not in KINDS:
         problems.append(f"kind: {d.kind!r} is not one of {KINDS}")
     bad_field = _type_problem(d)
     if bad_field:
         problems.append(bad_field)
-        return problems
+        return problems, None
     twin = [x.twin for x in d.darts]
     vertex = [x.vertex for x in d.darts]
     direction = [x.direction for x in d.darts]
     out = [x == OUT for x in direction]
     succ, ring_of = _rings(d.rotation, len(twin))
     found: list[str] = []
-    if _map_problems(found, d.vertex_count, d.rotation, succ, ring_of,
-                     [x.id for x in d.darts], vertex, twin, direction, out):
-        kind = _kind(twin, succ, out, vertex)
-        if d.kind != kind:
-            found.append(f"kind: the structure makes it a {kind}, "
-                         f"but kind is {d.kind!r}")
-    return problems + found
+    faces = _map_problems(found, d.vertex_count, d.rotation, succ, ring_of,
+                          [x.id for x in d.darts], vertex, twin, direction,
+                          out)
+    if faces and d.kind != (kind := _kind(twin, succ, out, vertex)):
+        found.append(f"kind: the structure makes it a {kind}, "
+                     f"but kind is {d.kind!r}")
+    problems += found
+    return problems, None if problems else ((twin, succ, out, vertex), faces)
 
 
 def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
@@ -256,15 +254,13 @@ def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
                   vertex: list[int], twin: list[int], direction: list[str],
                   out: list[bool]) -> list[tuple[int, ...]] | bool:
     """`validate`'s checks from the vertex count through Euler on lists by
-    dart id, for it and the surgery builder: appends to `problems` and
-    returns the Euler check's face trace when they ran to the end, where
-    `validate` compares kinds, and False when they stopped early (a
-    problem listed before stops them after the twin checks, so every
-    caller passes an empty list).  A loop runs only where C-level passes
-    fail, to write the texts.  Ring listing passes when `ring_of ==
-    vertex`: the 4V darts then fill at most V rings of four, so each is
-    listed once (pigeonhole), and each ring alternates iff
-    `out[succ[i]] != out[i]` for its darts."""
+    dart id, for it and the surgery builder: appends to `problems`, which
+    must start empty (a problem in it stops them after the twin checks),
+    and returns the Euler check's face trace when they ran to the end,
+    else False.  A loop runs only where C-level passes fail, to write the
+    texts.  Ring listing passes when `ring_of == vertex`: the 4V darts then
+    fill at most V rings of four, so each is listed once (pigeonhole), and
+    each ring alternates iff `out[succ[i]] != out[i]` for its darts."""
     n = len(twin)
     if vertex_count < 1:
         problems.append("vertex count: V must be >= 1")
@@ -384,12 +380,10 @@ def _traces(twin: list[int], succ: list[int]) -> list[tuple[int, ...]]:
 
 def _face_traces(d: Diagram, flat: tuple | None = None
                  ) -> list[tuple[int, ...]]:
-    """`_traces` of d, read-only: the slot's trace when d is the builder's
-    last output, else traced from `flat`, d's `_flat` lists if the caller
-    holds them, or from a fresh `_flat(d)`."""
-    slot = _flat_slot
-    if slot[0] is d:
-        return slot[2]
+    """`_traces` of d, read-only: the trace d carries, else traced from
+    `flat`, d's `_flat` lists if the caller holds them, or a fresh one."""
+    if checked := d._checked:
+        return checked[1]
     return _traces(*(flat or _flat(d))[:2])
 
 
@@ -685,7 +679,8 @@ def from_json_dict(data: dict) -> Diagram:
         raise DiagramFormatError(f"malformed diagram document: {exc}") from exc
     if any(dart.direction not in (OUT, IN) for dart in d.darts):
         raise DiagramFormatError("dart dir must be 'out' or 'in'")
-    return d
+    _, checked = _check(d)  # a valid document is checked here, once
+    return _carry(d, *checked) if checked else d
 
 
 def from_json(text: str) -> Diagram:

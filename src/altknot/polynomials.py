@@ -255,19 +255,49 @@ def _shape_problem(rows: Sequence[Sequence[int]]) -> str:
     return ""
 
 
-def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
+def _layers(supports: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """`_power_traces`' layers of the rows whose supports are given."""
+    return [[s[l] if l < len(s) else n for s in supports]
+            for l in range(max(1, *map(len, supports)))]
+
+
+def _plan(matrix, side: int = 0) -> tuple:
+    """`_power_traces`' arguments after the capacity for the rows (side 0)
+    or columns (side 1) of `matrix`: the layers `spectra.adjacency` gave
+    it, else, unless `_shape_problem` finds a ValueError to raise, the
+    layers, `extra`, c and `signed` of its lines."""
+    if layers := getattr(matrix, "_layers", None):
+        return (layers[side],)
+    lines = getattr(matrix, "rows", matrix)
+    if problem := _shape_problem(lines):
+        raise ValueError(problem)
+    lines = list(zip(*lines)) if side else lines
+    n = len(lines)
+    supports = [list(compress(range(n), line)) for line in lines]
+    signed = min(map(min, lines)) < 0
+    sums = ([sum(map(abs, line)) for line in lines] if signed
+            else map(sum, lines))
+    extra = [(i, j, lines[i][j] - 1) for i, s in enumerate(supports)
+             for j in s if lines[i][j] != 1]
+    return _layers(supports, n), extra, max(1, *sums), signed
+
+
+def _power_traces(capacity: int, layers: list[list[int]], extra=(),
+                  c: int = 0, signed: bool = False) -> list[int]:
     """trace(L^k) for k = 1..K, K the capacity, of the square int matrix L
-    whose rows are `lines`, from its packed powers.
+    given by its layers, from its packed powers.
 
     Row i of L^k is one Python int, sum over j of (L^k)_ij * 2^(w*j), so
-    entry j sits in the w-bit slot j (Kronecker substitution).  As
-    L^k = L * L^(k-1), row i of L^k sums L_ij times packed row j of
-    L^(k-1) over the nonzero L_ij.  That runs as C-level passes over the
-    list of rows: `layers[l]` names, for every row i, the l-th column of
-    its support (n past a short support, where the packed list holds an
-    appended 0), and `extra` holds (i, j, L_ij - 1) for each entry
-    L_ij != 1, added after the passes.  For an adjacency matrix that is two
-    passes plus one term per 2-entry, with no interpreted step per entry.
+    entry j sits in the w-bit slot j (Kronecker substitution), and it sums
+    L_ij times packed row j of L^(k-1) over the nonzero L_ij, in C-level
+    passes: `layers[l]` names, for every row i, the l-th column of its
+    support (n past a short support, where the packed list holds an
+    appended 0).  `spectra.adjacency` repeats a column by its multiplicity;
+    `_plan` lists it once and puts (i, j, L_ij - 1) in `extra` for each
+    L_ij != 1, added after the passes.  The first two layers take one fused
+    pass, so an adjacency matrix costs one pass per power.  `signed` says L
+    has a negative entry, and `c` is the c below, by default the number of
+    layers, which it is when they repeat columns and there is no `extra`.
 
     The width suffices for every k <= K, the capacity.  Let c = max(1,
     ||L||_inf), the largest sum of |L_ij| over a row (for a matrix with no
@@ -292,29 +322,21 @@ def _power_traces(lines: Sequence[Sequence[int]], capacity: int) -> list[int]:
     (M^k)^T, and take c from ||M^T||_inf = ||M||_1.  Both norms bound every
     entry of M^k, and trace((M^T)^k) = trace(M^k).
     """
-    n = len(lines)
-    supports = [list(compress(range(n), line)) for line in lines]
-    signed = min(map(min, lines)) < 0
-    sums = ([sum(map(abs, line)) for line in lines] if signed
-            else map(sum, lines))
-    c = max(1, *sums)
-    b = capacity * (c - 1).bit_length()
+    n = len(layers[0])
+    b = capacity * ((c or len(layers)) - 1).bit_length()
     w = b + 2 + n.bit_length()
     shifts = range(0, n * w, w)
-    layers = [[s[l] if l < len(s) else n for s in supports]
-              for l in range(max(1, *map(len, supports)))]
-    extra = [(i, j, lines[i][j] - 1) for i, s in enumerate(supports)
-             for j in s if lines[i][j] != 1]
     fold = (1 << w) - 1
     masks = [*map(fold.__lshift__, shifts)]
     h = 1 << (b + 1) if signed else 0
     bias, offset = sum(map(h.__lshift__, shifts)), n * h
     power = [*map((1).__lshift__, shifts), 0]
+    first, second, *rest = layers if layers[1:] else [*layers, [n] * n]
     traces = []
     for _ in range(capacity):
         get = power.__getitem__
-        prod = list(map(get, layers[0]))
-        for layer in layers[1:]:
+        prod = list(map(add, map(get, first), map(get, second)))
+        for layer in rest:
             prod = list(map(add, prod, map(get, layer)))
         for i, j, v in extra:
             prod[i] += v * power[j]
@@ -332,15 +354,13 @@ def charpoly(matrix) -> IntPoly:
     det(x*I - M) = x^n + c_1*x^(n-1) + ... + c_n by Newton's identities,
     k*c_k = -(c_(k-1)*p_1 + c_(k-2)*p_2 + ... + c_0*p_k) with c_0 = 1.  The
     division by k is exact because the c_k are integers; a remainder
-    raises ArithmeticError.  The traces come from `_power_traces` on the
-    rows of M, with capacity n.
+    raises ArithmeticError.
 
-    Matrix rows are consumed as any sequence of sequences of ints (an
-    AdjMatrix works too); a matrix that is empty, not square or has an
-    entry of any other type, `bool` and `float` included, raises
-    ValueError with `_shape_problem`'s text rather than being truncated.
-    Only an AdjMatrix that `spectra.adjacency` made, marked square, skips
-    that scan.
+    The traces come from `_power_traces` with capacity n on the rows of M,
+    any sequence of sequences of ints or an AdjMatrix, read through
+    `_plan`: unless `spectra.adjacency` made it, a matrix that is empty,
+    not square or has an entry of another type (`bool` and `float` too)
+    raises its ValueError rather than being truncated.
     """
     rows = getattr(matrix, "rows", matrix)
     n = len(rows)
@@ -348,11 +368,7 @@ def charpoly(matrix) -> IntPoly:
         raise ValueError(
             f"matrix dimension {n} above the cap {max_vertices()} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    if (not getattr(matrix, "_square", False)
-            and (problem := _shape_problem(rows))):
-        raise ValueError(problem)
-
-    traces = _power_traces(rows, n)
+    traces = _power_traces(n, *_plan(matrix))
     coeffs = [1]
     for k in range(1, n + 1):
         q, rem = divmod(sum(map(mul, reversed(coeffs), traces)), k)

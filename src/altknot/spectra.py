@@ -15,7 +15,7 @@ from itertools import compress
 
 from .diagram import OUT, Diagram
 from .limits import decimal_int
-from .polynomials import _power_traces, _shape_problem
+from .polynomials import _layers, _plan, _power_traces, _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -25,17 +25,7 @@ class AdjMatrix:
     """Square nonnegative integer matrix with all row and column sums 2."""
 
     rows: Matrix
-    _square = False  # True only as `_of` sets it
-
-    @classmethod
-    def _of(cls, rows: Matrix) -> AdjMatrix:
-        """The matrix of the n tuples of n `int`s `adjacency` just built,
-        marked (n >= 1) as the nonempty square `int` matrix it is, so
-        `problems`, `charpoly` and `closed_path_count` skip the scan."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "_square", bool(rows))
-        return m
+    _layers = None  # (row layers, column layers), set only by `adjacency`
 
     def __post_init__(self) -> None:
         # tuple([...]) rather than tuple(genexpr): see altknot.polynomials
@@ -46,7 +36,7 @@ class AdjMatrix:
         return len(self.rows)
 
     def problems(self) -> list[str]:
-        if not self._square and (problem := _shape_problem(self.rows)):
+        if not self._layers and (problem := _shape_problem(self.rows)):
             return [problem]
         out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
         for name, lines in (("row", self.rows), ("column", zip(*self.rows))):
@@ -92,16 +82,26 @@ def adjacency(d: Diagram) -> AdjMatrix:
 
     The matrix determines the directed multigraph of the diagram but not
     its sphere embedding.  Reads the vertex count and each dart's
-    `direction`, `twin` and `vertex` fields, unchecked: defined on maps
-    `validate` accepts.
+    `direction`, `twin` and `vertex`, unchecked: defined on maps `validate`
+    accepts.  The same loop lists each vertex's out-heads and in-tails, its
+    row's and column's supports, which the matrix carries as layers.
     """
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]
+    heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
     darts = d.darts
     for x in darts:
         if x.direction == OUT:
-            rows[x.vertex][darts[x.twin].vertex] += 1
-    return AdjMatrix._of(tuple([tuple(row) for row in rows]))
+            v, w = x.vertex, darts[x.twin].vertex
+            rows[v][w] += 1  # a vertex in -n..-1 wraps, and so do the layers
+            heads[v].append(w % n)
+            tails[w].append(v % n)
+    m = object.__new__(AdjMatrix)
+    object.__setattr__(m, "rows", tuple([tuple(row) for row in rows]))
+    if n:  # n tuples of n ints: with layers, no reader scans the shape
+        layers = (_layers(heads, n), _layers(tails, n))
+        object.__setattr__(m, "_layers", layers)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +142,10 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     owns edges 2i and 2i + 1 and a row step is `e ^ 1`.
 
     The result for the last matrix walked is kept, keyed on the identity
-    of its rows, so :func:`permutation_decompositions` after this call on
-    the same matrix neither checks nor walks it again.  The rows are an
-    immutable tuple the slot holds on to, so the same object means the
-    same entries; a matrix equal to it by value is a different object and
-    is checked afresh, so `True` or `1.0` entries are still refused.  A
-    refused matrix leaves the slot as it was.
+    of its rows, an immutable tuple the slot holds on to, so
+    :func:`permutation_decompositions` right after this call neither checks
+    nor walks it again.  A matrix equal by value is checked afresh (`True`
+    or `1.0` entries are refused), and a refused one leaves the slot.
     """
     global _strands_slot
     rows = m.rows
@@ -206,8 +204,7 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
     Flipping a component whose classes coincide repeats a pair and flipping
     any other gives a new one, so only flips of the distinct components are
     enumerated, in the order of their first occurrence.  The strands come
-    from :func:`trace_strands`, so right after that call on the same
-    matrix they are neither checked nor walked again.
+    from :func:`trace_strands`, whose slot answers right after it.
     """
     dec = trace_strands(m)
     n = m.n
@@ -246,9 +243,8 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
 # Eigen-structure facts that stay in integer arithmetic
 # ---------------------------------------------------------------------------
 
-# The last matrix swept by closed_path_count (none at first) and the traces
-# of its powers so far.  Replaced whole, never mutated, so threads never see
-# it torn.
+# The last matrix swept by closed_path_count and the traces of its powers so
+# far: replaced whole, never mutated, so threads never see it torn.
 _paths_slot: tuple = (None, ())
 
 
@@ -256,29 +252,25 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
     The traces are `altknot.polynomials._power_traces` of the columns of M,
-    which are the rows of M^T, and trace((M^T)^j) = trace(M^j).  Those of
-    the last matrix asked about are kept, so a sweep k = 1..V costs V
-    products, not V(V + 1)/2.  The first call on a matrix computes
+    the rows of M^T, as `_plan` gives them: trace((M^T)^j) = trace(M^j).
+    Those of the last matrix asked about are kept, so a sweep k = 1..V
+    costs V products, not V(V + 1)/2.  The first call on a matrix computes
     K = max(k, V) traces at once, so a single call with a small k costs V
     products, not k; a call with k > K computes max(k, 2K) afresh.
 
-    `charpoly` runs the same kernel on the rows of M, so the traces it
-    turns into coefficients and these are one computation on M and M^T.
-    An empty or non-square M, a non-int entry (bool and float too) or k not
-    an int >= 1: ValueError; a matrix `adjacency` made is not scanned.
+    `charpoly` runs the same kernel on the rows of M.  An empty or
+    non-square M, a non-int entry (bool and float too) or k not an int
+    >= 1: ValueError; a matrix `adjacency` made is not scanned.
     """
     global _paths_slot
     if type(k) is not int or k < 1:
         raise ValueError("path length must be an integer >= 1")
     rows = m.rows
     key, traces = _paths_slot
-    if key is not rows:  # a matrix object not checked yet
-        if not m._square and (problem := _shape_problem(rows)):
-            raise ValueError(problem)
-        if key != rows:
-            traces = ()
+    plan = None if key is rows else _plan(m, 1)  # checks a new object
+    traces = traces if key is rows or key == rows else ()
     if k > len(traces):
-        traces = _power_traces(list(zip(*rows)),
-                               max(k, len(rows), 2 * len(traces)))
+        traces = _power_traces(max(k, len(rows), 2 * len(traces)),
+                               *(plan or _plan(m, 1)))
     _paths_slot = (rows, traces)
     return traces[k - 1]

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _face_traces,
-                      _flat, _kind, _map_problems, _rings, _seed_flat)
+from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _carry,
+                      _face_traces, _flat, _kind, _map_problems, _rings)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -79,23 +79,20 @@ def lane_splitting_face(d: Diagram, face_darts) -> str:
 
 class _Builder:
     """Mutable `twin` and `direction` lists indexed by dart id, plus the
-    rotation ring of every vertex.  A dart's vertex is the ring that
-    lists it; `finish` works it out once.
+    rotation ring of every vertex, the vertex of the darts it lists.
 
     The growth moves append darts and vertices in a fixed order and touch
     only the darts they rewire, in time independent of the diagram's size;
-    `finish` then derives the kind, checks the result and makes the `Dart`
-    tuple, each once.  No move changes a dart's direction, and only `drop`
-    renumbers darts.
+    `finish` then works out the vertices, derives the kind, checks the
+    result and makes the `Dart` tuple, each once.  No move changes a
+    dart's direction, and only `drop` renumbers darts.
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
-        """A builder holding d, or holding nothing yet.  d's field types
-        and incidence must pass `_flat`; every operation reads its input
-        only through this check, and `flat` keeps the lists it returned,
-        which describe d, not the builder after a move.  They are
-        read-only, so twin is copied; rings become tuples, so what
-        `finish` makes is frozen."""
+        """A builder holding d, or holding nothing yet.  Every operation
+        reads its input only through `_flat`'s gate, and `flat` keeps the
+        read-only lists it returned, which describe d, not the builder
+        after a move: twin is copied, and rings become tuples."""
         if d is None:
             self.darts, self.rotation, self.flat = (), [], None
             self.twin, self.direction = [], []
@@ -264,8 +261,8 @@ class _Builder:
         """The diagram, its kind derived first (so the strand walk refuses
         an inconsistent map), then `validate`'s checks on the builder's
         lists, raising `error` naming `what`; unchanged `Dart`s are kept,
-        and the checked lists and the face trace of the check go to
-        `_flat`'s slot."""
+        and the diagram carries the checked lists and their face trace, so
+        the builder is spent: its lists are now the diagram's."""
         twin, direction, rotation = self.twin, self.direction, self.rotation
         n = len(twin)
         succ, vertex = _rings(rotation, n)
@@ -283,8 +280,7 @@ class _Builder:
         k = len(darts)
         darts += map(Dart, range(k, n), vertex[k:], twin[k:], direction[k:])
         d = Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
-        _seed_flat(d, (twin, succ, out, vertex), faces)
-        return d
+        return _carry(d, (twin, succ, out, vertex), faces)
 
 
 # ---------------------------------------------------------------------------

@@ -157,13 +157,42 @@ def test_matrix_text_must_be_ascii_decimal(capsys, tmp_path, doc):
                                   "lchain:k=3,n=4"])
 def test_a_spec_and_its_json_give_the_same_output(capsys, tmp_path, command,
                                                   spec):
-    # the spec is answered from the builder's slot (face trace, verdict);
-    # its JSON goes through from_json, the full validate and a fresh trace
+    # the spec's diagram carries the face trace and verdict of the
+    # builder's check; its JSON is checked by from_json from the records
     path = tmp_path / "d.json"
     assert main(["gen", spec, "--out", str(path)]) == 0
     hot = run(capsys, command, spec)
     assert hot[0] == 0 and hot[1]
     assert run(capsys, command, str(path)) == hot
+
+
+@pytest.mark.parametrize("spec, checks", [
+    ("kribbon:k=4,m=3", {"type": 0, "trace": 1}),
+    ("KRIBBON_JSON", {"type": 1, "trace": 1}),
+])
+def test_a_diagram_is_checked_once_per_census(capsys, tmp_path, monkeypatch,
+                                               spec, checks):
+    # a spec's member is checked by the builder's `finish`, whose Euler
+    # check traces the faces; a JSON diagram by `from_json`, which applies
+    # the type rule too; `validate` and `faces` read what either carries
+    if spec == "KRIBBON_JSON":
+        spec = str(tmp_path / "d.json")
+        assert main(["gen", "kribbon:k=4,m=3", "--out", spec]) == 0
+    calls = {"type": 0, "trace": 0}
+    type_problem, traces = dg._type_problem, dg._traces
+
+    def counted_type(d):
+        calls["type"] += 1
+        return type_problem(d)
+
+    def counted_trace(twin, succ):
+        calls["trace"] += 1
+        return traces(twin, succ)
+
+    monkeypatch.setattr(dg, "_type_problem", counted_type)
+    monkeypatch.setattr(dg, "_traces", counted_trace)
+    assert run(capsys, "census", spec)[0] == 0
+    assert calls == checks
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from oracles import all_ones_check
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
+from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
 
 from altknot import families as fam
 from altknot import polynomials as pl
 from altknot import spectra as sp
+from altknot import surgery as sg
 from altknot.polynomials import charpoly
 
 
@@ -411,7 +413,9 @@ def test_power_traces_at_the_width_edge(n):
     # of every power is (n*c)^k; on the diagonal every slot holds
     # |c|^k, the largest entry the width allows, so the n diagonal digits
     # read at once sum to n times that.  Both branches: no negative entry
-    # (unbiased digits) and a negative entry (biased ones).
+    # (unbiased digits) and a negative entry (biased ones).  Up to c = 33,
+    # the nonnegative ones also as layers that repeat each column c times,
+    # as `adjacency` records them, where the kernel takes c from the count
     for c in WIDTH_EDGE_SCALARS:
         for sign in (1, -1):
             full = [[sign * c] * n for _ in range(n)]
@@ -419,11 +423,19 @@ def test_power_traces_at_the_width_edge(n):
             one_negative[n - 1][0] = -c
             diagonal = [[sign * c * (i == j) for j in range(n)]
                         for i in range(n)]
-            for rows in (full, one_negative, diagonal):
+            repeat = sign == 1 and c <= 33
+            cases = [(full, repeat and [[*range(n)] * c] * n),
+                     (one_negative, None),
+                     (diagonal, repeat and [[i] * c for i in range(n)])]
+            for rows, supports in cases:
                 ref = reference_path_counts(sp.AdjMatrix(rows), 2 * n)
                 for capacity in (1, n, 2 * n):
-                    assert (pl._power_traces(rows, capacity)
+                    assert (pl._power_traces(capacity, *pl._plan(rows))
                             == ref[:capacity]), (rows, capacity)
+                    if supports:
+                        layers = pl._layers(supports, n)
+                        assert (pl._power_traces(capacity, layers)
+                                == ref[:capacity]), (supports, capacity)
 
 
 def test_closed_path_count_interleaved_matrices():
@@ -447,32 +459,128 @@ def test_closed_path_count_descending_repeated_and_beyond_v():
     assert sp.closed_path_count(again, 3 * m.n - 1) == ref[3 * m.n - 2]
 
 
-def test_closed_path_count_reuses_the_kernel(monkeypatch):
-    """A sweep k = 1..V is one kernel call of capacity V, so V products;
-    k = V + 1 is one more of capacity 2V and a repeat or an equal matrix
-    none.  charpoly is one call of capacity n."""
-    calls, kernel = [], pl._power_traces
-
-    def counted(lines, capacity):
-        calls.append(capacity)
-        return kernel(lines, capacity)
-
-    monkeypatch.setattr(sp, "_power_traces", counted)
-    monkeypatch.setattr(pl, "_power_traces", counted)
-    monkeypatch.setattr(sp, "_paths_slot", (None, ()))
+def test_closed_path_count_reuses_the_kernel():
+    """A sweep k = 1..V, a repeat, k past V and an equal matrix built from
+    rows give trace(M^k) on an `adjacency` matrix, which the kernel reads
+    through its column layers, and the power sums of `charpoly`, which
+    reads its row layers, are the same counts."""
     m = sp.adjacency(fam.generate(fam.parse_spec_string("twistknot:V=24")))
     v = m.n
     ref = reference_path_counts(m, 2 * v)
     assert [sp.closed_path_count(m, k) for k in range(1, v + 1)] == ref[:v]
-    assert calls == [v]
     assert sp.closed_path_count(m, v + 1) == ref[v]
-    assert calls == [v, 2 * v]
     assert sp.closed_path_count(m, v + 1) == ref[v]
     again = sp.AdjMatrix([list(row) for row in m.rows])
     assert sp.closed_path_count(again, 2 * v) == ref[2 * v - 1]
-    assert calls == [v, 2 * v]
-    charpoly(m)
-    assert calls == [v, 2 * v, v]
+    assert [sp.closed_path_count(again, k) for k in range(v, 0, -1)] == ref[
+        v - 1::-1]
+    for matrix in (m, again):
+        assert pl.power_sums_from_charpoly(charpoly(matrix), 2 * v) == ref
+
+
+# ---------------------------------------------------------------------------
+# The kernel on `adjacency`'s layers against the rows path and dense powers
+# ---------------------------------------------------------------------------
+
+def rows_path_traces(m, capacity):
+    return pl._power_traces(capacity, *pl._plan(m.rows))
+
+
+def assert_layers_agree(m, dense=True):
+    """For capacities 1, V and 3V, the traces from the row layers and
+    from the column layers `adjacency` recorded equal those of the rows
+    path, and with `dense` those of dense powers too."""
+    row_layers, column_layers = m._layers
+    ref = reference_path_counts(m, 3 * m.n) if dense else None
+    for capacity in (1, m.n, 3 * m.n):
+        want = rows_path_traces(m, capacity)
+        assert ref is None or want == ref[:capacity], m.rows
+        assert pl._power_traces(capacity, row_layers) == want, m.rows
+        assert pl._power_traces(capacity, column_layers) == want, m.rows
+
+
+def test_adjacency_layers_agree_with_the_rows_path_on_sweep():
+    # 726 distinct matrices, V = 1..64; dense powers up to 3V are checked
+    # where V <= 10, which is 181 of them
+    seen = set()
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        m = sp.adjacency(fam.generate(s))
+        if m.rows not in seen:
+            seen.add(m.rows)
+            assert_layers_agree(m, dense=m.n <= 10)
+    assert len(seen) == 726
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("cyclic:V=1", ((2,),)),
+    ("cyclic:V=2", ((0, 2), (2, 0))),
+    ("hopftwist:V=5", None),
+    ("hopftwist:V=9", None),
+])
+def test_adjacency_layers_of_two_entries_and_loops(text, rows):
+    m = sp.adjacency(fam.generate(fam.parse_spec_string(text)))
+    assert rows is None or m.rows == rows
+    assert any(2 in row for row in m.rows) or any(
+        m.rows[i][i] for i in range(m.n))
+    assert_layers_agree(m)
+
+
+def test_adjacency_layers_on_random_surgery():
+    rng = random.Random(26)
+    for _ in range(40):
+        d = rng.choice(SURGERY_SEEDS)
+        for _ in range(6):
+            step = (rng.choice(("expand", "compose", "contract", "eliminate")),
+                    rng.randrange(1 << 16), rng.randrange(1 << 16),
+                    rng.randrange(3), rng.choice(sg.LANES))
+            try:
+                d = surgery_step(d, *step) or d
+            except sg.SurgeryError:
+                continue  # a move that does not apply here
+        assert_layers_agree(sp.adjacency(d))
+
+
+def test_adjacency_layers_of_a_vertex_with_three_out_darts():
+    # flipping one edge of the trefoil leaves its head vertex with three
+    # out darts and its tail vertex with one: rows sum to 3 and 1, and the
+    # row layers are padded
+    d = fam.generate(fam.parse_spec_string("cyclic:V=3"))
+    tail = d.darts[0]
+    assert tail.direction == "out"
+    flipped = {tail.id: "in", tail.twin: "out"}
+    darts = tuple(dataclasses.replace(x, direction=flipped.get(x.id,
+                                                               x.direction))
+                  for x in d.darts)
+    m = sp.adjacency(dataclasses.replace(d, darts=darts))
+    assert sorted(map(sum, m.rows)) == [1, 2, 3]
+    assert len(m._layers[0]) == 3
+    assert_layers_agree(m)
+    assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
+
+
+def test_adjacency_layers_wrap_a_negative_vertex_as_the_rows_do():
+    # dart 0's or dart 1's vertex -1 puts its edge in the last row or column
+    d = fam.generate(fam.parse_spec_string("cyclic:V=3"))
+    for i in (0, 1):  # an out dart and an in dart
+        darts = list(d.darts)
+        darts[i] = dataclasses.replace(darts[i], vertex=-1)
+        m = sp.adjacency(dataclasses.replace(d, darts=tuple(darts)))
+        assert_layers_agree(m)
+        assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
+
+
+def test_a_layer_with_one_head_swapped_is_caught():
+    # the cross-check above must see a wrong layer: row 0's first head j
+    # swaps with row j's, which then heads to itself, a loop the
+    # loop-free map does not have
+    m = sp.adjacency(fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2")))
+    ref = reference_path_counts(m, m.n)
+    assert ref[0] == 0
+    bad = [layer[:] for layer in m._layers[0]]
+    j = bad[0][0]
+    bad[0][0], bad[0][j] = bad[0][j], bad[0][0]
+    assert pl._power_traces(m.n, bad) != ref
+    assert pl._power_traces(m.n, m._layers[0]) == ref
 
 
 def test_closed_path_count_threads_on_different_matrices():

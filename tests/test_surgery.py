@@ -1084,23 +1084,25 @@ def test_random_surgery_keeps_the_polynomial_laws(start, steps):
 
 
 # ---------------------------------------------------------------------------
-# The `_flat` slot: the builder's last output and the lists it checked
+# What a built value carries: the lists and face trace its check made
 # ---------------------------------------------------------------------------
 
-def assert_slot_sound(d):
-    """d is the builder's last output, and `_flat` hands back the slot's
-    lists for it, equal to those an equal copy of d is checked into; d
-    cannot change while the slot holds it."""
-    assert dg._flat_slot[0] is d
+def assert_carries_what_a_cold_check_gives(d):
+    """d cannot change under what it carries (its darts and rings are
+    tuples), and `_flat` and the face trace give on d, and on d read back
+    from its JSON, what they give on an equal copy, which is checked
+    afresh."""
     assert type(d.darts) is type(d.rotation) is tuple
     assert {type(ring) for ring in d.rotation} == {tuple}
-    assert dg._flat(d) is dg._flat_slot[1]
-    assert dg._flat(d) == dg._flat(dataclasses.replace(d))
+    copy = dataclasses.replace(d)
+    cold = dg._flat(copy), dg._face_traces(copy)
+    for value in (d, dg.from_json(dg.to_json(d))):
+        assert (dg._flat(value), dg._face_traces(value)) == cold
 
 
 def test_the_slot_holds_what_a_cold_flat_gives_on_sweep():
     for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
-        assert_slot_sound(fam.generate(s))
+        assert_carries_what_a_cold_check_gives(fam.generate(s))
 
 
 @pytest.mark.parametrize("text", ["twistknot:V=8", "p:k=3,l=4,m=2",
@@ -1111,26 +1113,39 @@ def test_the_slot_holds_what_a_cold_flat_gives_on_round_trips(text):
     for v in range(d.vertex_count):
         for lane in sg.LANES:
             grown, _, bigon = sg._expand(d, v, lane)
-            assert_slot_sound(grown)
+            assert_carries_what_a_cold_check_gives(grown)
             back = sg.contract_bigon(grown, face_id_of_darts(grown, bigon))
-            assert_slot_sound(back)
+            assert_carries_what_a_cold_check_gives(back)
             assert dg.canonical_code(back) == code, (v, lane)
 
 
+def assert_reads_unchanged(d, before):
+    """d's `_flat` lists and face trace are still `before`, and still
+    those of an equal copy."""
+    after = [x[:] for x in dg._flat(d)], dg._face_traces(d)[:]
+    assert after == before
+    copy = dataclasses.replace(d)
+    assert (list(dg._flat(copy)), dg._face_traces(copy)) == before
+
+
 def test_an_unfinished_or_refused_build_leaves_the_slot_alone():
+    # a build reads its input's carried lists; no move, finished or not,
+    # may write them
     d = member(fam.CYCLIC_TORUS, 4)
-    flat = [x[:] for x in dg._flat(d)]
-    sg._Builder(d).expand(0, sg.LANE_IN)  # never finished
-    assert dg._flat_slot[0] is d and list(dg._flat(d)) == flat
+    before = [x[:] for x in dg._flat(d)], dg._face_traces(d)[:]
+    b = sg._Builder(d)
+    b.expand(0, sg.LANE_IN)  # never finished
+    b.curl(b.tail(0))
+    assert_reads_unchanged(d, before)
     b = sg._Builder(d)
     b.disjoint(d)
     with pytest.raises(sg.SurgeryError, match="connectivity"):
         b.finish("union")
-    assert dg._flat_slot[0] is d and list(dg._flat(d)) == flat
-    assert_slot_sound(d)
+    assert_reads_unchanged(d, before)
     # rings given as lists come out as tuples
     lists = dataclasses.replace(d, rotation=[list(r) for r in d.rotation])
-    assert_slot_sound(sg.expand_vertex(lists, 0, sg.LANE_IN))
+    assert_carries_what_a_cold_check_gives(
+        sg.expand_vertex(lists, 0, sg.LANE_IN))
 
 
 @pytest.mark.parametrize("fault, problem", [
@@ -1138,13 +1153,17 @@ def test_an_unfinished_or_refused_build_leaves_the_slot_alone():
     (_far_twin, "a dart's twin is out of range"),
 ], ids=["ring-cut", "twin-99"])
 def test_a_corrupted_copy_of_the_slots_diagram_is_refused(fault, problem):
-    # the copy shares the darts or the rings of the diagram in the slot
+    # the copy shares the darts or the rings of a built diagram, which
+    # carries its checked lists; neither the copy nor its JSON read back,
+    # which its check refused, carries anything
     d = member(fam.CYCLIC_TORUS, 3)
-    bad = fault(d)
-    assert dg._flat_slot[0] is d
-    for reader in (dg.faces, dg.canonical_code):
-        with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}"):
-            reader(bad)
+    assert dg.validate(d) == []
+    for bad in (fault(d), dg.from_json(dg.to_json(fault(d)))):
+        assert dg.validate(bad)
+        for reader in (dg.faces, dg.canonical_code):
+            with pytest.raises(dg.DiagramError,
+                               match=f"^{re.escape(problem)}"):
+                reader(bad)
 
 
 def test_readers_of_builder_outputs_skip_the_gate(monkeypatch):
@@ -1182,15 +1201,16 @@ def test_contraction_reads_the_rings_once_per_map(monkeypatch):
     monkeypatch.setattr(sg, "_rings", counted)
     d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
     grown, _, bigon = sg._expand(d, 0, sg.LANE_IN)
-    cold = dataclasses.replace(grown)  # not in the slot
+    cold = dataclasses.replace(grown)  # carries nothing
     calls.clear()
     back = sg.contract_bigon(cold, face_id_of_darts(grown, bigon))
     assert calls == [len(grown.darts), len(back.darts)]
 
 
 def test_flat_slot_threads_on_different_members():
-    # each thread builds its own member and reads it back while the others
-    # replace the slot; a reader must never see another diagram's lists
+    # each thread builds its own members while the others build theirs,
+    # and reads every one back after all are built: a value's reads are
+    # its own, whatever was built since
     texts = ["cyclic:V=8", "p:k=3,l=4,m=2", "lchain:k=3,n=2", "twistknot:V=8"]
     specs = [fam.parse_spec_string(t) for t in texts]
     refs = []
@@ -1200,15 +1220,17 @@ def test_flat_slot_threads_on_different_members():
     errors = []
 
     def build(spec, ref):
+        built = []
         for _ in range(100):
             d = fam.generate(spec)
+            built.append((d, sg.expand_vertex(d, 0, sg.LANE_IN)))
+        for d, grown in built:
             if (dg.faces(d), dg.canonical_code(d), d.edges()) != ref:
                 errors.append(str(spec))
-            grown = sg.expand_vertex(d, 0, sg.LANE_IN)
             copy = dataclasses.replace(grown)
             if (dg._flat(grown) != dg._flat(copy)
                     or dg.faces(grown) != dg.faces(copy)
-                    or dg.validate(grown) != []):
+                    or dg.validate(copy) != []):
                 errors.append(str(spec))
 
     interval = sys.getswitchinterval()
@@ -1227,7 +1249,7 @@ def test_flat_slot_threads_on_different_members():
 
 
 # ---------------------------------------------------------------------------
-# The slot's face trace and verdict: what `finish` built is not checked again
+# Every reader on a carried value equals the same reader on a cold copy
 # ---------------------------------------------------------------------------
 
 def result_or_error(call, *args):
@@ -1238,22 +1260,19 @@ def result_or_error(call, *args):
         return type(exc), str(exc)
 
 
-def assert_hot_reads_equal_cold(d, face=None):
-    """d is the builder's last output: `validate`, `faces`, `face_of_dart`,
-    `face_orientations` and then `contract_bigon` (at `face`, else at d's
-    first bigon, else at face 0) answer from the slot and equal their
-    results on an equal copy, which the slot never answers for.  Returns
-    the contraction's result on the copy, which is then in the slot."""
+def assert_reads_equal_a_cold_copy(d, face=None):
+    """Every reader and then `contract_bigon` (at `face`, else at d's
+    first bigon, else at face 0) give on d, which carries what its
+    constructor checked, what they give on an equal copy, which carries
+    nothing and is checked afresh.  Returns the contraction's result on
+    the copy."""
     copy = dataclasses.replace(d)
-    for reader in (dg.validate, dg.faces, dg.face_of_dart,
-                   dg.face_orientations):
-        assert dg._flat_slot[0] is d
+    for reader in (dg.validate, dg.Diagram.edges, *READERS):
         hot, cold = result_or_error(reader, d), result_or_error(reader, copy)
         assert hot == cold, reader
     if face is None:
         sizes = [len(t) for t in dg.faces(copy)[0]]
         face = sizes.index(2) if 2 in sizes else 0
-    assert dg._flat_slot[0] is d
     hot = result_or_error(sg.contract_bigon, d, face)
     cold = result_or_error(sg.contract_bigon, copy, face)
     assert hot == cold
@@ -1263,7 +1282,7 @@ def assert_hot_reads_equal_cold(d, face=None):
 def test_slot_readers_equal_cold_reads_on_sweep():
     count = 0
     for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
-        assert_hot_reads_equal_cold(fam.generate(s))
+        assert_reads_equal_a_cold_copy(fam.generate(s))
         count += 1
     assert count == 852
 
@@ -1272,18 +1291,21 @@ def test_slot_readers_equal_cold_reads_on_sweep():
                                   "lchain:k=3,n=2"])
 def test_slot_readers_equal_cold_reads_on_round_trips(text):
     d = fam.generate(fam.parse_spec_string(text))
+    code = dg.canonical_code(dataclasses.replace(d))
     for v in range(d.vertex_count):
         for lane in sg.LANES:
             grown, _, bigon = sg._expand(d, v, lane)
-            back = assert_hot_reads_equal_cold(
+            back = assert_reads_equal_a_cold_copy(
                 grown, face_id_of_darts(grown, bigon))
             assert back.vertex_count == d.vertex_count, (v, lane)
-            assert_hot_reads_equal_cold(back)
+            assert dg.canonical_code(back) == code, (v, lane)
+            assert_reads_equal_a_cold_copy(back)
+            assert_reads_equal_a_cold_copy(dg.from_json(dg.to_json(back)))
 
 
 def test_a_round_trip_traces_faces_twice(monkeypatch):
     # once in each `finish`, for its Euler check; `validate`, `faces` and
-    # the contraction read that trace from the slot
+    # the contraction read the trace the diagram carries
     calls = []
     traces = dg._traces
     monkeypatch.setattr(dg, "_traces",
@@ -1317,13 +1339,13 @@ def test_validate_answers_from_the_slot(monkeypatch):
 
 
 def test_an_equal_copy_is_not_answered_from_the_slot():
-    # Dart(True, ...) == Dart(1, ...), so the copy equals the slot's
-    # diagram by value; only the same object may be answered from it
+    # Dart(True, ...) == Dart(1, ...), so the copy equals a built diagram
+    # by value; only what a constructor checked may be carried
     d = member(fam.CYCLIC_TORUS, 3)
     darts = list(d.darts)
     darts[1] = dataclasses.replace(darts[1], id=True)
     copy = dataclasses.replace(d, darts=tuple(darts))
-    assert copy == d and dg._flat_slot[0] is d
+    assert copy == d and dg.validate(d) == []
     problem = "dart 1: id must be an integer, got True"
     assert dg.validate(copy) == [problem]
     for reader in (dg.faces, dg.face_of_dart, dg.face_orientations,
@@ -1333,14 +1355,15 @@ def test_an_equal_copy_is_not_answered_from_the_slot():
 
 
 def test_a_build_refused_at_euler_leaves_the_slot_alone():
+    # the refused build rewired the twins of its input's lists; the input
+    # still reads as a cold copy of it does
     d = member(fam.CYCLIC_TORUS, 4)
-    slot = dg._flat_slot
+    before = [x[:] for x in dg._flat(d)], dg._face_traces(d)[:]
     b = sg._Builder(d)
     a, c = b.tail(0), b.tail(5)  # cross two heads: a map on the torus
     head_a, head_c = b.twin[a], b.twin[c]
     b.twin[a], b.twin[head_c], b.twin[c], b.twin[head_a] = head_c, a, head_a, c
     with pytest.raises(sg.SurgeryError, match="euler: face tracing gives 4"):
         b.finish("crossing")
-    assert dg._flat_slot is slot
-    assert dg.validate(d) == [] and dg.faces(d) == dg.faces(
-        dataclasses.replace(d))
+    assert_reads_unchanged(d, before)
+    assert_reads_equal_a_cold_copy(d)

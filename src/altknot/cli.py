@@ -68,10 +68,9 @@ def _load_source(text: str,
                              + "; ".join(problems))
         return m
     try:
-        d = dg.from_json(doc)
+        d, problems = dg._from_json(doc)  # checked once, as it is read
     except dg.DiagramFormatError as exc:
         raise InputError(f"{text}: {failure}{exc}") from exc
-    problems = dg.validate(d)
     if problems:
         raise InputError(f"{text}: invalid diagram: " + "; ".join(problems))
     return d

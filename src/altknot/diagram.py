@@ -21,6 +21,7 @@ IN = "in"
 
 KINDS = ("knot", "link", "twist")
 _EDGE = ((OUT, IN), (IN, OUT))  # the directions of an edge's two darts
+_DIRECTION = (IN, OUT)  # a dart's direction, indexed by is-outgoing
 
 
 class DiagramError(Exception):
@@ -45,6 +46,56 @@ class Dart:
     direction: str
 
 
+class _Darts(Sequence):
+    """The `Dart` records of a diagram the surgery builder made, read-only,
+    over the `_flat` lists it carries.  The records, `tuple(map(Dart,
+    range(n), vertex, twin, direction))`, are made once, when an item is
+    first read, the view is iterated or compared, or its hash or repr is
+    taken; `len` reads the lists.  The view equals that tuple and hashes
+    like it, and a copy or pickle of it is that tuple."""
+
+    __slots__ = ("_flat", "_records")
+
+    def __init__(self, flat: tuple) -> None:
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_records", None)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError("the darts of a diagram are read-only")
+
+    __delattr__ = __setattr__
+
+    def _tuple(self) -> tuple[Dart, ...]:
+        records = self._records
+        if records is None:
+            twin, _, out, vertex = self._flat
+            records = tuple(map(Dart, range(len(twin)), vertex, twin,
+                                map(_DIRECTION.__getitem__, out)))
+            object.__setattr__(self, "_records", records)
+        return records
+
+    def __len__(self) -> int:
+        return len(self._flat[0])
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self) -> Iterator[Dart]:
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self) -> tuple:
+        return tuple, (self._tuple(),)
+
+
 @dataclass(frozen=True)
 class Diagram:
     """Immutable combinatorial map of a 2-in/2-out 4-regular sphere graph.
@@ -56,7 +107,7 @@ class Diagram:
 
     kind: str
     vertex_count: int
-    darts: tuple[Dart, ...]
+    darts: Sequence[Dart]
     rotation: tuple[tuple[int, int, int, int], ...]
     _checked = None  # `_flat`'s lists and face trace, set by `_carry` only
 
@@ -96,11 +147,11 @@ class Diagram:
                 for i, t in enumerate(twin) if out[i]]
 
     def loop_count(self) -> int:
-        """Out darts whose twin is in their own ring (`_kind`'s loop test):
-        reads the rings and each listed dart's twin and direction."""
-        darts = self.darts
-        return sum([darts[x].twin in ring for ring in self.rotation
-                    for x in ring if darts[x].direction == OUT])
+        """Out darts whose twin is in their own ring (`_kind`'s loop test),
+        read from `_flat`'s lists."""
+        twin, _, out, vertex = _flat(self)
+        return sum(map(eq, map(vertex.__getitem__, compress(twin, out)),
+                       compress(vertex, out)))
 
     def __str__(self) -> str:
         return f"<{self.kind} diagram, V={self.vertex_count}>"
@@ -111,7 +162,7 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
     """twin, rotation successor, is-outgoing and vertex (the index of the
     ring that lists it) of every dart, as lists indexed by dart id, which
     the readers and the surgery builder read, read-only: the lists d
-    carries (`_carry`), which its tuples of frozen records and ints cannot
+    carries (`_carry`), which its read-only darts and tuples of ints cannot
     change under, else read from the rotation, the vertex count and each
     dart's id, twin and direction (`Dart.vertex` is only type-checked)
     behind the one gate: raises `error` with `_type_problem`'s text, and
@@ -150,7 +201,8 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
 def _carry(d: Diagram, flat: tuple, faces: list) -> Diagram:
     """d, carrying the `_flat` lists and face trace of a check that found
     nothing: for the surgery builder's `finish` and `from_json_dict`, which
-    make d's darts and rings tuples."""
+    make d's rings tuples and its darts a view over `flat` (`_Darts`) or a
+    tuple of records."""
     object.__setattr__(d, "_checked", (flat, faces))
     return d
 
@@ -658,6 +710,12 @@ def _json_int(value, what: str) -> int:
 
 
 def from_json_dict(data: dict) -> Diagram:
+    return _from_json_dict(data)[0]
+
+
+def _from_json_dict(data: dict) -> tuple[Diagram, list[str]]:
+    """`from_json_dict`'s diagram and `validate`'s report on it, from one
+    check: a valid document's diagram carries what the check built."""
     try:
         if _json_int(data["version"], "version") != 1:
             raise DiagramFormatError(
@@ -679,18 +737,24 @@ def from_json_dict(data: dict) -> Diagram:
         raise DiagramFormatError(f"malformed diagram document: {exc}") from exc
     if any(dart.direction not in (OUT, IN) for dart in d.darts):
         raise DiagramFormatError("dart dir must be 'out' or 'in'")
-    _, checked = _check(d)  # a valid document is checked here, once
-    return _carry(d, *checked) if checked else d
+    problems, checked = _check(d)  # a document is checked here, once
+    return (_carry(d, *checked) if checked else d), problems
 
 
 def from_json(text: str) -> Diagram:
+    return _from_json(text)[0]
+
+
+def _from_json(text: str) -> tuple[Diagram, list[str]]:
+    """`from_json`'s diagram and `validate`'s report on it, from the one
+    check `_from_json_dict` makes."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramFormatError("diagram document must be a JSON object")
-    return from_json_dict(data)
+    return _from_json_dict(data)
 
 
 def to_dot(d: Diagram) -> str:

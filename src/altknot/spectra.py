@@ -36,12 +36,21 @@ class AdjMatrix:
         return len(self.rows)
 
     def problems(self) -> list[str]:
-        if not self._layers and (problem := _shape_problem(self.rows)):
-            return [problem]
-        out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
-        for name, lines in (("row", self.rows), ("column", zip(*self.rows))):
+        """Why this is not an adjacency matrix, or [].  A matrix with
+        layers has no negative entry, and a row's or column's sum is the
+        number of its support's entries that are not padding (n)."""
+        if layers := self._layers:
+            n, out = len(self.rows), []
+            sums = [[len(side) - line.count(n) for line in zip(*side)]
+                    for side in layers]
+        else:
+            if problem := _shape_problem(self.rows):
+                return [problem]
+            out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
+            sums = map(sum, self.rows), map(sum, zip(*self.rows))
+        for name, lines in zip(("row", "column"), sums):
             out += [f"{name} {i} sums to {s}, not 2"
-                    for i, s in enumerate(map(sum, lines)) if s != 2]
+                    for i, s in enumerate(lines) if s != 2]
         return out
 
     def to_text(self) -> str:
@@ -81,21 +90,28 @@ def adjacency(d: Diagram) -> AdjMatrix:
     """Count directed edges between vertex pairs; loops land on the diagonal.
 
     The matrix determines the directed multigraph of the diagram but not
-    its sphere embedding.  Reads the vertex count and each dart's
-    `direction`, `twin` and `vertex`, unchecked: defined on maps `validate`
-    accepts.  The same loop lists each vertex's out-heads and in-tails, its
-    row's and column's supports, which the matrix carries as layers.
+    its sphere embedding.  Reads the vertex count and each out dart's
+    vertex and its twin's, in dart order: from the lists a checked diagram
+    carries, else from the `Dart` records, unchecked, so defined on maps
+    `validate` accepts.  The same loop lists each vertex's out-heads and
+    in-tails, its row's and column's supports, which the matrix carries as
+    layers.
     """
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]
     heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
-    darts = d.darts
-    for x in darts:
-        if x.direction == OUT:
-            v, w = x.vertex, darts[x.twin].vertex
-            rows[v][w] += 1  # a vertex in -n..-1 wraps, and so do the layers
-            heads[v].append(w % n)
-            tails[w].append(v % n)
+    if checked := d._checked:
+        twin, _, out, vertex = checked[0]
+    else:
+        darts = d.darts
+        twin = [x.twin for x in darts]
+        vertex = [x.vertex for x in darts]
+        out = [x.direction == OUT for x in darts]
+    for i in compress(range(len(twin)), out):
+        v, w = vertex[i], vertex[twin[i]]
+        rows[v][w] += 1  # a vertex in -n..-1 wraps, and so do the layers
+        heads[v].append(w % n)
+        tails[w].append(v % n)
     m = object.__new__(AdjMatrix)
     object.__setattr__(m, "rows", tuple([tuple(row) for row in rows]))
     if n:  # n tuples of n ints: with layers, no reader scans the shape
@@ -139,7 +155,9 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     the same row, then the other edge in the same column, and so on; the
     closed cycles are the link components.  A diagram is a knot exactly
     when there is one component.  Every row holds two edges, so row i
-    owns edges 2i and 2i + 1 and a row step is `e ^ 1`.
+    owns edges 2i and 2i + 1 and a row step is `e ^ 1`.  A matrix
+    `adjacency` made is read from its layers, in O(V): its row and column
+    sums, and row i's edges, its two heads in ascending column order.
 
     The result for the last matrix walked is kept, keyed on the identity
     of its rows, an immutable tuple the slot holds on to, so
@@ -155,8 +173,12 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     problems = m.problems()
     if problems:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
-    edges = [(i, j) for i, row in enumerate(m.rows)
-             for j in compress(range(m.n), row) for _ in range(row[j])]
+    if layers := m._layers:  # every row's support is its two heads
+        edges = [(i, j) for i, heads in enumerate(zip(*layers[0]))
+                 for j in sorted(heads)]
+    else:
+        edges = [(i, j) for i, row in enumerate(m.rows)
+                 for j in compress(range(m.n), row) for _ in range(row[j])]
     col_mate = [0] * len(edges)
     first_in_col = [-1] * m.n
     for e, (_, j) in enumerate(edges):

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (IN, OUT, Dart, Diagram, DiagramError, _carry,
-                      _face_traces, _flat, _kind, _map_problems, _rings)
+from .diagram import (_DIRECTION, IN, OUT, Diagram, DiagramError, _carry,
+                      _Darts, _face_traces, _flat, _kind, _map_problems,
+                      _rings)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -83,9 +84,9 @@ class _Builder:
 
     The growth moves append darts and vertices in a fixed order and touch
     only the darts they rewire, in time independent of the diagram's size;
-    `finish` then works out the vertices, derives the kind, checks the
-    result and makes the `Dart` tuple, each once.  No move changes a
-    dart's direction, and only `drop` renumbers darts.
+    `finish` then works out the vertices, derives the kind and checks the
+    result, each once, and hands its lists to the diagram.  No move changes
+    a dart's direction, and only `drop` renumbers darts.
     """
 
     def __init__(self, d: Diagram | None = None) -> None:
@@ -94,16 +95,12 @@ class _Builder:
         read-only lists it returned, which describe d, not the builder
         after a move: twin is copied, and rings become tuples."""
         if d is None:
-            self.darts, self.rotation, self.flat = (), [], None
+            self.rotation, self.flat = [], None
             self.twin, self.direction = [], []
             return
         self.flat = _flat(d, SurgeryError)
         self.twin = self.flat[0][:]
-        # d's Dart objects whose id and direction are still those of the
-        # builder's dart at their index; `finish` reuses each one whose
-        # vertex and twin are unchanged too
-        self.darts = d.darts
-        self.direction = [x.direction for x in self.darts]
+        self.direction = list(map(_DIRECTION.__getitem__, self.flat[2]))
         self.rotation = [*map(tuple, d.rotation)]
 
     def disjoint(self, d: Diagram) -> int:
@@ -254,15 +251,15 @@ class _Builder:
         del self.rotation[vertex]
         self.rotation = [tuple([new_id[x] for x in ring])
                          for ring in self.rotation]
-        self.darts = self.darts[:min(darts)]  # the ids that did not move
 
     def finish(self, what: str,
                error: type[Exception] = SurgeryError) -> Diagram:
         """The diagram, its kind derived first (so the strand walk refuses
         an inconsistent map), then `validate`'s checks on the builder's
-        lists, raising `error` naming `what`; unchanged `Dart`s are kept,
-        and the diagram carries the checked lists and their face trace, so
-        the builder is spent: its lists are now the diagram's."""
+        lists, raising `error` naming `what`.  The diagram carries the
+        checked lists and their face trace, and its darts are a view over
+        those lists (`diagram._Darts`), so the builder is spent: its lists
+        are now the diagram's."""
         twin, direction, rotation = self.twin, self.direction, self.rotation
         n = len(twin)
         succ, vertex = _rings(rotation, n)
@@ -274,13 +271,9 @@ class _Builder:
         if problems:
             raise error(f"{what} produced an invalid diagram: "
                         + "; ".join(problems))
-        darts = [x if x.vertex == v and x.twin == t
-                 else Dart(x.id, v, t, x.direction)
-                 for x, v, t in zip(self.darts, vertex, twin)]
-        k = len(darts)
-        darts += map(Dart, range(k, n), vertex[k:], twin[k:], direction[k:])
-        d = Diagram(kind, len(rotation), tuple(darts), tuple(rotation))
-        return _carry(d, (twin, succ, out, vertex), faces)
+        flat = twin, succ, out, vertex
+        d = Diagram(kind, len(rotation), _Darts(flat), tuple(rotation))
+        return _carry(d, flat, faces)
 
 
 # ---------------------------------------------------------------------------

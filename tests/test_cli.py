@@ -337,6 +337,34 @@ def test_invalid_diagram_is_input_error(capsys, tmp_path, command):
     assert "invalid diagram" in err and "vertex 7 out of range" in err
 
 
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_json_diagram_is_checked_once(capsys, tmp_path, monkeypatch, cut):
+    # an invalid document was once checked twice: as it was read, and again
+    # for the message; the message is the one check's report
+    path = tmp_path / "member.json"
+    assert run(capsys, "gen", "kribbon:k=4,m=3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    if cut:
+        doc["rotation"][0] = doc["rotation"][0][:3]
+        path.write_text(json.dumps(doc))
+    problems = dg.validate(dg.from_json(json.dumps(doc)))
+    assert bool(problems) == cut
+    calls = {}
+    for name in ("_type_problem", "_map_problems"):
+        def counted(*args, _wrapped=getattr(dg, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _wrapped(*args)
+        monkeypatch.setattr(dg, name, counted)
+    code, out, err = run(capsys, "census", str(path))
+    assert calls == {"_type_problem": 1, "_map_problems": 1}
+    if cut:
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: invalid diagram: "
+                       + "; ".join(problems) + "\n")
+    else:
+        assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("command", ["charpoly", "census"])
 @pytest.mark.parametrize("edit,message", [
     # 1e400 parses as an infinite float, once an OverflowError traceback

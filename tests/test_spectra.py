@@ -569,6 +569,60 @@ def test_adjacency_layers_wrap_a_negative_vertex_as_the_rows_do():
         assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
 
 
+def assert_strands_from_layers_as_from_rows(m):
+    """`problems()` and `trace_strands` read from m's layers give what
+    they give on an unlayered copy, which is scanned: the same texts, and
+    the same decomposition or ValueError message."""
+    plain = sp.AdjMatrix(m.rows)
+    assert m._layers and not plain._layers
+    assert m.problems() == plain.problems()
+    results = []
+    for matrix in (m, plain):
+        sp._strands_slot = (None, None)
+        try:
+            results.append(sp.trace_strands(matrix))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def test_strands_from_layers_on_sweep_and_random_surgery():
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        dec = assert_strands_from_layers_as_from_rows(
+            sp.adjacency(fam.generate(s)))
+        assert isinstance(dec, sp.StrandDecomposition), str(s)
+    rng = random.Random(27)
+    for _ in range(40):
+        d = rng.choice(SURGERY_SEEDS)
+        for _ in range(6):
+            step = (rng.choice(("expand", "compose", "contract", "eliminate")),
+                    rng.randrange(1 << 16), rng.randrange(1 << 16),
+                    rng.randrange(3), rng.choice(sg.LANES))
+            try:
+                d = surgery_step(d, *step) or d
+            except sg.SurgeryError:
+                continue
+            assert_strands_from_layers_as_from_rows(sp.adjacency(d))
+
+
+def test_strands_from_layers_of_broken_maps_as_from_rows():
+    # the three-out-darts trefoil and dart 0 or 1 at vertex -1: refused
+    # with the same texts, or walked the same, as the scanned rows
+    d = fam.generate(fam.parse_spec_string("cyclic:V=3"))
+    flipped = {0: "in", d.darts[0].twin: "out"}
+    broken = [tuple(dataclasses.replace(x, direction=flipped.get(
+        x.id, x.direction)) for x in d.darts)]
+    for i in (0, 1):
+        darts = list(d.darts)
+        darts[i] = dataclasses.replace(darts[i], vertex=-1)
+        broken.append(tuple(darts))
+    found = [assert_strands_from_layers_as_from_rows(
+        sp.adjacency(dataclasses.replace(d, darts=darts)))
+        for darts in broken]
+    assert found[0].startswith("not an adjacency matrix: row ")
+
+
 def test_a_layer_with_one_head_swapped_is_caught():
     # the cross-check above must see a wrong layer: row 0's first head j
     # swaps with row j's, which then heads to itself, a loop the

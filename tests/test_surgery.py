@@ -1,10 +1,14 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import re
 import signal
 import sys
 import threading
+from collections.abc import MutableSequence, Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1087,12 +1091,26 @@ def test_random_surgery_keeps_the_polynomial_laws(start, steps):
 # What a built value carries: the lists and face trace its check made
 # ---------------------------------------------------------------------------
 
+MUTATORS = ("__setitem__", "__delitem__", "__iadd__", "append", "extend",
+            "insert", "pop", "remove", "clear", "sort", "reverse")
+
+
+def cold_records(d):
+    """The records of d's carried lists, made afresh."""
+    twin, _, out, vertex = d._checked[0]
+    return tuple(map(dg.Dart, range(len(twin)), vertex, twin,
+                     ["out" if o else "in" for o in out]))
+
+
 def assert_carries_what_a_cold_check_gives(d):
-    """d cannot change under what it carries (its darts and rings are
-    tuples), and `_flat` and the face trace give on d, and on d read back
-    from its JSON, what they give on an equal copy, which is checked
-    afresh."""
-    assert type(d.darts) is type(d.rotation) is tuple
+    """d cannot change under what it carries (its rings are tuples, and
+    its darts a view with no mutators whose records are those of the
+    carried lists), and `_flat` and the face trace give on d, and on d
+    read back from its JSON, what they give on an equal copy, which is
+    checked afresh."""
+    assert list(d.darts) == list(cold_records(d))
+    assert not any(hasattr(d.darts, name) for name in MUTATORS)
+    assert type(d.rotation) is tuple
     assert {type(ring) for ring in d.rotation} == {tuple}
     copy = dataclasses.replace(d)
     cold = dg._flat(copy), dg._face_traces(copy)
@@ -1117,6 +1135,103 @@ def test_the_slot_holds_what_a_cold_flat_gives_on_round_trips(text):
             back = sg.contract_bigon(grown, face_id_of_darts(grown, bigon))
             assert_carries_what_a_cold_check_gives(back)
             assert dg.canonical_code(back) == code, (v, lane)
+
+
+# ---------------------------------------------------------------------------
+# A built value's darts: a read-only view that makes its records when read
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def count_dart_records(monkeypatch):
+    """A list whose one entry counts the `Dart` records made from now on."""
+    made, init = [0], dg.Dart.__init__
+
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(dg.Dart, "__init__", counted)
+    return made
+
+
+def test_a_benchmark_pass_makes_no_dart_records(monkeypatch):
+    # generate, adjacency, faces, loop_count, validate, the surgery round
+    # trip and the CLI's identities run read the lists a built value
+    # carries: set-up and one pass of each workload make no record
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+    import workloads
+    made = count_dart_records(monkeypatch)
+    for name in ("sweep", "laws"):
+        workload = workloads.WORKLOADS[name](1)
+        for item in workload.next_pass():
+            workload.run(item, harness.NullTracer())
+    assert made == [0]
+    d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
+    assert len(d.darts) == 36 and made == [0]
+    assert d.darts[5].id == 5 and made == [36]  # all at once, on first read
+    list(d.darts)
+    assert made == [36]
+
+
+def assert_reads_as_a_plain_tuple(make):
+    """A value `make` builds, and a `dataclasses.replace` copy of it,
+    compare, hash, print and serialise as a copy whose darts are a plain
+    tuple, each key taken first on a fresh value."""
+    for key in (None, hash, repr, dg.to_json):
+        d = make()
+        plain = dataclasses.replace(d, darts=cold_records(d))
+        for value in (d, dataclasses.replace(d)):
+            if key is None:
+                assert value == plain and plain == value
+                assert not value != plain and value.darts == plain.darts
+            else:
+                assert key(value) == key(plain)
+
+
+def test_built_darts_read_as_a_plain_tuple_on_sweep():
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        assert_reads_as_a_plain_tuple(lambda: fam.generate(s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=st.integers(0, len(SURGERY_SEEDS) - 1),
+       steps=st.lists(SURGERY_STEP, min_size=1, max_size=8))
+def test_built_darts_read_as_a_plain_tuple_on_random_surgery(start, steps):
+    def make():
+        d = SURGERY_SEEDS[start]
+        for step in steps:
+            try:
+                d = surgery_step(d, *step) or d
+            except sg.SurgeryError:
+                continue
+        return d
+    assert_reads_as_a_plain_tuple(make)
+
+
+def test_built_darts_are_read_only():
+    d = fam.generate(fam.parse_spec_string("kribbon:k=4,m=3"))
+    darts = d.darts
+    assert isinstance(darts, Sequence)
+    assert not isinstance(darts, MutableSequence)
+    assert not any(hasattr(darts, name) for name in MUTATORS)
+    with pytest.raises(TypeError):
+        darts[0] = darts[1]
+    with pytest.raises(TypeError):
+        del darts[0]
+    for name in ("_twin", "_records", "count", "other"):
+        with pytest.raises(AttributeError):
+            setattr(darts, name, [])
+        with pytest.raises(AttributeError):
+            delattr(darts, name)
+    assert darts == cold_records(d) and darts[-1] == cold_records(d)[-1]
+    assert darts[1:3] == cold_records(d)[1:3]
+    # a deep copy or pickle of the view is its tuple of records
+    assert copy.copy(d).darts is darts
+    for copied in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert copied == d and type(copied.darts) is tuple
+        assert dg.validate(copied) == [] and dg.to_json(copied) == dg.to_json(d)
 
 
 def assert_reads_unchanged(d, before):

@@ -111,34 +111,6 @@ class Diagram:
     rotation: tuple[tuple[int, int, int, int], ...]
     _checked = None  # `_flat`'s lists and face trace, set by `_carry` only
 
-    # -- basic accessors --------------------------------------------------
-
-    def _dart(self, dart_id: int) -> Dart:
-        """The dart with this id, read in O(1) by every accessor below;
-        DiagramError unless the id is an int (not bool) in 0..len(darts)-1."""
-        if type(dart_id) is not int or not 0 <= dart_id < len(self.darts):
-            raise DiagramError(f"{dart_id!r} is not a dart id in "
-                               f"0..{len(self.darts) - 1}")
-        return self.darts[dart_id]
-
-    def twin(self, dart_id: int) -> int:
-        """`Dart.twin` of the dart."""
-        return self._dart(dart_id).twin
-
-    def vertex_of(self, dart_id: int) -> int:
-        """`Dart.vertex` of the dart; defined on maps `validate` accepts."""
-        return self._dart(dart_id).vertex
-
-    def direction(self, dart_id: int) -> str:
-        """`Dart.direction` of the dart."""
-        return self._dart(dart_id).direction
-
-    def rotation_successor(self, dart_id: int) -> int:
-        """The next dart in the ring `Dart.vertex` names, read in O(1);
-        defined on maps `validate` accepts."""
-        ring = self.rotation[self._dart(dart_id).vertex]
-        return ring[(ring.index(dart_id) + 1) % 4]
-
     def edges(self) -> list[tuple[int, int]]:
         """Directed edges as (tail_vertex, head_vertex), one per edge,
         ordered by tail dart id; `_flat` reads each vertex from the rings."""
@@ -475,26 +447,19 @@ def face_orientations(d: Diagram) -> dict[int, str]:
 
     Each boundary must be coherently oriented; a mixed face means the input
     violates the alternating orientation rule.  Faces sharing an edge always
-    come out with opposite senses, which is the two-coloring.
+    come out with opposite senses, which is the two-coloring.  Read from
+    `_flat`'s is-outgoing list and the face trace.
     """
-    face_list, _ = faces(d)
-    out: dict[int, str] = {}
-    for idx, trace in enumerate(face_list):
-        dirs = {d.direction(dart) for dart in trace}
+    flat = _flat(d)
+    out = flat[2]
+    senses: dict[int, str] = {}
+    for idx, trace in enumerate(_face_traces(d, flat)):
+        dirs = set(map(out.__getitem__, trace))
         if len(dirs) != 1:
             raise DiagramError(
                 f"orientation rule broken: face {idx} mixes edge directions")
-        out[idx] = CCW if dirs == {OUT} else CW
-    return out
-
-
-def face_of_dart(d: Diagram) -> dict[int, int]:
-    """Map each dart id to the index of the face whose trace contains it."""
-    mapping: dict[int, int] = {}
-    for idx, trace in enumerate(_face_traces(d)):
-        for dart in trace:
-            mapping[dart] = idx
-    return mapping
+        senses[idx] = CCW if True in dirs else CW
+    return senses
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +501,10 @@ def _strand_count(twin: list[int], succ: list[int], out: list[bool]) -> int:
     return count
 
 
-def derive_kind(d: Diagram) -> str:
-    """knot / link / twist as dictated by the structure itself."""
-    return _kind(*_flat(d))
-
-
 def _kind(twin: list[int], succ: list[int], out: list[bool],
           vertex: list[int]) -> str:
-    """derive_kind on flat arrays: a map with a loop edge is a twist."""
+    """knot / link / twist as the structure dictates, on flat arrays: a
+    map with a loop edge is a twist."""
     if any(map(eq, map(vertex.__getitem__, compress(twin, out)),
                compress(vertex, out))):
         return "twist"
@@ -676,10 +637,6 @@ def canonical_code(d: Diagram) -> tuple:
                     least[max(x, y)] = min(x, y)
     best_code += best  # finish the best
     return tuple(best_code)
-
-
-def isomorphic(a: Diagram, b: Diagram) -> bool:
-    return canonical_code(a) == canonical_code(b)
 
 
 # ---------------------------------------------------------------------------

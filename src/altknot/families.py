@@ -378,7 +378,7 @@ def check_family_recurrence(p0: IntPoly, p1: IntPoly,
     residue (x - 2) * H with H constant along the family.
     """
     residue = p2 - X * p1 + p0
-    if residue.is_zero():
+    if not residue:
         return RecurrenceCheck(True, None)
     quotient, exact = divide_out(residue, X - 2)
     if not exact:

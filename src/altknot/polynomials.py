@@ -23,7 +23,7 @@ from itertools import chain, compress, repeat
 from operator import add, and_, mul, neg, sub
 from typing import Sequence
 
-from .limits import decimal_int, max_vertices
+from .limits import max_vertices
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,6 @@ class IntPoly:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -172,25 +169,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({str(self)!r})"
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Ascending coefficients as decimal strings (arbitrary precision)."""
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> IntPoly:
-        """Reads a list of decimal strings (`limits.decimal_int`) only, as
-        `to_json_dict` writes them; anything else raises ValueError."""
-        coeffs = data.get("coeffs") if isinstance(data, dict) else None
-        problem = "polynomial coefficients must be a list of decimal strings"
-        if type(coeffs) is not list:
-            raise ValueError(problem)
-        try:
-            return cls(tuple([decimal_int(s) for s in coeffs]))
-        except ValueError as exc:
-            raise ValueError(problem) from exc
 
 
 ZERO = IntPoly(())

@@ -44,36 +44,6 @@ def _check_lane(lane: str) -> None:
         raise SurgeryError(f"lane must be one of {LANES}, got {lane!r}")
 
 
-def lane_preserving_face(d: Diagram, face_darts) -> str:
-    """The expansion lane that keeps the given face's corners intact.
-
-    Expanding a vertex splits the corners of the two faces whose boundary
-    runs with the lane's darts: LANE_OUT grows the outgoing-coherent faces
-    and keeps incoming-coherent corners, LANE_IN the other way around.
-    A face that is not an iterable, or a face dart that is not an `int`
-    id of the map (`bool` included), raises SurgeryError.
-    """
-    try:
-        face_darts = list(face_darts)
-    except TypeError as exc:
-        raise SurgeryError(f"face {face_darts!r} is not an iterable of "
-                           "dart ids") from exc
-    count = len(d.darts)
-    for dart in face_darts:
-        if type(dart) is not int or not 0 <= dart < count:
-            raise SurgeryError(
-                f"face dart {dart!r} is not a dart id in 0..{count - 1}")
-    directions = {d.direction(dart) for dart in face_darts}
-    if len(directions) != 1:
-        raise SurgeryError("face is not coherently oriented")
-    return LANE_OUT if directions == {IN} else LANE_IN
-
-
-def lane_splitting_face(d: Diagram, face_darts) -> str:
-    """The expansion lane that makes the given face one edge longer."""
-    return LANE_IN if lane_preserving_face(d, face_darts) == LANE_OUT else LANE_OUT
-
-
 # ---------------------------------------------------------------------------
 # The builder: one diagram under construction, as mutable flat dart arrays
 # ---------------------------------------------------------------------------
@@ -183,9 +153,11 @@ class _Builder:
                 carrier = new_v
 
     def _loop_lane(self, vertex: int) -> str:
-        """lane_preserving_face of the one-edge face at a vertex carrying
-        one loop, read from its ring: that face is the dart whose twin
-        precedes it."""
+        """The lane that keeps intact the one-edge face at a vertex
+        carrying one loop, read from its ring: that face is the dart whose
+        twin precedes it.  Expanding along a lane splits the corners of the
+        faces whose boundary runs with the lane's darts, so LANE_OUT keeps
+        an incoming-coherent face and LANE_IN an outgoing-coherent one."""
         ring = self.rotation[vertex]
         for pos, dart in enumerate(ring):
             if self.twin[dart] == ring[pos - 1]:

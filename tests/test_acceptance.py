@@ -232,7 +232,7 @@ def test_criterion_7_surgery():
         face_id = next(i for i, t in enumerate(face_list)
                        if set(t) == set(bigon))
         back = sg.contract_bigon(grown, face_id)
-        assert dg.isomorphic(back, d), (spec, v, lane)
+        assert dg.canonical_code(back) == dg.canonical_code(d), (spec, v, lane)
         checked += 1
 
     for base_spec in (_spec(fam.TWO_RIBBON, 3, 2),

@@ -143,7 +143,7 @@ def test_trefoil_orientations_two_colored():
 def test_adjacent_faces_get_opposite_colors(member_diagrams):
     for spec, d in member_diagrams:
         colors = dg.face_orientations(d)
-        owner = dg.face_of_dart(d)
+        owner = {x: i for i, t in enumerate(dg.faces(d)[0]) for x in t}
         for dart in d.darts:
             assert colors[owner[dart.id]] != colors[owner[dart.twin]], str(spec)
 
@@ -171,8 +171,9 @@ def test_component_count_matches_matrix_walk(member_diagrams):
 
 
 def test_derive_kind(member_diagrams):
+    # a cold check compares the stated kind with the structure's
     for spec, d in member_diagrams:
-        assert d.kind == dg.derive_kind(d), str(spec)
+        assert dg.validate(dataclasses.replace(d)) == [], str(spec)
 
 
 def test_loops_and_edges_read_each_vertex_from_the_rings():
@@ -183,19 +184,9 @@ def test_loops_and_edges_read_each_vertex_from_the_rings():
     darts[0] = dataclasses.replace(darts[0], vertex=darts[1].vertex)
     bad = dataclasses.replace(d, darts=tuple(darts))
     assert bad.loop_count() == d.loop_count() == 0
-    assert dg.derive_kind(bad) == "knot"
+    assert dg.component_count(bad) == 1  # no loop and one strand: a knot
     assert bad.edges() == d.edges()
     assert dg.to_dot(bad) == dg.to_dot(d)
-
-
-@pytest.mark.parametrize("accessor", ["twin", "vertex_of", "direction",
-                                      "rotation_successor"])
-@pytest.mark.parametrize("dart_id", [-1, 12, 99, True, 1.0])
-def test_accessors_refuse_ids_outside_the_map(accessor, dart_id):
-    # -1 once read the last dart and True dart 1; 99, 1.0 and
-    # rotation_successor(-1) leaked IndexError, TypeError and ValueError
-    with pytest.raises(dg.DiagramError, match="not a dart id in 0..11"):
-        getattr(trefoil(), accessor)(dart_id)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ def test_relabeled_diagram_is_isomorphic():
         rotation[perm[v]] = tuple(new_id[x] for x in d.rotation[v])
     other = dg.Diagram(d.kind, d.vertex_count, tuple(darts), tuple(rotation))
     assert dg.validate(other) == []
-    assert dg.isomorphic(d, other)
+    assert dg.canonical_code(d) == dg.canonical_code(other)
     assert other != d  # labels differ, only the map structure agrees
 
 
@@ -230,13 +221,13 @@ def test_mirror_seeds_are_distinct():
     b = fam.generate(fam.FamilySpec(fam.TWIST_CHAIN, (1,)))
     assert sp.adjacency(a) == sp.adjacency(b)
     assert dg.faces(a)[1] == dg.faces(b)[1]
-    assert not dg.isomorphic(a, b)
+    assert dg.canonical_code(a) != dg.canonical_code(b)
 
 
 def test_different_members_have_different_codes():
     a = fam.generate(fam.FamilySpec(fam.CYCLIC_TORUS, (4,)))
     b = fam.generate(fam.FamilySpec(fam.TWO_RIBBON, (2, 2)))
-    assert not dg.isomorphic(a, b)
+    assert dg.canonical_code(a) != dg.canonical_code(b)
 
 
 def reference_canonical_code(d):
@@ -482,7 +473,7 @@ def test_mirror_involution_and_invariants(member_diagrams):
 def test_mirror_connects_the_two_one_vertex_twists():
     a = fam.generate(fam.FamilySpec(fam.CYCLIC_TORUS, (1,)))
     b = fam.generate(fam.FamilySpec(fam.TWIST_CHAIN, (1,)))
-    assert dg.isomorphic(mirror(a), b)
+    assert dg.canonical_code(mirror(a)) == dg.canonical_code(b)
 
 
 SYMMETRIC_MEMBERS = ("cyclic:V=24", "chain:k=8", "kribbon:k=4,m=4",

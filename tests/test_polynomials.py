@@ -27,7 +27,7 @@ TREFOIL_MATRIX = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 def test_canonical_form_strips_trailing_zeros():
     assert IntPoly((1, 2, 0, 0)).coeffs == (1, 2)
-    assert IntPoly((0, 0)).is_zero()
+    assert not IntPoly((0, 0))
     assert IntPoly(()).degree == -1
 
 
@@ -125,12 +125,6 @@ def test_display(poly, text):
     assert str(poly) == text
 
 
-def test_json_round_trip():
-    p = X ** 5 - 4 * X ** 3 + 3 * X - 7
-    assert IntPoly.from_json_dict(p.to_json_dict()) == p
-    assert p.to_json_dict()["coeffs"][0] == "-7"
-
-
 @pytest.mark.parametrize("coeffs", [(0.5,), (True,), ("2",), (2.0,)])
 def test_coefficients_must_be_ints(coeffs):
     # each was once coerced through int(): to 0, 1, 2 and 2
@@ -138,19 +132,6 @@ def test_coefficients_must_be_ints(coeffs):
         IntPoly(coeffs)
     with pytest.raises(ValueError, match="must be integers"):
         IntPoly((1,) + coeffs + (1,))
-
-
-MISSING = object()
-
-
-@pytest.mark.parametrize("coeffs", [[1.5], [3], ["1", 2], "12", ["0_2"],
-                                    ["\u0662"], MISSING, None])
-def test_json_coefficients_must_be_decimal_strings(coeffs):
-    # "12" was once read digit by digit as 2*x + 1, "0_2" and the
-    # Arabic-Indic digit two as 2; no list leaked KeyError and None TypeError
-    data = {} if coeffs is MISSING else {"coeffs": coeffs}
-    with pytest.raises(ValueError, match="decimal strings"):
-        IntPoly.from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------

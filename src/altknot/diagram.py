@@ -536,8 +536,8 @@ def _bfs_code(root: int, twin: list[int], succ: list[int], out: list[bool],
 
 
 def _least(least: list[int], x: int) -> int:
-    """The least dart of x's class in the union-find `least`, halving the
-    path on the way."""
+    """The least member of x's class in the union-find `least`, halving
+    the path on the way."""
     while least[x] != x:
         least[x] = x = least[least[x]]
     return x
@@ -567,19 +567,24 @@ def canonical_code(d: Diagram) -> tuple:
 
     Orbit pruning (McKay and Piperno, "Practical graph isomorphism, II",
     2014).  When a root's code equals the best's in full (so, as above,
-    both BFSs closed after the same number of darts), the darts at
-    position i of the two BFS orders are joined, for every i, in a
-    union-find over darts; a root whose class holds an earlier dart is
-    skipped.  Skipping is safe.  A full tie maps order_b[i] to order_r[i]
-    for every i, and since the entries agree, that map carries the twin,
-    rotation successor and direction of each dart of the best root's
-    component (the darts its BFS reached) to those of its image in the
-    root's component.  A BFS from any dart of the first component stays in
-    it, so the map carries it to the BFS from the image, label for label:
-    each joined pair has equal codes, with no assumption that the map is
-    connected.  Equality is transitive, so every dart of a class has the
-    code of each earlier dart in it, and by induction over the roots in
-    order, a skipped root's code equals that of a root already compared.
+    both BFSs closed after the same number of darts), the map sending
+    order_b[i] to order_r[i], for every i, carries the twin, rotation
+    successor and direction of each dart of the best root's component (the
+    darts its BFS reached) to those of its image in the root's component,
+    since the entries agree.  A BFS from any dart of the first component
+    stays in it, so the map carries it to the BFS from the image, label
+    for label: each pair has equal codes, with no assumption that the map
+    is connected.  The pairs whose first dart is a root are joined in a
+    union-find over run positions, each class led by its least position,
+    and a root whose class holds a root earlier in the run is skipped.
+    Skipping is safe for any run order.  Equality is transitive, so every
+    root of a class has the code of each earlier one in it, and by
+    induction over run positions a skipped root's code equals that of a
+    root that was compared.  The minimum is taken over all candidates, so
+    the order decides only how soon it is met.  Joining only root pairs
+    loses no class of roots: the map keeps every code entry, and so first
+    entries, so it sends roots to roots and non-roots to non-roots, and a
+    chain of pairs from one root to another passes through roots alone.
 
     First-entry filter (pruning by a node invariant, in the same paper).
     A root r's BFS labels r 0 and then its twin 1, since a twin is never
@@ -588,32 +593,48 @@ def canonical_code(d: Diagram) -> tuple:
     out[r]), and the least ones are found in one pass over the flat
     arrays.  Every code has a first entry and tuples compare it first, so
     a root whose first entry exceeds the least one has a code greater than
-    the minimum: it can neither hold the minimum nor tie with it, and only
-    roots with the least first entry are run.  The returned tuple is the
-    same, and the orbit argument holds over the roots run: a joined pair
-    has equal codes, hence equal first entries, so the earlier dart that
-    makes a root skipped was itself run or, by induction, skipped for an
-    earlier one that was.  In an alternating ring each out dart neighbours
-    each in dart, so exactly one dart of a loop edge has its twin as its
-    successor, and a map with loops runs at most one root per loop.  Any
-    other runs its in darts, half of all.
+    the minimum: it can neither hold the minimum nor tie with it.  So
+    only the roots with the least first entry, the candidates, are run,
+    and the least of their codes is the least over all darts.  In an
+    alternating ring each out dart neighbours each in dart, so exactly one
+    dart of a loop edge has its twin as its successor, and a map with
+    loops runs at most one root per loop.  Any other runs its in darts,
+    half of all.
+
+    Run order.  A map without loops runs its roots by the size of the
+    face through the twin, then of the face through the root, then by
+    dart.  Small faces close early in a BFS and make its code small, so a
+    least code is met early, and the roots after it lose within a few
+    entries instead of tying with a poor interim best for long prefixes:
+    on `twistknot:V=256` the roots draw about 3 entries per dart, against
+    192 in dart order.
     """
-    twin, succ, out, _ = _flat(d)
+    flat = _flat(d)
+    twin, succ, out, _ = flat
     n = len(twin)
     if not n:
         raise DiagramError("canonical code of a diagram with no darts")
     # the roots of least first entry: the darts whose successor is their
-    # twin, in darts first, and if there are none, the in darts
+    # twin, in darts first, and if there are none, the in darts, run by
+    # the sizes of the faces through their twins and through themselves
     loops = list(compress(range(n), map(eq, succ, twin)))
     if loops:
         roots = [r for r in loops if not out[r]] or loops
     else:
-        roots = compress(range(n), map(not_, out))
+        size = [0] * n
+        for trace in _face_traces(d, flat):
+            for x in trace:
+                size[x] = len(trace)
+        roots = sorted(compress(range(n), map(not_, out)),
+                       key=lambda r: (size[twin[r]], size[r]))
+    at = [-1] * n  # each root's run position
+    for i, root in enumerate(roots):
+        at[root] = i
 
-    least = list(range(n))  # union-find over darts, led by the least one
+    least = list(range(len(roots)))  # union-find over run positions
     best = best_order = best_code = None
-    for root in roots:
-        if _least(least, root) != root:
+    for pos, root in enumerate(roots):
+        if _least(least, pos) != pos:
             continue  # its code equals an earlier root's
         order: list[int] = []
         entries = _bfs_code(root, twin, succ, out, order)
@@ -630,11 +651,12 @@ def canonical_code(d: Diagram) -> tuple:
                     best, best_order = entries, order
                     best_code = best_code[:i] + [entry]
                 break
-        else:  # a full tie: join the darts at each position
+        else:  # a full tie: join the roots at each position
             for x, y in zip(best_order, order):
-                x, y = _least(least, x), _least(least, y)
-                if x != y:
-                    least[max(x, y)] = min(x, y)
+                if (x := at[x]) >= 0:
+                    x, y = _least(least, x), _least(least, at[y])
+                    if x != y:
+                        least[max(x, y)] = min(x, y)
     best_code += best  # finish the best
     return tuple(best_code)
 

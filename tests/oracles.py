@@ -76,3 +76,36 @@ def mirror(d):
     """The reflected diagram: every rotation ring reversed."""
     return dg.Diagram(d.kind, d.vertex_count, d.darts,
                       tuple(tuple(reversed(ring)) for ring in d.rotation))
+
+
+def reference_canonical_code(d):
+    """The brute-force canonical code: every root's whole BFS code built,
+    then the minimum taken (as before the pruned version), on twin,
+    successor and direction lists read once from the `Dart` fields and
+    the rings."""
+    n = len(d.darts)
+    twin = [x.twin for x in d.darts]
+    out = [x.direction == dg.OUT for x in d.darts]
+    succ = [0] * n
+    for a, b, c, e in d.rotation:
+        succ[a], succ[b], succ[c], succ[e] = b, c, e, a
+    best = None
+    for root in range(n):
+        label = [-1] * n
+        label[root] = 0
+        order = [root]
+        for cur in order:
+            t, s = twin[cur], succ[cur]
+            if label[t] < 0:
+                label[t] = len(order)
+                order.append(t)
+            if label[s] < 0:
+                label[s] = len(order)
+                order.append(s)
+        code = tuple([(label[twin[x]], label[succ[x]], out[x])
+                      for x in order])
+        if best is None or code < best:
+            best = code
+    if best is None:
+        raise dg.DiagramError("canonical code of a diagram with no darts")
+    return best

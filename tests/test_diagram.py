@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mirror
+from oracles import mirror, reference_canonical_code
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -228,39 +228,6 @@ def test_different_members_have_different_codes():
     a = fam.generate(fam.FamilySpec(fam.CYCLIC_TORUS, (4,)))
     b = fam.generate(fam.FamilySpec(fam.TWO_RIBBON, (2, 2)))
     assert dg.canonical_code(a) != dg.canonical_code(b)
-
-
-def reference_canonical_code(d):
-    """The brute-force canonical code: every root's whole BFS code built,
-    then the minimum taken (as before the pruned version), on twin,
-    successor and direction lists read once from the `Dart` fields and
-    the rings."""
-    n = len(d.darts)
-    twin = [x.twin for x in d.darts]
-    out = [x.direction == dg.OUT for x in d.darts]
-    succ = [0] * n
-    for a, b, c, e in d.rotation:
-        succ[a], succ[b], succ[c], succ[e] = b, c, e, a
-    best = None
-    for root in range(n):
-        label = [-1] * n
-        label[root] = 0
-        order = [root]
-        for cur in order:
-            t, s = twin[cur], succ[cur]
-            if label[t] < 0:
-                label[t] = len(order)
-                order.append(t)
-            if label[s] < 0:
-                label[s] = len(order)
-                order.append(s)
-        code = tuple([(label[twin[x]], label[succ[x]], out[x])
-                      for x in order])
-        if best is None or code < best:
-            best = code
-    if best is None:
-        raise dg.DiagramError("canonical code of a diagram with no darts")
-    return best
 
 
 def relabel(d, rng):
@@ -517,21 +484,31 @@ def test_canonical_code_matches_reference_from_one_root(text):
             assert dg.canonical_code(y) == expected
 
 
-@pytest.mark.parametrize("text", ["hopftwist:V=24", "twistknot:V=24"])
+@pytest.mark.parametrize("text", ["hopftwist:V=24", "twistknot:V=24",
+                                  "twistknot:V=64", "lchain:k=1,n=62"])
 def test_canonical_code_runs_only_roots_of_least_first_entry(text,
                                                              monkeypatch):
-    # one root of 96 on a map with one loop, the 48 in darts on a knot,
-    # fewer where orbit pruning skips some
+    # one root of 96 on a map with one loop, the in darts on a loopless
+    # map, fewer where orbit pruning skips some; run in face-size order,
+    # the roots draw at most 4 entries per dart in all (48 and 64 per dart
+    # on the last two in dart-id order)
     d = spec_diagram(text)
+    n = len(d.darts)
     roots = first_entry_roots(d)
-    assert len(roots) == (1 if d.kind == "twist" else 48)
-    run = []
+    assert len(roots) == (1 if d.kind == "twist" else n // 2)
+    run, drawn = [], [0]
     bfs_code = dg._bfs_code
-    monkeypatch.setattr(dg, "_bfs_code",
-                        lambda root, *rest: run.append(root)
-                        or bfs_code(root, *rest))
+
+    def counted_bfs_code(root, *rest):
+        run.append(root)
+        for entry in bfs_code(root, *rest):
+            drawn[0] += 1
+            yield entry
+
+    monkeypatch.setattr(dg, "_bfs_code", counted_bfs_code)
     assert dg.canonical_code(d) == reference_canonical_code(d)
     assert run and set(run) <= set(roots)
+    assert drawn[0] <= 4 * n
 
 
 def three_component_maps():

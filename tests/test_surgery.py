@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly_cofactor, mirror
+from oracles import charpoly_cofactor, mirror, reference_canonical_code
 from test_diagram import relabel  # the same map, renumbered
 
 from altknot import diagram as dg
@@ -1031,6 +1031,9 @@ def test_random_surgery_keeps_invariants(start, steps, rng):
         for sense in (dg.CCW, dg.CW):
             assert sum(len(t) for i, t in enumerate(face_list)
                        if senses[i] == sense) == 2 * d.vertex_count, step
+    # composite and non-reduced maps, which no family makes, against the
+    # brute-force code
+    assert dg.canonical_code(d) == reference_canonical_code(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1090,14 +1093,14 @@ def assert_carries_what_a_cold_check_gives(d):
         assert (dg._flat(value), dg._face_traces(value)) == cold
 
 
-def test_the_slot_holds_what_a_cold_flat_gives_on_sweep():
+def test_a_built_value_carries_what_a_cold_check_gives_on_sweep():
     for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
         assert_carries_what_a_cold_check_gives(fam.generate(s))
 
 
 @pytest.mark.parametrize("text", ["twistknot:V=8", "p:k=3,l=4,m=2",
                                   "lchain:k=3,n=2"])
-def test_the_slot_holds_what_a_cold_flat_gives_on_round_trips(text):
+def test_a_built_value_carries_what_a_cold_check_gives_on_round_trips(text):
     d = fam.generate(fam.parse_spec_string(text))
     code = dg.canonical_code(d)
     for v in range(d.vertex_count):
@@ -1219,7 +1222,7 @@ def assert_reads_unchanged(d, before):
     assert (list(dg._flat(copy)), dg._face_traces(copy)) == before
 
 
-def test_an_unfinished_or_refused_build_leaves_the_slot_alone():
+def test_an_unfinished_or_refused_build_leaves_the_carried_lists_alone():
     # a build reads its input's carried lists; no move, finished or not,
     # may write them
     d = member(fam.CYCLIC_TORUS, 4)
@@ -1243,7 +1246,7 @@ def test_an_unfinished_or_refused_build_leaves_the_slot_alone():
     (_cut_ring, "the rotation rings do not list every dart exactly once"),
     (_far_twin, "a dart's twin is out of range"),
 ], ids=["ring-cut", "twin-99"])
-def test_a_corrupted_copy_of_the_slots_diagram_is_refused(fault, problem):
+def test_a_corrupted_copy_of_a_built_value_is_refused(fault, problem):
     # the copy shares the darts or the rings of a built diagram, which
     # carries its checked lists; neither the copy nor its JSON read back,
     # which its check refused, carries anything
@@ -1298,7 +1301,7 @@ def test_contraction_reads_the_rings_once_per_map(monkeypatch):
     assert calls == [len(grown.darts), len(back.darts)]
 
 
-def test_flat_slot_threads_on_different_members():
+def test_built_values_read_their_own_lists_across_threads():
     # each thread builds its own members while the others build theirs,
     # and reads every one back after all are built: a value's reads are
     # its own, whatever was built since
@@ -1370,7 +1373,7 @@ def assert_reads_equal_a_cold_copy(d, face=None):
     return cold
 
 
-def test_slot_readers_equal_cold_reads_on_sweep():
+def test_readers_of_a_built_value_equal_cold_reads_on_sweep():
     count = 0
     for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
         assert_reads_equal_a_cold_copy(fam.generate(s))
@@ -1380,7 +1383,7 @@ def test_slot_readers_equal_cold_reads_on_sweep():
 
 @pytest.mark.parametrize("text", ["twistknot:V=8", "p:k=3,l=4,m=2",
                                   "lchain:k=3,n=2"])
-def test_slot_readers_equal_cold_reads_on_round_trips(text):
+def test_readers_of_a_built_value_equal_cold_reads_on_round_trips(text):
     d = fam.generate(fam.parse_spec_string(text))
     code = dg.canonical_code(dataclasses.replace(d))
     for v in range(d.vertex_count):
@@ -1416,7 +1419,7 @@ def test_a_round_trip_traces_faces_twice(monkeypatch):
                 assert calls == [len(grown.darts), len(back.darts)]
 
 
-def test_validate_answers_from_the_slot(monkeypatch):
+def test_validate_answers_from_the_carried_check(monkeypatch):
     d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
     calls = []
     type_problem, map_problems = dg._type_problem, dg._map_problems
@@ -1429,7 +1432,7 @@ def test_validate_answers_from_the_slot(monkeypatch):
     assert calls == ["type", "map"]
 
 
-def test_an_equal_copy_is_not_answered_from_the_slot():
+def test_an_equal_copy_is_checked_afresh():
     # Dart(True, ...) == Dart(1, ...), so the copy equals a built diagram
     # by value; only what a constructor checked may be carried
     d = member(fam.CYCLIC_TORUS, 3)
@@ -1445,7 +1448,7 @@ def test_an_equal_copy_is_not_answered_from_the_slot():
             reader(copy)
 
 
-def test_a_build_refused_at_euler_leaves_the_slot_alone():
+def test_a_build_refused_at_euler_leaves_the_carried_lists_alone():
     # the refused build rewired the twins of its input's lists; the input
     # still reads as a cold copy of it does
     d = member(fam.CYCLIC_TORUS, 4)

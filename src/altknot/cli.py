@@ -68,9 +68,10 @@ def _load_source(text: str,
                              + "; ".join(problems))
         return m
     try:
-        d, problems = dg._from_json(doc)  # checked once, as it is read
+        d = dg.from_json(doc)
     except dg.DiagramFormatError as exc:
         raise InputError(f"{text}: {failure}{exc}") from exc
+    problems = dg.validate(d)  # [] without a second check when d is valid
     if problems:
         raise InputError(f"{text}: invalid diagram: " + "; ".join(problems))
     return d

@@ -689,12 +689,9 @@ def _json_int(value, what: str) -> int:
 
 
 def from_json_dict(data: dict) -> Diagram:
-    return _from_json_dict(data)[0]
-
-
-def _from_json_dict(data: dict) -> tuple[Diagram, list[str]]:
-    """`from_json_dict`'s diagram and `validate`'s report on it, from one
-    check: a valid document's diagram carries what the check built."""
+    """The diagram of a `to_json_dict` document, checked once, here: a
+    valid one carries what the check built, so `validate` returns [] on
+    it, and an invalid one carries nothing and is checked again there."""
     try:
         if _json_int(data["version"], "version") != 1:
             raise DiagramFormatError(
@@ -716,24 +713,18 @@ def _from_json_dict(data: dict) -> tuple[Diagram, list[str]]:
         raise DiagramFormatError(f"malformed diagram document: {exc}") from exc
     if any(dart.direction not in (OUT, IN) for dart in d.darts):
         raise DiagramFormatError("dart dir must be 'out' or 'in'")
-    problems, checked = _check(d)  # a document is checked here, once
-    return (_carry(d, *checked) if checked else d), problems
+    checked = _check(d)[1]
+    return _carry(d, *checked) if checked else d
 
 
 def from_json(text: str) -> Diagram:
-    return _from_json(text)[0]
-
-
-def _from_json(text: str) -> tuple[Diagram, list[str]]:
-    """`from_json`'s diagram and `validate`'s report on it, from the one
-    check `_from_json_dict` makes."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DiagramFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DiagramFormatError("diagram document must be a JSON object")
-    return _from_json_dict(data)
+    return from_json_dict(data)
 
 
 def to_dot(d: Diagram) -> str:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 from .diagram import IN, OUT, Diagram
 from .limits import decimal_int, max_vertices
-from .polynomials import IntPoly, X, _jgrow, charpoly, divide_out, jpoly
+from .polynomials import IntPoly, X, _jgrow, _read, charpoly, divide_out, jpoly
 from .spectra import adjacency
 from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
 
@@ -78,10 +78,10 @@ class FamilySpec:
 class Family:
     """One named family: its tag, CLI prefix, parameters, size, generator
     and closed form.  `vertices`, `build` and `formula` take the member's
-    parameters in the order of `names` (the `chain` and `kribbon`
-    formulas then take a ring (x, J), see `check_identities`); `build`
-    returns the member as an unfinished `surgery._Builder`, which
-    `generate` finishes.
+    parameters in the order of `names`; every formula then takes a ring
+    (x, J), X and jpoly by default, in which `closed_form` and
+    `check_identities` evaluate it; `build` returns the member as an
+    unfinished `surgery._Builder`, which `generate` finishes.
 
     The verify sweep runs every parameter from its minimum up to the sweep
     maximum; a `descending` family, symmetric in its ribbons, keeps only
@@ -207,9 +207,8 @@ def _chained_cyclic(k: int, n: int) -> _Builder:
 # Closed forms
 # ---------------------------------------------------------------------------
 
-# The formulas `check_identities` reads take their ring as (x, J), X and
-# jpoly by default: each is written once and also evaluated at an integer
-# point and on l1 majorants.
+# The formulas take their ring as (x, J), X and jpoly by default: each is
+# written once and also evaluated at an integer point and on l1 majorants.
 
 def cyclic_poly(v: int, x=X, J=jpoly) -> IntPoly:
     """2[J_V - 1] - x*J_{V-1}: the cyclic torus family."""
@@ -238,19 +237,78 @@ def three_ribbon_g_poly(k: int, l: int, m: int, x=X, J=jpoly) -> IntPoly:
             - x * (jk1 + jl1 + jm1))
 
 
-def chained_cyclic_poly(k: int, n: int) -> IntPoly:
-    return (X ** k * (2 * jpoly(k) - X * jpoly(k - 1)) * (jpoly(n) - 1)
-            + X ** k * (-X * jpoly(k) + (X * X - 2) * jpoly(k - 1))
-            * jpoly(n - 1))
+def chained_cyclic_poly(k: int, n: int, x=X, J=jpoly) -> IntPoly:
+    return x ** k * ((2 * J(k) - x * J(k - 1)) * (J(n) - 1)
+                     + ((x * x - 2) * J(k - 1) - x * J(k)) * J(n - 1))
 
 
-# the four-knot twist's J_{V-4} and J_{V-5} factors, inside (x - 2)
-_FOUR_KNOT_A, _FOUR_KNOT_B = X * (X * X + 2 * X + 2), X ** 3 + 2 * X * X - 1
+def _jvalues(x, top: int) -> Callable[[int], object]:
+    """J_k over the ring of x, k = -1..top, from the recurrence: at an
+    integer x0 the J of the ring (x0, J), which maps jpoly(k) to
+    jpoly(k)(x0); at `_L1(1)` the l1 majorant of J_k."""
+    table = _jgrow([x * 0, x ** 0], x, top + 2)  # J_k sits at k + 1
+
+    def J(k: int) -> object:
+        if k < -1:  # never let k + 1 wrap round to the end of the table
+            raise ValueError(f"jpoly index must be >= -1, got {k}")
+        return table[k + 1]
+    return J
+
+
+class _L1:
+    """An upper bound on the l1 norm of a polynomial (see
+    `check_identities`): a sum or a difference adds bounds, a product
+    multiplies them, and a constant counts by its absolute value."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __add__(self, other: _L1 | int) -> _L1:
+        return _L1(self.n + (other.n if type(other) is _L1 else abs(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other: _L1 | int) -> _L1:
+        return _L1(self.n * (other.n if type(other) is _L1 else abs(other)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> _L1:
+        return _L1(self.n ** e)
+
+
+# the majorants of J_{-1}, J_0, ... as far as any caller has asked, grown
+# and replaced whole like `polynomials._jtable`
+_jl1table: tuple[_L1, ...] = (_L1(0), _L1(1))
+
+
+def _jl1(k: int) -> _L1:
+    """A bound on l1(J_k), the J recurrence read in the majorant ring:
+    the J of the ring (_L1(1), _jl1), F_{k+1} (Fibonacci)."""
+    global _jl1table
+    if k < -1:
+        raise ValueError(f"jpoly index must be >= -1, got {k}")
+    table = _jl1table
+    if k + 1 >= len(table):
+        table = tuple(_jgrow(list(table), _L1(1), k + 2))
+        if len(table) > len(_jl1table):
+            _jl1table = table
+    return table[k + 1]
 
 
 def closed_form(spec: FamilySpec) -> IntPoly:
-    """The member's characteristic polynomial as an exact formula."""
-    return _BY_TAG[spec.family].formula(*spec.params)
+    """The member's characteristic polynomial as an exact formula.
+
+    The registry formula is evaluated once at x0 = 2^w and its value read
+    by `polynomials._read`.  Evaluated in the majorant ring first, the
+    formula bounds its own l1 norm, and so every |c_i|, by B (see
+    `check_identities`); w = bitlen(B) + 1 puts B below 2^(w-1)."""
+    formula, params = _BY_TAG[spec.family].formula, spec.params
+    w = formula(*params, _L1(1), _jl1).n.bit_length() + 1
+    x0 = 1 << w
+    return _read(formula(*params, x0, _jvalues(x0, max(params))), w)
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +323,25 @@ FAMILIES: tuple[Family, ...] = (
     Family(CYCLIC_TORUS, "cyclic", ("V",), (1,), _total,
            _cyclic_torus, cyclic_poly),
     Family(TWIST_CHAIN, "twistchain", ("V",), (1,), _total,
-           _twist_chain, lambda v: (X - 2) * jpoly(v - 1)),
+           _twist_chain, lambda v, x=X, J=jpoly: (x - 2) * J(v - 1)),
     Family(HOPF_TWIST, "hopftwist", ("V",), (2,), _total,
            lambda v: _grow_twist(_cyclic_torus(2), v - 2),
-           lambda v: (X - 2) * ((X + 2) * jpoly(v - 2) - X * jpoly(v - 3))),
+           lambda v, x=X, J=jpoly: (x - 2) * ((x + 2) * J(v - 2)
+                                            - x * J(v - 3))),
     Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,), _total,
            lambda v: _grow_twist(_cyclic_torus(3), v - 3),
-           lambda v: ((X - 2) * (X + 1)
-                      * ((X + 1) * jpoly(v - 3) - X * jpoly(v - 4)))),
+           lambda v, x=X, J=jpoly: ((x - 2) * (x + 1)
+                                    * ((x + 1) * J(v - 3) - x * J(v - 4)))),
     Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
            lambda v: _grow_twist(_necklace(3, 2), v - 4),
-           lambda v: (X - 2) * (_FOUR_KNOT_A * jpoly(v - 4)
-                                - _FOUR_KNOT_B * jpoly(v - 5))),
+           # the J_{V-4} and J_{V-5} factors inside (x - 2)
+           lambda v, x=X, J=jpoly: (x - 2) * (
+               x * (x * x + 2 * x + 2) * J(v - 4)
+               - (x ** 3 + 2 * x * x - 1) * J(v - 5))),
     Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
            lambda v: _necklace(v - 1, 2),
-           lambda v: ((X ** 3 - X - 2) * jpoly(v - 3)
-                      - X * X * jpoly(v - 4) - 2 * X)),
+           lambda v, x=X, J=jpoly: ((x ** 3 - x - 2) * J(v - 3)
+                                    - x * x * J(v - 4) - 2 * x)),
     Family(TWO_RIBBON, "f", ("j", "k"), (1, 1), _total,
            lambda j, k: _necklace(j + 1, k), two_ribbon_poly,
            descending=True),
@@ -391,49 +452,6 @@ def check_family_recurrence(p0: IntPoly, p1: IntPoly,
 # Cross-family identities, each decided by one exact evaluation per side
 # ---------------------------------------------------------------------------
 
-def _jvalues(x, top: int) -> Callable[[int], object]:
-    """J_k over the ring of x, k = -1..top, from the recurrence: at an
-    integer x0 the J of the ring (x0, J), which maps jpoly(k) to
-    jpoly(k)(x0); at `_L1(1)` the l1 majorant of J_k."""
-    table = _jgrow([x * 0, x ** 0], x, top + 2)  # J_k sits at k + 1
-
-    def J(k: int) -> object:
-        if k < -1:  # never let k + 1 wrap round to the end of the table
-            raise ValueError(f"jpoly index must be >= -1, got {k}")
-        return table[k + 1]
-    return J
-
-
-class _L1:
-    """An upper bound on the l1 norm of a polynomial (see
-    `check_identities`): a sum or a difference adds bounds, a product
-    multiplies them, and a constant counts by its absolute value."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __add__(self, other: _L1 | int) -> _L1:
-        return _L1(self.n + (other.n if type(other) is _L1 else abs(other)))
-
-    __radd__ = __sub__ = __rsub__ = __add__
-
-    def __mul__(self, other: _L1 | int) -> _L1:
-        return _L1(self.n * (other.n if type(other) is _L1 else abs(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> _L1:
-        return _L1(self.n ** e)
-
-
-def _jl1(k: int) -> _L1:
-    """A bound on l1(J_k), the J recurrence read in the majorant ring:
-    the J of the ring (_L1(1), _jl1)."""
-    return _jvalues(_L1(1), k)(k)
-
-
 def _g_of(x, J) -> Callable[[int, int, int], object]:
     """three_ribbon_g_poly over the ring (x, J), each value made once."""
     return lru_cache(maxsize=None)(
@@ -506,11 +524,9 @@ def check_identities(max_index: int) -> dict[str, bool]:
     Each instance L == R is decided by one integer comparison
     L(x0) == R(x0), the formulas evaluated over the ring of x0 and the
     table of J_k(x0).  Evaluation at x0 is a ring homomorphism, so L == R
-    implies L(x0) == R(x0).  Conversely, let D = L - R have coefficients
-    d_i with every |d_i| < x0.  If D != 0, take the lowest j with d_j != 0:
-    D(x0) = x0^j * (d_j + x0 * Q(x0)) for an integer polynomial Q, and
-    d_j + x0 * Q(x0) is congruent to d_j, which is nonzero modulo x0
-    because 0 < |d_j| < x0; so D(x0) != 0.
+    implies L(x0) == R(x0).  Conversely, D = L - R has D(x0) != 0 when
+    D != 0 and every |d_i| < x0, by the reading lemma (a) at
+    `polynomials._read`.
 
     The bound on |d_i| is proven, never read off a computed polynomial:
     |d_i| <= l1(D) <= l1(L) + l1(R), where l1 is the sum of the absolute

@@ -180,6 +180,28 @@ def _coerce(v: IntPoly | int) -> IntPoly:
     return v if isinstance(v, IntPoly) else IntPoly((v,))
 
 
+def _read(value: int, w: int) -> IntPoly:
+    """The polynomial P with every |c_i| < 2^(w-1) and P(2^w) = value,
+    read from the balanced base-2^w digits of value (Kronecker
+    substitution), for a value that is such a P(2^w).
+
+    The reading lemma.  Let x0 = 2^w.  (a) An integer polynomial D != 0
+    with every |d_i| < x0 has D(x0) != 0: with d_j its lowest nonzero
+    coefficient, D(x0) = x0^j * (d_j + x0 * Q(x0)) for an integer
+    polynomial Q, and d_j + x0 * Q(x0) is congruent to d_j, which is
+    nonzero modulo x0.  (b) So at most one P with every |c_i| < x0/2 has
+    P(x0) = value, as the difference of two has every |d_i| < x0, and
+    this reads it: with h = x0/2 and P of degree d, value plus h in each
+    of n > d slots has the digit c_i + h, in [1, x0 - 1], in slot i <= d
+    and h above, so no slot borrows from the next.  A degree-d P has
+    |value| >= x0^d - (x0/2 - 1) * (x0^d - 1)/(x0 - 1) > x0^d / 2, so
+    n = bitlen(|value|) // w + 1 slots are enough."""
+    h, mask = 1 << (w - 1), (1 << w) - 1
+    top = (abs(value).bit_length() // w + 1) * w
+    u = value + h * (((1 << top) - 1) // mask)  # h in each of the n slots
+    return IntPoly._of([(u >> s & mask) - h for s in range(0, top, w)])
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev-type basis: J_k(x) = U_k(x/2), the normalized second-kind family.
 # J_{-1} = 0, J_0 = 1, J_{k+2} = x*J_{k+1} - J_k.

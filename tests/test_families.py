@@ -192,6 +192,44 @@ def test_verify_member_everywhere(member_specs):
         assert res.match, f"{s}: {res.generated} != {res.formula}"
 
 
+def _reads_its_formula(s):
+    """closed_form(s), read from one integer, is the registry formula
+    evaluated in the IntPoly ring."""
+    return closed_form(s) == fam._BY_TAG[s.family].formula(*s.params)
+
+
+@pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
+def test_closed_form_reads_the_intpoly_formula_on_sweep(family):
+    # the minima (lchain:k=0,n=1, and the rows reaching J_{-1}) included
+    members = family.sweep(12)
+    assert FamilySpec(family.tag, family.minima) in members
+    for s in members:
+        assert _reads_its_formula(s), str(s)
+
+
+@pytest.mark.parametrize("family", [f for f in fam.FAMILIES
+                                    if len(f.names) == 1],
+                         ids=lambda f: f.prefix)
+def test_closed_form_reads_one_parameter_families_to_128(monkeypatch,
+                                                         family):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "128")
+    members = family.sweep(128)
+    assert max(fam.vertex_count(s) for s in members) >= 127
+    for s in members:
+        assert _reads_its_formula(s), str(s)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, -4, 7, 2 ** 64 - 1])
+def test_closed_form_reads_a_formula_at_its_majorant(monkeypatch, c):
+    # a monomial c*x^v has its majorant |c| as its one coefficient, the
+    # tightest a formula can be: one bit less headroom misreads it
+    family = fam._BY_TAG[fam.TWIST_CHAIN]
+    monkeypatch.setitem(fam._BY_TAG, fam.TWIST_CHAIN, dataclasses.replace(
+        family, formula=lambda v, x=X, J=jpoly: c * x ** v))
+    for v in (1, 2, 9):
+        assert closed_form(spec(fam.TWIST_CHAIN, v)) == c * X ** v, v
+
+
 def test_known_closed_forms():
     assert fam.closed_form(spec(fam.CYCLIC_TORUS, 3)) == X ** 3 - 3 * X - 2
     assert fam.closed_form(spec(fam.CYCLIC_TORUS, 2)) == X ** 2 - 4

@@ -135,6 +135,46 @@ def test_coefficients_must_be_ints(coeffs):
 
 
 # ---------------------------------------------------------------------------
+# Reading a polynomial from its value at 2^w
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("w", [2, 3, 8, 31, 64, 65, 100])
+def test_read_takes_every_digit_at_the_edge_of_its_slot(w):
+    # every coefficient is +-(2^(w-1) - 1), the largest the lemma allows,
+    # in every sign pattern of four, and with a negative leading one
+    top = (1 << (w - 1)) - 1
+    for signs in range(16):
+        coeffs = tuple(top if signs >> i & 1 else -top for i in range(4))
+        read = polynomials._read(IntPoly(coeffs)(1 << w), w)
+        assert read.coeffs == coeffs, (w, signs)
+        assert set(map(type, read.coeffs)) == {int}
+
+
+@pytest.mark.parametrize("w", [2, 5, 64])
+def test_read_keeps_zero_digits_and_the_lowest_degrees(w):
+    top = (1 << (w - 1)) - 1
+    for coeffs in [(0, 0, 0, -1), (-top,), (top, 0, 0, 0, 0, -top),
+                   (0, top, -1, 0, 1), (-1,) * 9, (1, -1) * 5]:
+        p = IntPoly(coeffs)
+        assert polynomials._read(p(1 << w), w).coeffs == coeffs, (w, coeffs)
+
+
+@pytest.mark.parametrize("w", [1, 2, 64])
+def test_read_of_zero_is_the_zero_polynomial(w):
+    assert polynomials._read(0, w).coeffs == ()
+
+
+def test_read_recovers_random_polynomials():
+    rng = random.Random(30)
+    for _ in range(300):
+        w = rng.randrange(2, 90)
+        top = (1 << (w - 1)) - 1
+        p = IntPoly(tuple(rng.randint(-top, top)
+                          for _ in range(rng.randrange(0, 40))))
+        assert polynomials._read(p(1 << w), w) == p, (w, p)
+
+
+# ---------------------------------------------------------------------------
 # The Chebyshev-type basis
 # ---------------------------------------------------------------------------
 

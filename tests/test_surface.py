@@ -21,9 +21,6 @@ KEPT = {
     "catalog": "item 8 re-derives or retires it",
     "waist_ring_poly": "README's semi-invariant claim (item 18)",
     "waist_ring_diagram": "README's semi-invariant claim (item 18)",
-    # the CLI reads through `_from_json`, which also returns the report
-    "from_json": "the public reader of `to_json`'s documents (item 18)",
-    "from_json_dict": "the public reader of `to_json_dict` (item 18)",
 }
 
 

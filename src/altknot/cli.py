@@ -4,8 +4,9 @@ Subcommands: ``gen`` writes a family member as JSON or DOT, ``charpoly``
 prints a characteristic polynomial, ``verify`` sweeps generators against
 their closed forms, ``census`` reports faces and coefficient rules,
 ``components`` counts strands and ``decompose`` prints the permutation
-splittings.  Exit codes: 0 success / all pass, 1 verification failure
-(or output cut short by a closed pipe), 2 usage or input error.
+splittings, each as it is made.  Exit codes: 0 success / all pass, 1
+verification failure (or output cut short by a closed pipe), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def cmd_components(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     m = _load_matrix_source(args.source)
     dec = sp.trace_strands(m)
-    pairs = sp.permutation_decompositions(m)
+    count, pairs = sp.decompositions(dec)
     print(f"strands: {dec.count}")
-    print(f"canonical decompositions: {len(pairs)}")
+    print(f"canonical decompositions: {count}")
     for idx, (p1, p2) in enumerate(pairs):
         print(f"decomposition {idx}:")
         print("P1:")

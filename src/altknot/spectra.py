@@ -10,6 +10,7 @@ two permutation matrices.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -38,9 +39,13 @@ class AdjMatrix:
     def problems(self) -> list[str]:
         """Why this is not an adjacency matrix, or [].  A matrix with
         layers has no negative entry, and a row's or column's sum is the
-        number of its support's entries that are not padding (n)."""
+        number of its support's entries that are not padding (n), so two
+        row layers and two column layers without padding pass at once."""
         if layers := self._layers:
             n, out = len(self.rows), []
+            if all(len(side) == 2 and n not in side[0] and n not in side[1]
+                   for side in layers):
+                return out
             sums = [[len(side) - line.count(n) for line in zip(*side)]
                     for side in layers]
         else:
@@ -131,21 +136,26 @@ class StrandDecomposition:
     `edges` lists the matrix's edges as (row, col) cells in row-major order
     (a 2-entry contributes two consecutive ids).  Each component cycle
     alternates row moves and column moves; splitting a cycle at alternate
-    positions gives its two permutation classes.
+    positions gives its two permutation classes, `permutation_split`,
+    which is sliced from the cycles when read (and shown by the repr).
     """
 
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
-    permutation_split: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @property
     def count(self) -> int:
         return len(self.components)
 
+    @property
+    def permutation_split(self) -> tuple[tuple[tuple[int, ...],
+                                               tuple[int, ...]], ...]:
+        return tuple([(cycle[0::2], cycle[1::2]) for cycle in self.components])
 
-# The last matrix trace_strands walked (none at first) and its result:
-# replaced whole, never mutated, like closed_path_count's slot.
-_strands_slot: tuple = (None, None)
+    def __repr__(self) -> str:
+        return (f"StrandDecomposition(edges={self.edges!r}, components="
+                f"{self.components!r}, permutation_split="
+                f"{self.permutation_split!r})")
 
 
 def trace_strands(m: AdjMatrix) -> StrandDecomposition:
@@ -155,110 +165,98 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
     the same row, then the other edge in the same column, and so on; the
     closed cycles are the link components.  A diagram is a knot exactly
     when there is one component.  Every row holds two edges, so row i
-    owns edges 2i and 2i + 1 and a row step is `e ^ 1`.  A matrix
-    `adjacency` made is read from its layers, in O(V): its row and column
-    sums, and row i's edges, its two heads in ascending column order.
-
-    The result for the last matrix walked is kept, keyed on the identity
-    of its rows, an immutable tuple the slot holds on to, so
-    :func:`permutation_decompositions` right after this call neither checks
-    nor walks it again.  A matrix equal by value is checked afresh (`True`
-    or `1.0` entries are refused), and a refused one leaves the slot.
+    owns edges 2i and 2i + 1, a row step is `e ^ 1`, and the smallest
+    untraversed edge is 2i of the first row not yet walked.  Row i's edges
+    in a matrix `adjacency` made are its heads in the two row layers, in
+    ascending order.  Each call checks and walks its own matrix.
     """
-    global _strands_slot
-    rows = m.rows
-    slot = _strands_slot
-    if slot[0] is rows:
-        return slot[1]
     problems = m.problems()
     if problems:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
-    if layers := m._layers:  # every row's support is its two heads
-        edges = [(i, j) for i, heads in enumerate(zip(*layers[0]))
-                 for j in sorted(heads)]
+    n = m.n
+    if layers := m._layers:  # `problems` passed: two row layers, no padding
+        heads, mates = layers[0]
+        cols = heads + mates
+        cols[0::2], cols[1::2] = heads, mates
+        for e in compress(range(0, 2 * n, 2), map(int.__gt__, heads, mates)):
+            cols[e], cols[e + 1] = cols[e + 1], cols[e]
     else:
-        edges = [(i, j) for i, row in enumerate(m.rows)
-                 for j in compress(range(m.n), row) for _ in range(row[j])]
-    col_mate = [0] * len(edges)
-    first_in_col = [-1] * m.n
-    for e, (_, j) in enumerate(edges):
+        cols = [j for row in m.rows for j in compress(range(n), row)
+                for _ in range(row[j])]
+    col_mate = [0] * (2 * n)
+    first_in_col = [-1] * n
+    for e, j in enumerate(cols):
         other = first_in_col[j]
         if other < 0:
             first_in_col[j] = e
         else:
             col_mate[e], col_mate[other] = other, e
 
-    seen = [False] * len(edges)
+    walked = [False] * n  # by row: a row step walks both of its edges
     components = []
-    splits = []
-    for start in range(len(edges)):
-        if seen[start]:
+    for i in range(n):
+        if walked[i]:
             continue
         cycle = []
-        cur = start
+        start = cur = 2 * i
         while True:
             cycle += (cur, cur ^ 1)
-            seen[cur] = seen[cur ^ 1] = True
+            walked[cur >> 1] = True
             cur = col_mate[cur ^ 1]
             if cur == start:
                 break
         components.append(tuple(cycle))
-        splits.append((tuple(cycle[0::2]), tuple(cycle[1::2])))
-    dec = StrandDecomposition(tuple(edges), tuple(components), tuple(splits))
-    _strands_slot = (rows, dec)
-    return dec
+    edges = tuple([(e >> 1, j) for e, j in enumerate(cols)])
+    return StrandDecomposition(edges, tuple(components))
 
 
-def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
-    """All canonical splittings of the matrix into two permutation matrices.
+def decompositions(dec: StrandDecomposition
+                   ) -> tuple[int, Iterator[tuple[Matrix, Matrix]]]:
+    """The count of the canonical splittings of `dec`'s matrix into two
+    permutation matrices, and an iterator making them, in order, as drawn.
 
-    Components flip independently; the pair count is canonicalized by
-    sending the class holding the smallest edge of component 0 (its first
-    class, where the walk starts) to the first matrix, and identical pairs
-    (possible when a component's two classes coincide, e.g. a 2-entry
-    circle) are deduplicated.  A knot therefore has exactly one
-    decomposition.
-
-    Every row and column of the matrix belongs to exactly one component, so
-    a pair is a per-row choice between the two class rows of that row's
-    component.  Each row step of the walk pairs a row's two edges, one in
-    each class, so the two class columns of every row are read directly.
-    Flipping a component whose classes coincide repeats a pair and flipping
-    any other gives a new one, so only flips of the distinct components are
-    enumerated, in the order of their first occurrence.  The strands come
-    from :func:`trace_strands`, whose slot answers right after it.
+    Each row's two edges lie one in each class of its component, so a pair
+    is a per-row choice between the two class rows.  Component 0 is pinned
+    (its first class, with the smallest edge, goes to the first matrix);
+    flipping a later component whose classes coincide (a 2-entry circle)
+    repeats a pair, and flipping any other gives a new one.  So the count
+    is 2^f, f the later components whose classes differ (one for a knot),
+    pair k flips those at the set bits of k, and pair k - 1 becomes pair k
+    by swapping the rows of the components at the bits that change.  The
+    classes are checked before this returns.
     """
-    dec = trace_strands(m)
-    n = m.n
-    zero = (0,) * n
-    units = [zero[:j] + (1,) + zero[j + 1:] for j in range(n)]
-    first_rows: list[tuple[int, ...]] = [()] * n
-    second_rows: list[tuple[int, ...]] = [()] * n
-    flip_bit = [0] * n  # of each row's component; component 0 is pinned
-    free = 0  # flip bits of the components whose two classes differ
-    for c, (first, second) in enumerate(dec.permutation_split):
-        cols = [dec.edges[e][1] for e in first]
-        mates = [dec.edges[e][1] for e in second]
+    n = len(dec.edges) >> 1
+    column = [j for _, j in dec.edges]
+    unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    p1, p2 = [()] * n, [()] * n  # the rows of pair 0
+    flipping = []  # rows of each later component whose two classes differ
+    for c, cycle in enumerate(dec.components):
+        first = cycle[0::2]
+        cols = [column[e] for e in first]
+        mates = [column[e ^ 1] for e in first]
         if len(set(cols)) < len(cols) or sorted(cols) != sorted(mates):
             raise ValueError(f"component {c}: a class is not a "
                              "permutation of its rows and columns")
-        bit = 1 << (c - 1) if c else 0
         for e, j, k in zip(first, cols, mates):
-            i = e >> 1
-            first_rows[i], second_rows[i], flip_bit[i] = units[j], units[k], bit
-        if cols != mates:
-            free |= bit
+            p1[e >> 1], p2[e >> 1] = unit[j], unit[k]
+        if c and cols != mates:
+            flipping.append([e >> 1 for e in first])
 
-    results: list[tuple[Matrix, Matrix]] = []
-    mask = 0
-    while True:
-        flips = [mask & bit for bit in flip_bit]
-        results.append((
-            tuple(b if f else a for a, b, f in zip(first_rows, second_rows, flips)),
-            tuple(a if f else b for a, b, f in zip(first_rows, second_rows, flips))))
-        mask = (mask - free) & free  # next submask of `free`, 0 after the last
-        if not mask:
-            return results
+    def pairs():
+        yield tuple(p1), tuple(p2)
+        for k in range(1, 1 << len(flipping)):
+            for strand in flipping[:(k & -k).bit_length()]:  # k - 1 -> k
+                for i in strand:
+                    p1[i], p2[i] = p2[i], p1[i]
+            yield tuple(p1), tuple(p2)
+
+    return 1 << len(flipping), pairs()
+
+
+def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
+    """All canonical splittings of the matrix into two permutation
+    matrices: :func:`decompositions` of its own :func:`trace_strands`."""
+    return list(decompositions(trace_strands(m))[1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -324,6 +325,45 @@ def test_decompose_output_is_golden(capsys, source, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def decompose_text(m):
+    """`decompose`'s output rendered from `permutation_decompositions`."""
+    pairs = sp.permutation_decompositions(m)
+    lines = [f"strands: {sp.trace_strands(m).count}",
+             f"canonical decompositions: {len(pairs)}"]
+    for idx, (p1, p2) in enumerate(pairs):
+        lines += [f"decomposition {idx}:", "P1:", sp.AdjMatrix(p1).to_text(),
+                  "P2:", sp.AdjMatrix(p2).to_text()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", [
+    "hopftwist:V=24",  # two strands, one a 2-entry circle: one pair
+    "cyclic:V=3", "chain:k=7", "lchain:k=3,n=4", "kribbon:k=4,m=3",
+    "p:k=3,l=4,m=2", "g:k=2,l=3,m=2", "0 2\n2 0\n",
+    "1 1 0 0\n1 0 1 0\n0 1 0 1\n0 0 1 1\n"])
+def test_decompose_prints_the_count_and_pairs_of_the_list(capsys, tmp_path,
+                                                          source):
+    if ":" in source:
+        m = sp.adjacency(fam.generate(fam.parse_spec_string(source)))
+    else:
+        m = sp.parse_matrix(source)
+        (tmp_path / "rows.txt").write_text(source)
+        source = str(tmp_path / "rows.txt")
+    code, out, err = run(capsys, "decompose", source)
+    assert (code, err) == (0, "")
+    assert out == decompose_text(m)
+
+
+def test_decompose_walks_its_matrix_once(capsys, monkeypatch):
+    walks = []
+    walk = sp.trace_strands
+    monkeypatch.setattr(sp, "trace_strands",
+                        lambda m: walks.append(m) or walk(m))
+    code, out, _ = run(capsys, "decompose", "chain:k=5")
+    assert code == 0 and "canonical decompositions: 16\n" in out
+    assert len(walks) == 1
+
+
 @pytest.mark.parametrize("command", ["charpoly", "components", "decompose",
                                      "census"])
 def test_invalid_diagram_is_input_error(capsys, tmp_path, command):
@@ -514,17 +554,31 @@ def test_repeated_spec_parameter_is_input_error(capsys):
     assert err.startswith("error:") and "parameter k is given twice" in err
 
 
+def limit_address_space():
+    # 1 GiB: a decompose that held its 2^31 pairs would fail at once
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def test_closed_stdout_exits_quietly():
-    # more output than a pipe buffer holds, so the reader closes it mid-write
+    # more output than a pipe buffer holds, so the reader closes it
+    # mid-write; chain:k=32 has 2^31 pairs, which only a decompose that
+    # prints each pair as it is made reaches
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "altknot.cli", "decompose", "kribbon:k=8,m=4"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"strands: 8\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err == b""
+    for source, head, timeout in [
+            ("kribbon:k=8,m=4", [b"strands: 8\n"], 60),
+            ("chain:k=32", [b"strands: 32\n",
+                            b"canonical decompositions: 2147483648\n"], 30)]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "altknot.cli", "decompose", source],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            preexec_fn=limit_address_space)
+        try:
+            assert [proc.stdout.readline() for _ in head] == head, source
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=timeout)
+            assert (proc.returncode, err) == (1, b""), source
+        finally:
+            proc.kill()
+            proc.wait()

@@ -142,17 +142,18 @@ def test_trace_strands_refuses_non_int_entries(rows):
 
 
 def test_strands_of_one_matrix_are_walked_once(monkeypatch):
+    # each call checks its own matrix once, and `decompositions` of a
+    # walk checks and walks nothing again
     m = matrix_of(fam.CYCLIC_TORUS, (6,))
-    dec = sp.trace_strands(m)
     checks = []
     problems = sp.AdjMatrix.problems
     monkeypatch.setattr(sp.AdjMatrix, "problems",
                         lambda self: checks.append(self) or problems(self))
-    assert sp.trace_strands(m) is dec
-    pairs = sp.permutation_decompositions(m)
-    assert checks == []
-    assert pairs == sp.permutation_decompositions(sp.AdjMatrix(m.rows))
-    assert len(checks) == 1
+    dec = sp.trace_strands(m)
+    assert checks == [m]
+    count, pairs = sp.decompositions(dec)
+    assert (count, list(pairs)) == (2, sp.permutation_decompositions(m))
+    assert checks == [m, m]
 
 
 def test_interleaved_strand_walks_equal_fresh_ones():
@@ -207,15 +208,15 @@ def test_strand_slot_does_not_pass_an_equal_matrix_of_other_types(value):
             call(sp.AdjMatrix(rows))
 
 
-def test_refused_matrix_leaves_the_strand_slot():
+def test_refused_matrix_leaves_the_next_walk_equal():
     m = matrix_of(fam.CYCLIC_TORUS, (4,))
-    dec = sp.trace_strands(m)
-    slot = sp._strands_slot
+    dec, pairs = sp.trace_strands(m), sp.permutation_decompositions(m)
     for bad in (((1, 0), (0, 1)), ((2.0, 0), (0, 2)), ()):
-        with pytest.raises(ValueError):
-            sp.trace_strands(sp.AdjMatrix(bad))
-        assert sp._strands_slot is slot
-    assert sp.trace_strands(m) is dec
+        for call in (sp.trace_strands, sp.permutation_decompositions):
+            with pytest.raises(ValueError, match="not an adjacency matrix"):
+                call(sp.AdjMatrix(bad))
+            assert sp.trace_strands(m) == dec
+            assert sp.permutation_decompositions(m) == pairs
 
 
 FIRST_CALLS_ON_THE_EMPTY_MATRIX = """
@@ -578,7 +579,6 @@ def assert_strands_from_layers_as_from_rows(m):
     assert m.problems() == plain.problems()
     results = []
     for matrix in (m, plain):
-        sp._strands_slot = (None, None)
         try:
             results.append(sp.trace_strands(matrix))
         except ValueError as exc:
@@ -776,17 +776,43 @@ def reference_decompositions(m):
     return results
 
 
-def test_decompositions_match_brute_force():
+def brute_force_corpus():
+    """The criteria 2-6 members, the waist rings and the Hopf matrix."""
     matrices = [sp.adjacency(fam.generate(spec)) for spec in _sweep_specs()]
     matrices += [sp.adjacency(fam.waist_ring_diagram(v, growth))
                  for v in range(5, 13) for growth in fam.WAIST_RING_GROWTHS]
     matrices.append(sp.AdjMatrix(((0, 2), (2, 0))))
+    return matrices
+
+
+def test_decompositions_match_brute_force():
     strands = set()
-    for m in matrices:
+    for m in brute_force_corpus():
         assert sp.permutation_decompositions(m) == reference_decompositions(m), \
             m.to_text()
         strands.add(sp.trace_strands(m).count)
     assert max(strands) >= 8  # kribbon and lchain members
+
+
+def test_streamed_decompositions_are_the_list(monkeypatch):
+    """On the brute-force corpus and every `sweep(8)` matrix, the count
+    `decompositions` gives is the length of `permutation_decompositions`,
+    and the pairs it streams are that list, in order."""
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    sweep = [s for f in fam.FAMILIES for s in f.sweep(8)]
+    # two strands, one a 2-entry circle whose classes coincide: one pair
+    hopf24 = fam.parse_spec_string("hopftwist:V=24")
+    assert hopf24 in _sweep_specs()
+    dec = sp.trace_strands(sp.adjacency(fam.generate(hopf24)))
+    assert (dec.count, sp.decompositions(dec)[0]) == (2, 1)
+    counts = set()
+    for m in brute_force_corpus() + [sp.adjacency(fam.generate(s))
+                                     for s in sweep]:
+        pairs = sp.permutation_decompositions(m)
+        count, stream = sp.decompositions(sp.trace_strands(m))
+        assert (count, list(stream)) == (len(pairs), pairs), m.to_text()
+        counts.add(count)
+    assert max(counts) >= 128
 
 
 def block_diagonal(*blocks):

@@ -136,12 +136,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     count, pairs = sp.decompositions(dec)
     print(f"strands: {dec.count}")
     print(f"canonical decompositions: {count}")
-    for idx, (p1, p2) in enumerate(pairs):
-        print(f"decomposition {idx}:")
-        print("P1:")
-        print(sp.AdjMatrix(p1).to_text())
-        print("P2:")
-        print(sp.AdjMatrix(p2).to_text())
+    text: dict[tuple[int, ...], str] = {}  # every row is one of V unit rows
+    for idx, pair in enumerate(pairs):
+        p1, p2 = ["\n".join([text.get(row) or text.setdefault(
+            row, " ".join(map(str, row))) for row in p]) for p in pair]
+        print(f"decomposition {idx}:\nP1:\n{p1}\nP2:\n{p2}")
     return 0
 
 

@@ -1,17 +1,15 @@
 """Named diagram families: generators by ribbon surgery, and closed forms.
 
-Each family is produced operationally from a small seed diagram: cyclic
-necklaces are built directly, twist families grow by extending the bigon
-chain at a loop-carrying vertex, ribbon families grow cross ribbons out of
-necklace vertices, and chained families thread rings around edges.  All
-moves of one member edit one ``surgery._Builder``; ``generate`` finishes
-it, deriving the kind and running ``validate``'s checks on the builder's
-own lists once.  The closed forms are combinations of the Chebyshev-type
-basis in :mod:`altknot.polynomials`; ``verify_member`` checks a generator
-against its formula by exact characteristic-polynomial equality.  The
-registry ``FAMILIES`` holds one ``Family`` record per family (tag, spec
-prefix, parameters, size, generator, closed form); everything that
-dispatches on a family, the CLI included, reads it from there.
+Every family member is one shape: a necklace of crossings, some grown
+into ribbons, an edge twisted and rings chained on.  All moves of one
+member edit one ``surgery._Builder``; ``generate`` finishes it, deriving
+the kind and running ``validate``'s checks on the builder's own lists
+once.  The closed forms are combinations of the Chebyshev-type basis in
+:mod:`altknot.polynomials`; ``verify_member`` checks a generator against
+its formula by exact characteristic-polynomial equality.  The registry
+``FAMILIES`` holds one ``Family`` record per family (tag, spec prefix,
+parameters, shape, closed form); everything that dispatches on a family,
+the CLI included, reads it from there.
 """
 
 from __future__ import annotations
@@ -74,14 +72,18 @@ class FamilySpec:
         return spec_string(self)
 
 
+Shape = tuple[int, tuple[int, ...], int, int]  # (v, lengths, twist, rings)
+
+
 @dataclass(frozen=True)
 class Family:
-    """One named family: its tag, CLI prefix, parameters, size, generator
-    and closed form.  `vertices`, `build` and `formula` take the member's
-    parameters in the order of `names`; every formula then takes a ring
-    (x, J), X and jpoly by default, in which `closed_form` and
-    `check_identities` evaluate it; `build` returns the member as an
-    unfinished `surgery._Builder`, which `generate` finishes.
+    """One named family: its tag, CLI prefix, parameters, shape and closed
+    form, `shape` and `formula` taking the member's parameters in the order
+    of `names`.  The shape (v, lengths, twist, rings) is the v-crossing
+    necklace, crossing i grown into a ribbon of lengths[i] crossings, edge
+    0 twisted `twist` times and `rings` circles chained on.  Every formula
+    takes a ring (x, J), X and jpoly by default, in which `closed_form`
+    and `check_identities` evaluate it.
 
     The verify sweep runs every parameter from its minimum up to the sweep
     maximum; a `descending` family, symmetric in its ribbons, keeps only
@@ -92,8 +94,7 @@ class Family:
     prefix: str
     names: tuple[str, ...]
     minima: tuple[int, ...]
-    vertices: Callable[..., int]
-    build: Callable[..., _Builder]
+    shape: Callable[..., Shape]
     formula: Callable[..., IntPoly]
     descending: bool = False
 
@@ -110,12 +111,29 @@ class Family:
         grid = product(*(range(lo, top + 1) for lo in self.minima))
         return [FamilySpec(self.tag, p) for p in grid
                 if (not self.descending or list(p) == sorted(p, reverse=True))
-                and self.vertices(*p) <= cap]
+                and _size(*self.shape(*p)) <= cap]
+
+
+def _size(v: int, lengths: tuple[int, ...], twist: int, rings: int) -> int:
+    """Vertices of a shape: v, l - 1 more per ribbon of l crossings, one
+    per twist and two per ring."""
+    return v + sum(lengths) - len(lengths) + twist + 2 * rings
+
+
+def _shape(spec: FamilySpec, cap: int) -> Shape:
+    """The shape of `spec`, read only when no parameter is above `cap`:
+    each is at most the vertex count, so no shape is longer than the cap."""
+    top = max(spec.params)
+    if top > cap:
+        raise FamilyError(f"{spec} has at least {top} vertices, above the "
+                          f"cap {cap} (raise ALTKNOT_MAX_V to allow it)")
+    return _BY_TAG[spec.family].shape(*spec.params)
 
 
 def vertex_count(spec: FamilySpec) -> int:
-    """Number of crossings of the member selected by `spec`."""
-    return _BY_TAG[spec.family].vertices(*spec.params)
+    """Number of crossings of the member selected by `spec`; FamilyError
+    when one of its parameters alone is above the cap."""
+    return _size(*_shape(spec, max_vertices()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,41 +180,29 @@ def _twist_chain(v: int) -> _Builder:
 
 def generate(spec: FamilySpec) -> Diagram:
     """Build the diagram selected by `spec` through ribbon surgery."""
-    total, cap = vertex_count(spec), max_vertices()
-    if total > cap:
+    cap = max_vertices()
+    shape = _shape(spec, cap)
+    if _size(*shape) > cap:
         raise FamilyError(
-            f"{spec} has {total} vertices, above the cap {cap} "
+            f"{spec} has {_size(*shape)} vertices, above the cap {cap} "
             "(raise ALTKNOT_MAX_V to allow it)")
-    b = _BY_TAG[spec.family].build(*spec.params)
-    return b.finish("generator", FamilyError)
+    return _build(*shape).finish("generator", FamilyError)
 
 
-def _grow_twist(b: _Builder, extra: int) -> _Builder:
-    """Twist the first edge of the seed `extra` times (curl, then lengthen)."""
-    if extra:
-        b.twist(b.tail(0), extra)
-    return b
-
-
-def _necklace(v: int, *lengths: int) -> _Builder:
-    """The v-crossing necklace with crossing i grown into a ribbon of
-    lengths[i] crossings."""
-    b = _cyclic_torus(v)
-    for base, length in enumerate(lengths):
-        b.ribbon(base, length)
-    return b
-
-
-def _k_ribbon_cyclic(k: int, m: int) -> _Builder:
-    if k == 1:
+def _build(v: int, lengths: tuple[int, ...], twist: int,
+           rings: int) -> _Builder:
+    """The member of a shape, its moves made in a fixed order: the
+    necklace, its ribbons, the twist of edge 0, then the rings."""
+    if v == 1 and lengths:
         # a single ribbon closed on itself is the twisted circle
-        return _twist_chain(m)
-    return _necklace(k, *[m] * k)
-
-
-def _chained_cyclic(k: int, n: int) -> _Builder:
-    b = _cyclic_torus(n)
-    for i in range(k):
+        b = _twist_chain(lengths[0])
+    else:
+        b = _cyclic_torus(v)
+        for base, length in enumerate(lengths):
+            b.ribbon(base, length)
+    if twist:
+        b.twist(b.tail(0), twist)
+    for i in range(rings):
         # the first ring grips the knot; each later ring grips the
         # newest ring's own circle (its parallel pair is appended last)
         b.pierce(b.tail(0 if i == 0 else -1))
@@ -315,52 +321,45 @@ def closed_form(spec: FamilySpec) -> IntPoly:
 # The registry: one record per family, in verify sweep order
 # ---------------------------------------------------------------------------
 
-def _total(*params: int) -> int:
-    return sum(params)
-
-
 FAMILIES: tuple[Family, ...] = (
-    Family(CYCLIC_TORUS, "cyclic", ("V",), (1,), _total,
-           _cyclic_torus, cyclic_poly),
-    Family(TWIST_CHAIN, "twistchain", ("V",), (1,), _total,
-           _twist_chain, lambda v, x=X, J=jpoly: (x - 2) * J(v - 1)),
-    Family(HOPF_TWIST, "hopftwist", ("V",), (2,), _total,
-           lambda v: _grow_twist(_cyclic_torus(2), v - 2),
+    Family(CYCLIC_TORUS, "cyclic", ("V",), (1,),
+           lambda v: (v, (), 0, 0), cyclic_poly),
+    Family(TWIST_CHAIN, "twistchain", ("V",), (1,), lambda v: (1, (v,), 0, 0),
+           lambda v, x=X, J=jpoly: (x - 2) * J(v - 1)),
+    Family(HOPF_TWIST, "hopftwist", ("V",), (2,), lambda v: (2, (), v - 2, 0),
            lambda v, x=X, J=jpoly: (x - 2) * ((x + 2) * J(v - 2)
                                             - x * J(v - 3))),
-    Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,), _total,
-           lambda v: _grow_twist(_cyclic_torus(3), v - 3),
+    Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,),
+           lambda v: (3, (), v - 3, 0),
            lambda v, x=X, J=jpoly: ((x - 2) * (x + 1)
                                     * ((x + 1) * J(v - 3) - x * J(v - 4)))),
-    Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,), _total,
-           lambda v: _grow_twist(_necklace(3, 2), v - 4),
+    Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,),
+           lambda v: (3, (2,), v - 4, 0),
            # the J_{V-4} and J_{V-5} factors inside (x - 2)
            lambda v, x=X, J=jpoly: (x - 2) * (
                x * (x * x + 2 * x + 2) * J(v - 4)
                - (x ** 3 + 2 * x * x - 1) * J(v - 5))),
-    Family(TWIST_KNOTS, "twistknot", ("V",), (3,), _total,
-           lambda v: _necklace(v - 1, 2),
+    Family(TWIST_KNOTS, "twistknot", ("V",), (3,),
+           lambda v: (v - 1, (2,), 0, 0),
            lambda v, x=X, J=jpoly: ((x ** 3 - x - 2) * J(v - 3)
                                     - x * x * J(v - 4) - 2 * x)),
-    Family(TWO_RIBBON, "f", ("j", "k"), (1, 1), _total,
-           lambda j, k: _necklace(j + 1, k), two_ribbon_poly,
+    Family(TWO_RIBBON, "f", ("j", "k"), (1, 1),
+           lambda j, k: (j + 1, (k,), 0, 0), two_ribbon_poly,
            descending=True),
-    Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1), _total,
-           lambda k, l, m: _necklace(m + 2, k, l), three_ribbon_p_poly),
-    Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1), _total,
-           lambda k, l, m: _necklace(3, k, l, m), three_ribbon_g_poly,
+    Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1),
+           lambda k, l, m: (m + 2, (k, l), 0, 0), three_ribbon_p_poly),
+    Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1),
+           lambda k, l, m: (3, (k, l, m), 0, 0), three_ribbon_g_poly,
            descending=True),
-    Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: 2 * k,
-           lambda k: _k_ribbon_cyclic(k, 2),
+    Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: (k, (2,) * k, 0, 0),
            lambda k, x=X, J=jpoly: cyclic_poly(k, x, J) * x ** k),
-    Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1), lambda k, m: k * m,
-           _k_ribbon_cyclic,
+    Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1),
+           lambda k, m: (k, (m,) * k, 0, 0),
            lambda k, m, x=X, J=jpoly: cyclic_poly(k, x, J) * J(m - 1) ** k),
     # k = 0 degenerates to the bare cyclic knot (the formula then needs the
     # convention J_{-1} = 0)
     Family(CHAINED_CYCLIC, "lchain", ("k", "n"), (0, 1),
-           lambda k, n: 2 * k + n, _chained_cyclic,
-           chained_cyclic_poly),
+           lambda k, n: (n, (), 0, k), chained_cyclic_poly),
 )
 
 _BY_TAG = {f.tag: f for f in FAMILIES}

@@ -109,3 +109,48 @@ def reference_canonical_code(d):
     if best is None:
         raise dg.DiagramError("canonical code of a diagram with no darts")
     return best
+
+
+def mat2_mul(a, b):
+    """The product of two 2x2 matrices over Z[x], each a pair of rows."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+
+def ribbon_piece(l):
+    """A necklace crossing grown into a ribbon of l crossings, as
+    (M, alpha, beta): N(l) = [[J_l, -1], [1, J_{l-2}]] with
+    alpha = beta = J_{l-1}.  l = 1 is the plain crossing [[x, -1], [1, 0]]
+    with alpha = beta = 1."""
+    return ((jpoly(l), -ONE), (ONE, jpoly(l - 2))), jpoly(l - 1), jpoly(l - 1)
+
+
+def twist_piece(t):
+    """Edge 0 twisted t >= 1 times, as (M, alpha, beta):
+    E(t) = diag(K_t, K_{t-1}) with alpha = K_t and beta = K_{t-1}, where
+    K_t = J_t - J_{t-1}."""
+    k_t, k_t1 = (jpoly(s) - jpoly(s - 1) for s in (t, t - 1))
+    return ((k_t, ZERO), (ZERO, k_t1)), k_t, k_t1
+
+
+def bead_charpoly(shape, piece=ribbon_piece):
+    """tr(prod M_i) - prod alpha_i - prod beta_i over the pieces of a
+    family shape (v, lengths, twist, 0), taken in necklace order: crossing
+    i is piece(l_i), with l_i = 1 past `lengths`, and the twist piece sits
+    just after piece 0.
+
+    The bead lemma states that this is the characteristic polynomial of
+    the member's adjacency matrix.  It is tested, not proved: the tests
+    compare it with `charpoly` of the generated diagram."""
+    v, lengths, twist, rings = shape
+    if rings:
+        raise ValueError("the bead lemma has no piece for a chained ring")
+    pieces = [piece(l) for l in lengths + (1,) * (v - len(lengths))]
+    if twist:
+        pieces.insert(1, twist_piece(twist))
+    m, alpha, beta = pieces[0]
+    for m_i, alpha_i, beta_i in pieces[1:]:
+        m, alpha, beta = mat2_mul(m, m_i), alpha * alpha_i, beta * beta_i
+    return m[0][0] + m[1][1] - alpha - beta

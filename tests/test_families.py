@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import time
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from altknot.families import (CLOSED_CHAIN, CYCLIC_TORUS, K_RIBBON_CYCLIC,
 from altknot.polynomials import IntPoly, X, charpoly, jpoly
 from altknot.spectra import adjacency
 from altknot.surgery import compose_twist
+from oracles import bead_charpoly, ribbon_piece
 
 
 def spec(family, *params):
@@ -81,7 +83,8 @@ def test_spec_string_round_trip(member_specs):
         assert str(s) == fam.spec_string(s)
 
 
-def test_registry_order_and_keys():
+def test_registry_order_and_keys(monkeypatch):
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
     assert [f.prefix for f in fam.FAMILIES] == [
         "cyclic", "twistchain", "hopftwist", "trefoiltwist", "fourknottwist",
         "twistknot", "f", "p", "g", "chain", "kribbon", "lchain"]
@@ -90,8 +93,8 @@ def test_registry_order_and_keys():
     assert fam.CHAINED_CYCLIC in tags and fam.TWIST_CHAIN in tags
     for f in fam.FAMILIES:
         assert len(f.names) == len(f.minima)
-        lowest = fam.FamilySpec(f.tag, f.minima)
-        assert fam.vertex_count(lowest) == fam.generate(lowest).vertex_count
+        for s in f.sweep(8):  # the minima included
+            assert fam.vertex_count(s) == fam.generate(s).vertex_count, str(s)
 
 
 def test_registry_sweeps(monkeypatch):
@@ -118,6 +121,22 @@ def test_cap_error_uses_spec_syntax(monkeypatch):
     monkeypatch.setenv("ALTKNOT_MAX_V", "10")
     with pytest.raises(fam.FamilyError, match=r"^p:k=5,l=4,m=2 has 11 "):
         fam.generate(spec(fam.THREE_RIBBON_P, 5, 4, 2))
+
+
+@pytest.mark.parametrize("member", [(fam.K_RIBBON_CYCLIC, 10 ** 12, 1),
+                                    (fam.CLOSED_CHAIN, 10 ** 11),
+                                    (fam.CYCLIC_TORUS, 10 ** 12)])
+def test_huge_parameters_are_a_cap_error(member, monkeypatch):
+    # a shape is read only once every parameter is within the cap, so a
+    # huge one is refused before any (m,) * k is made
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    s = spec(*member)
+    start = time.perf_counter()
+    with pytest.raises(fam.FamilyError, match=rf"^{s} has .* the cap 64 "):
+        fam.generate(s)
+    with pytest.raises(fam.FamilyError, match="cap"):
+        fam.vertex_count(s)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +270,43 @@ def test_twist_knots_equal_two_ribbon():
     for v in range(3, 9):
         assert (fam.closed_form(spec(fam.TWIST_KNOTS, v))
                 == fam.closed_form(spec(fam.TWO_RIBBON, v - 2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The bead lemma: a ring-free member's polynomial as one 2x2 trace
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bead_members():
+    """(spec, shape, generated polynomial) of every sweep(8) member whose
+    shape has no rings, each shape read from the registry."""
+    members = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ALTKNOT_MAX_V", "64")
+        for family in fam.FAMILIES:
+            for s in family.sweep(8):
+                shape = family.shape(*s.params)
+                if not shape[3]:
+                    members.append(
+                        (s, shape, charpoly(adjacency(generate(s)))))
+    return members
+
+
+def test_bead_lemma_holds_on_sweep(bead_members):
+    # eleven families and lchain's k = 0, the bare necklace
+    assert len(bead_members) == 788
+    assert len({s.family for s, _, _ in bead_members}) == 12
+    for s, shape, generated in bead_members:
+        assert bead_charpoly(shape) == generated, str(s)
+
+
+def test_bead_lemma_refuses_a_wrong_piece(bead_members):
+    def wrong_piece(l):  # N(l) with its lower-right entry off by one
+        ((a, b), (c, d)), alpha, beta = ribbon_piece(l)
+        return ((a, b), (c, d + 1)), alpha, beta
+
+    assert all(bead_charpoly(shape, wrong_piece) != generated
+               for _, shape, generated in bead_members)
 
 
 # ---------------------------------------------------------------------------

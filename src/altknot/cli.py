@@ -156,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for spec in family.sweep(args.max):
             res = fam.verify_member(spec)
             rows.append((family.prefix, fam.spec_string(spec),
-                         str(fam.vertex_count(spec)), res.match,
+                         str(res.generated.degree), res.match,
                          str(res.generated), str(res.formula)))
     if args.family in ("all", "identities"):
         for key, ok in fam.check_identities(args.max).items():

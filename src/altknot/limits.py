@@ -4,9 +4,6 @@ read from text."""
 from __future__ import annotations
 
 import os
-import re
-
-_DECIMAL = re.compile(r"[+-]?[0-9]+").fullmatch
 
 
 def decimal_int(text: str) -> int:
@@ -14,7 +11,10 @@ def decimal_int(text: str) -> int:
     optional sign and surrounding whitespace.  Anything else raises
     ValueError: a value that is not a `str`, and `0_2` or non-ASCII digits,
     which `int()` would read, included."""
-    if type(text) is not str or not _DECIMAL(text.strip()):
+    digits = text.strip() if type(text) is str else ""
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{text!r} is not a decimal integer")
     return int(text)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, and_, mul, neg, sub
+from operator import add, and_, itemgetter, mul, neg, sub
 from typing import Sequence
 
 from .limits import max_vertices
@@ -295,8 +295,11 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     appended 0).  `spectra.adjacency` repeats a column by its multiplicity;
     `_plan` lists it once and puts (i, j, L_ij - 1) in `extra` for each
     L_ij != 1, added after the passes.  The first two layers take one fused
-    pass, so an adjacency matrix costs one pass per power.  `signed` says L
-    has a negative entry, and `c` is the c below, by default the number of
+    pass, so an adjacency matrix costs one pass per power.  Each layer is
+    one `operator.itemgetter` of its columns, built once per call and
+    applied to every power (at n = 1 it gets a one-item slice, as a
+    single-index getter returns the bare row).  `signed` says L has a
+    negative entry, and `c` is the c below, by default the number of
     layers, which it is when they repeat columns and there is no `extra`.
 
     The width suffices for every k <= K, the capacity.  Let c = max(1,
@@ -331,13 +334,14 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     h = 1 << (b + 1) if signed else 0
     bias, offset = sum(map(h.__lshift__, shifts)), n * h
     power = [*map((1).__lshift__, shifts), 0]
-    first, second, *rest = layers if layers[1:] else [*layers, [n] * n]
+    first, second, *rest = [
+        itemgetter(*layer if n > 1 else [slice(layer[0], layer[0] + 1)])
+        for layer in (layers if layers[1:] else [*layers, [n] * n])]
     traces = []
     for _ in range(capacity):
-        get = power.__getitem__
-        prod = list(map(add, map(get, first), map(get, second)))
-        for layer in rest:
-            prod = list(map(add, prod, map(get, layer)))
+        prod = list(map(add, first(power), second(power)))
+        for gather in rest:
+            prod = list(map(add, prod, gather(power)))
         for i, j, v in extra:
             prod[i] += v * power[j]
         digits = map(add, prod, repeat(bias)) if signed else prod

@@ -134,18 +134,23 @@ class StrandDecomposition:
     """Partition of the edge multiset into the closed curves of the link.
 
     `edges` lists the matrix's edges as (row, col) cells in row-major order
-    (a 2-entry contributes two consecutive ids).  Each component cycle
+    (a 2-entry contributes two consecutive ids): edge e is (e // 2,
+    columns[e]), its column as the walk laid it out.  Each component cycle
     alternates row moves and column moves; splitting a cycle at alternate
-    positions gives its two permutation classes, `permutation_split`,
-    which is sliced from the cycles when read (and shown by the repr).
+    positions gives its two permutation classes, `permutation_split`.  Both
+    views are made from the stored fields when read (and shown by the repr).
     """
 
-    edges: tuple[tuple[int, int], ...]
+    columns: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
         return len(self.components)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple([(e >> 1, j) for e, j in enumerate(self.columns)])
 
     @property
     def permutation_split(self) -> tuple[tuple[tuple[int, ...],
@@ -206,8 +211,7 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
             if cur == start:
                 break
         components.append(tuple(cycle))
-    edges = tuple([(e >> 1, j) for e, j in enumerate(cols)])
-    return StrandDecomposition(edges, tuple(components))
+    return StrandDecomposition(tuple(cols), tuple(components))
 
 
 def decompositions(dec: StrandDecomposition
@@ -225,8 +229,8 @@ def decompositions(dec: StrandDecomposition
     by swapping the rows of the components at the bits that change.  The
     classes are checked before this returns.
     """
-    n = len(dec.edges) >> 1
-    column = [j for _, j in dec.edges]
+    column = dec.columns
+    n = len(column) >> 1
     unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
     p1, p2 = [()] * n, [()] * n  # the rows of pair 0
     flipping = []  # rows of each later component whose two classes differ

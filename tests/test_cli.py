@@ -17,7 +17,7 @@ from altknot import diagram as dg
 from altknot import families as fam
 from altknot import spectra as sp
 from altknot.cli import main
-from altknot.limits import max_vertices
+from altknot.limits import decimal_int, max_vertices
 from altknot.polynomials import charpoly
 
 
@@ -263,6 +263,27 @@ def test_bad_vertex_cap_is_input_error(capsys, monkeypatch, value):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ALTKNOT_MAX_V") and repr(value) in err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0), ("64", 64), ("007", 7), ("+7", 7), ("-3", -3), ("-0", 0),
+    (" 12\n", 12), ("\t+5 ", 5), ("123456789012345678901234567890",
+                                   123456789012345678901234567890),
+    ("", None), (" ", None), ("+", None), ("-", None), ("1_0", None),
+    ("\u0663", None), ("\u00b2", None), ("\uff12", None), ("+-2", None),
+    ("--2", None), ("2.0", None), ("0x2", None), ("2e0", None),
+    ("1 0", None), ("+ 1", None), ("2-", None), (5, None), (b"5", None),
+    (None, None),
+])
+def test_decimal_int_accepts_signed_ascii_digits_only(text, value):
+    # an optional sign and ASCII digits, inside whitespace: int() would
+    # read 1_0, the Arabic-Indic three and the fullwidth two, and
+    # str.isdigit() accepts the superscript two
+    if value is None:
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            decimal_int(text)
+    else:
+        assert decimal_int(text) == value
 
 
 # ---------------------------------------------------------------------------

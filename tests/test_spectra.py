@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import all_ones_check
+from oracles import all_ones_check, charpoly_cofactor
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
@@ -272,6 +272,41 @@ def test_strand_edges_match_the_dense_reading():
     assert twos >= 50 and loops >= 50
 
 
+def test_strand_edges_are_a_view_of_the_walks_columns(monkeypatch):
+    # `edges` pairs each edge's row, e // 2, with its column from the walk,
+    # and is the dense reading, on layered and on parsed matrices
+    monkeypatch.setenv("ALTKNOT_MAX_V", "64")
+    matrices = [sp.adjacency(fam.generate(s))
+                for f in fam.FAMILIES for s in f.sweep(8)]
+    parsed = sp.parse_matrix(" 0 1 +1 0\n2 0 0 0\n\n0 0 0 2\n0 1 1 0 \n")
+    assert len(matrices) == 852 and not parsed._layers
+    for m in (*matrices, parsed):
+        dec = sp.trace_strands(m)
+        dense = tuple((i, j) for i, row in enumerate(m.rows)
+                      for j, v in enumerate(row) for _ in range(v))
+        assert dec.edges == tuple(
+            (e // 2, j) for e, j in enumerate(dec.columns)) == dense
+
+
+def test_decompositions_read_the_columns_not_the_edges(monkeypatch):
+    matrices = [sp.parse_matrix("0 1 1 0\n2 0 0 0\n0 0 0 2\n0 1 1 0"),
+                *(sp.adjacency(fam.generate(fam.parse_spec_string(s)))
+                  for s in ("cyclic:V=4", "kribbon:k=4,m=3", "chain:k=5"))]
+    decs = [sp.trace_strands(m) for m in matrices]
+    want = [list(sp.decompositions(dec)[1]) for dec in decs]
+
+    def refuse(dec):
+        raise AssertionError("decompositions read `edges`")
+
+    # a class property shadows an instance field too, so this refuses
+    # every read of `edges`, however the decomposition stores it
+    monkeypatch.setattr(sp.StrandDecomposition, "edges", property(refuse),
+                        raising=False)
+    for dec, pairs in zip(decs, want):
+        count, made = sp.decompositions(dec)
+        assert count == len(pairs) and list(made) == pairs
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 8), st.randoms(use_true_random=False))
 def test_strand_count_invariant_under_relabeling(v, rng):
@@ -437,6 +472,25 @@ def test_power_traces_at_the_width_edge(n):
                         layers = pl._layers(supports, n)
                         assert (pl._power_traces(capacity, layers)
                                 == ref[:capacity]), (supports, capacity)
+
+
+@pytest.mark.parametrize("source", ["cyclic:V=1", "twistchain:V=1",
+                                    "[[2]]", "[[1]]", "[[0]]", "[[-3]]"])
+def test_power_kernel_on_one_by_one_matrices(source):
+    # itemgetter of a single index returns the bare item, so at n = 1 the
+    # kernel gathers each layer as a one-item slice: both members' two
+    # layers, and one layer with padding in the parsed ones (2 through an
+    # `extra`, 0 with no support, -3 with the bias)
+    if source.startswith("["):
+        m = sp.parse_matrix(source)
+        assert not m._layers
+    else:
+        m = sp.adjacency(fam.generate(fam.parse_spec_string(source)))
+        assert m._layers and m.rows == ((2,),)
+    assert charpoly(m) == charpoly_cofactor(m)
+    ref = reference_path_counts(m, 5)
+    assert [sp.closed_path_count(m, k) for k in range(1, 6)] == ref
+    assert rows_path_traces(m, 5) == ref
 
 
 def test_closed_path_count_interleaved_matrices():

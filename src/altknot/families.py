@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 from .diagram import IN, OUT, Diagram
 from .limits import decimal_int, max_vertices
-from .polynomials import IntPoly, X, _jgrow, _read, charpoly, divide_out, jpoly
+from .polynomials import IntPoly, X, _J, _read, charpoly, divide_out, jpoly
 from .spectra import adjacency
 from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
 
@@ -54,19 +54,19 @@ class FamilySpec:
         if self.family not in _BY_TAG:
             raise FamilyError(f"unknown family {self.family!r}")
         family = _BY_TAG[self.family]
-        values = tuple(self.params)
+        prefix, values = family.prefix, tuple(self.params)
         for v in values:
             if type(v) is not int:  # bool and float included: never coerced
                 raise FamilyError(
-                    f"{self.family}: parameters must be integers, got {v!r}")
+                    f"{prefix}: parameters must be integers, got {v!r}")
         object.__setattr__(self, "params", values)
         if len(values) != len(family.names):
             raise FamilyError(
-                f"{self.family} takes parameters {family.names}, got {values}")
+                f"{prefix} takes parameters {family.names}, got {values}")
         for name, lo, v in zip(family.names, family.minima, values):
             if v < lo:
                 raise FamilyError(
-                    f"{self.family}: {name} out of range ({name} >= {lo}, got {v})")
+                    f"{prefix}: {name} out of range ({name} >= {lo}, got {v})")
 
     def __str__(self) -> str:
         return spec_string(self)
@@ -248,19 +248,6 @@ def chained_cyclic_poly(k: int, n: int, x=X, J=jpoly) -> IntPoly:
                      + ((x * x - 2) * J(k - 1) - x * J(k)) * J(n - 1))
 
 
-def _jvalues(x, top: int) -> Callable[[int], object]:
-    """J_k over the ring of x, k = -1..top, from the recurrence: at an
-    integer x0 the J of the ring (x0, J), which maps jpoly(k) to
-    jpoly(k)(x0); at `_L1(1)` the l1 majorant of J_k."""
-    table = _jgrow([x * 0, x ** 0], x, top + 2)  # J_k sits at k + 1
-
-    def J(k: int) -> object:
-        if k < -1:  # never let k + 1 wrap round to the end of the table
-            raise ValueError(f"jpoly index must be >= -1, got {k}")
-        return table[k + 1]
-    return J
-
-
 class _L1:
     """An upper bound on the l1 norm of a polynomial (see
     `check_identities`): a sum or a difference adds bounds, a product
@@ -285,23 +272,9 @@ class _L1:
         return _L1(self.n ** e)
 
 
-# the majorants of J_{-1}, J_0, ... as far as any caller has asked, grown
-# and replaced whole like `polynomials._jtable`
-_jl1table: tuple[_L1, ...] = (_L1(0), _L1(1))
-
-
-def _jl1(k: int) -> _L1:
-    """A bound on l1(J_k), the J recurrence read in the majorant ring:
-    the J of the ring (_L1(1), _jl1), F_{k+1} (Fibonacci)."""
-    global _jl1table
-    if k < -1:
-        raise ValueError(f"jpoly index must be >= -1, got {k}")
-    table = _jl1table
-    if k + 1 >= len(table):
-        table = tuple(_jgrow(list(table), _L1(1), k + 2))
-        if len(table) > len(_jl1table):
-            _jl1table = table
-    return table[k + 1]
+# the l1 majorants of the J_k, kept between calls: the J recurrence read
+# in the majorant ring bounds l1(J_k) by F_{k+1} (Fibonacci)
+_jl1 = _J(_L1(1))
 
 
 def closed_form(spec: FamilySpec) -> IntPoly:
@@ -314,7 +287,7 @@ def closed_form(spec: FamilySpec) -> IntPoly:
     formula, params = _BY_TAG[spec.family].formula, spec.params
     w = formula(*params, _L1(1), _jl1).n.bit_length() + 1
     x0 = 1 << w
-    return _read(formula(*params, x0, _jvalues(x0, max(params))), w)
+    return _read(formula(*params, x0, _J(x0)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +479,7 @@ def _identity_holds(sides: _Sides, arity: int, max_index: int) -> bool | None:
     bound = max(l.n + r.n for l, r in
                 sides(one, _jl1, _g_of(one, _jl1), *top))
     x0 = 1 << bound.bit_length()
-    J = _jvalues(x0, 2 * max_index + 1)  # odd_cyclic_square reads J_{2m+1}
+    J = _J(x0)
     g = _g_of(x0, J)
     return _verdict(
         all([l == r for l, r in sides(x0, J, g, *idx)])

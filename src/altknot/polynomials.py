@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import add, and_, itemgetter, mul, neg, sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .limits import max_vertices
 
@@ -207,17 +207,34 @@ def _read(value: int, w: int) -> IntPoly:
 # J_{-1} = 0, J_0 = 1, J_{k+2} = x*J_{k+1} - J_k.
 # ---------------------------------------------------------------------------
 
-def _jgrow(table: list, x, size: int) -> list:
-    """`table`, consecutive J_k over the ring of x, grown to `size` terms."""
-    while len(table) < size:
-        table.append(x * table[-1] - table[-2])
-    return table
+def _J(x) -> Callable[[int], object]:
+    """k -> J_k over the ring of x, k >= -1, by the recurrence: at X the
+    polynomials, at an integer x0 their values J_k(x0), at
+    `families._L1(1)` the l1 majorants of the J_k.
+
+    J_k sits at index k + 1 of a table that starts at (x*0, x**0), grows
+    when a larger index is asked for and is replaced whole, never mutated,
+    so threads sharing one J at worst recompute a few terms, never read a
+    torn table.  k < -1 raises ValueError rather than wrap round the end
+    of the table."""
+    table = (x * 0, x ** 0)
+
+    def J(k: int):
+        nonlocal table
+        if k < -1:
+            raise ValueError(f"J index must be >= -1, got {k}")
+        if k + 1 < len(table):
+            return table[k + 1]
+        grown = list(table)
+        while len(grown) < k + 2:
+            grown.append(x * grown[-1] - grown[-2])
+        if len(grown) > len(table):
+            table = tuple(grown)
+        return grown[k + 1]
+    return J
 
 
-# J_0, J_1, ... as far as any caller has asked.  Grown by the recurrence
-# and replaced whole, never mutated, so threads sharing the module at worst
-# recompute a few terms, never read a torn table.
-_jtable: tuple[IntPoly, ...] = (ONE, X)
+_JPOLY = _J(X)  # jpoly's table, shared by the process
 
 
 def jpoly(k: int) -> IntPoly:
@@ -227,17 +244,9 @@ def jpoly(k: int) -> IntPoly:
     recurrence J_{k+2} = x*J_{k+1} - J_k into a shared table, so each J_k
     is built once per process.
     """
-    global _jtable
     if type(k) is not int or k < -1:
         raise ValueError(f"jpoly index must be an integer >= -1, got {k!r}")
-    if k == -1:
-        return ZERO
-    table = _jtable
-    if k >= len(table):
-        table = tuple(_jgrow(list(table), X, k + 1))
-        if len(table) > len(_jtable):
-            _jtable = table
-    return table[k]
+    return _JPOLY(k)
 
 
 # ---------------------------------------------------------------------------

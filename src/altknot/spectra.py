@@ -278,9 +278,9 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     The traces are `altknot.polynomials._power_traces` of the columns of M,
     the rows of M^T, as `_plan` gives them: trace((M^T)^j) = trace(M^j).
     Those of the last matrix asked about are kept, so a sweep k = 1..V
-    costs V products, not V(V + 1)/2.  The first call on a matrix computes
-    K = max(k, V) traces at once, so a single call with a small k costs V
-    products, not k; a call with k > K computes max(k, 2K) afresh.
+    costs V products, not V(V + 1)/2.  A call on a new matrix, or with a k
+    past the traces kept, computes max(k, V) traces afresh, so a single
+    call with a small k costs V products, not k.
 
     `charpoly` runs the same kernel on the rows of M.  An empty or
     non-square M, a non-int entry (bool and float too) or k not an int
@@ -294,7 +294,7 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     plan = None if key is rows else _plan(m, 1)  # checks a new object
     traces = traces if key is rows or key == rows else ()
     if k > len(traces):
-        traces = _power_traces(max(k, len(rows), 2 * len(traces)),
+        traces = _power_traces(max(k, len(rows)),
                                *(plan or _plan(m, 1)))
     _paths_slot = (rows, traces)
     return traces[k - 1]

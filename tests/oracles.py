@@ -127,6 +127,16 @@ def ribbon_piece(l):
     return ((jpoly(l), -ONE), (ONE, jpoly(l - 2))), jpoly(l - 1), jpoly(l - 1)
 
 
+def lane_out_piece(l):
+    """A necklace crossing grown into a ribbon of l crossings along
+    `LANE_OUT`, as (M, alpha, beta): T^l with alpha = beta = 1, where
+    T = [[x, -1], [1, 0]] is the plain crossing."""
+    m = ((ONE, ZERO), (ZERO, ONE))
+    for _ in range(l):
+        m = mat2_mul(m, ((X, -ONE), (ONE, ZERO)))
+    return m, ONE, ONE
+
+
 def twist_piece(t):
     """Edge 0 twisted t >= 1 times, as (M, alpha, beta):
     E(t) = diag(K_t, K_{t-1}) with alpha = K_t and beta = K_{t-1}, where
@@ -147,9 +157,16 @@ def bead_charpoly(shape, piece=ribbon_piece):
     v, lengths, twist, rings = shape
     if rings:
         raise ValueError("the bead lemma has no piece for a chained ring")
-    pieces = [piece(l) for l in lengths + (1,) * (v - len(lengths))]
+    return necklace_charpoly(
+        [piece(l) for l in lengths + (1,) * (v - len(lengths))], twist)
+
+
+def necklace_charpoly(pieces, twist=0):
+    """tr(prod M_i) - prod alpha_i - prod beta_i over the necklace's
+    pieces (M, alpha, beta) in necklace order, with the twist piece of
+    edge 0, when `twist` is not 0, just after piece 0."""
     if twist:
-        pieces.insert(1, twist_piece(twist))
+        pieces = [pieces[0], twist_piece(twist), *pieces[1:]]
     m, alpha, beta = pieces[0]
     for m_i, alpha_i, beta_i in pieces[1:]:
         m, alpha, beta = mat2_mul(m, m_i), alpha * alpha_i, beta * beta_i

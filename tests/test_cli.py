@@ -5,6 +5,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,12 @@ def test_gen_out_of_range(capsys):
     code, _, err = run(capsys, "gen", "cyclic:V=0")
     assert code == 2
     assert "V out of range" in err
+
+
+def test_gen_out_of_range_names_the_family_as_typed(capsys):
+    code, out, err = run(capsys, "gen", "p:k=0,l=1,m=1")
+    assert (code, out) == (2, "")
+    assert err == "error: p: k out of range (k >= 1, got 0)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +610,61 @@ def test_closed_stdout_exits_quietly():
         finally:
             proc.kill()
             proc.wait()
+
+
+# ---------------------------------------------------------------------------
+# README's CLI block runs as written
+# ---------------------------------------------------------------------------
+
+def readme_cli_lines():
+    """The command lines of README's `## CLI` block, each as (argv,
+    comment), argv split by the shell's rules."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```\n")[1]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("  #")
+        lines.append((shlex.split(command), comment.strip()))
+    return lines
+
+
+# the commented outputs of README's CLI block, by command
+README_OUTPUTS = {"charpoly cyclic:V=3": "x^3 - 3*x - 2",
+                  "components cyclic:V=4": "2"}
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    checked = set()
+    for argv, comment in readme_cli_lines():
+        assert argv[0] == "altknot", argv
+        if "|" in argv:
+            continue  # the pipeline runs in its own test
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        command = " ".join(argv[1:])
+        if command in README_OUTPUTS:
+            expected = README_OUTPUTS[command]
+            assert comment.startswith(expected), comment
+            assert out == expected + "\n", argv
+            checked.add(command)
+    assert checked == set(README_OUTPUTS)
+
+
+def test_readme_cli_pipeline_runs():
+    [argv] = [argv for argv, _ in readme_cli_lines() if "|" in argv]
+    assert argv == ["altknot", "decompose", "chain:k=32", "|", "head", "-n",
+                    "3"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    altknot = shlex.join([sys.executable, "-m", "altknot.cli"])
+    proc = subprocess.run(
+        ["sh", "-c", f"{altknot} {shlex.join(argv[1:3])} | "
+                     f"{shlex.join(argv[4:])}"],
+        capture_output=True, env=env, timeout=60,
+        preexec_fn=limit_address_space)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.splitlines() == [
+        b"strands: 32", b"canonical decompositions: 2147483648",
+        b"decomposition 0:"]

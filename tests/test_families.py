@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 import time
 from itertools import product
 
@@ -13,10 +14,11 @@ from altknot.families import (CLOSED_CHAIN, CYCLIC_TORUS, K_RIBBON_CYCLIC,
                               FamilySpec, closed_form, cyclic_poly, generate,
                               three_ribbon_g_poly, three_ribbon_p_poly,
                               two_ribbon_poly)
-from altknot.polynomials import IntPoly, X, charpoly, jpoly
+from altknot.polynomials import IntPoly, X, _J, charpoly, jpoly
 from altknot.spectra import adjacency
 from altknot.surgery import compose_twist
-from oracles import bead_charpoly, ribbon_piece
+from oracles import (bead_charpoly, lane_out_piece, necklace_charpoly,
+                     ribbon_piece)
 
 
 def spec(family, *params):
@@ -309,6 +311,50 @@ def test_bead_lemma_refuses_a_wrong_piece(bead_members):
                for _, shape, generated in bead_members)
 
 
+@pytest.fixture(scope="module")
+def mixed_necklaces():
+    """(lengths and lanes, twist, generated polynomial) of 300 seeded
+    random necklaces: v <= 6 crossings, each grown to l <= 5 crossings
+    along a random lane, and edge 0 twisted t <= 6 times."""
+    rng = random.Random(17)
+    members = []
+    for _ in range(300):
+        grown = [(rng.randint(1, 5), rng.choice(sg.LANES))
+                 for _ in range(rng.randint(1, 6))]
+        t = rng.randint(0, 6)
+        b = fam._cyclic_torus(len(grown))
+        for i, (l, lane) in enumerate(grown):
+            b.ribbon(i, l, lane)
+        if t:
+            b.twist(b.tail(0), t)
+        members.append(
+            (grown, t, charpoly(adjacency(b.finish("necklace")))))
+    return members
+
+
+def mixed_charpoly(grown, t, out_piece=lane_out_piece):
+    return necklace_charpoly(
+        [out_piece(l) if lane == sg.LANE_OUT else ribbon_piece(l)
+         for l, lane in grown], t)
+
+
+def test_bead_lemma_holds_on_mixed_lanes_and_a_twisted_edge(
+        mixed_necklaces):
+    for grown, t, generated in mixed_necklaces:
+        assert mixed_charpoly(grown, t) == generated, (grown, t)
+
+
+def test_bead_lemma_refuses_a_wrong_lane_out_piece(mixed_necklaces):
+    # T^(l+1) in place of T^l differs on every member with a LANE_OUT piece
+    lane_out = [(grown, t, generated)
+                for grown, t, generated in mixed_necklaces
+                if any(lane == sg.LANE_OUT for _, lane in grown)]
+    assert len(lane_out) == 243
+    for grown, t, generated in lane_out:
+        assert mixed_charpoly(
+            grown, t, lambda l: lane_out_piece(l + 1)) != generated, (grown, t)
+
+
 # ---------------------------------------------------------------------------
 # Recurrences
 # ---------------------------------------------------------------------------
@@ -455,7 +501,7 @@ def test_identities_match_the_intpoly_oracle(m):
 @pytest.mark.parametrize("x0", [0, 1, 2, -3, 2 ** 7, 2 ** 64])
 def test_integer_j_table_is_jpoly_at_the_point(x0):
     top = 25
-    J = fam._jvalues(x0, top)
+    J = _J(x0)
     assert [J(k) for k in range(-1, top + 1)] == [
         jpoly(k)(x0) for k in range(-1, top + 1)]
     for k in (-2, -3, -top - 2):
@@ -563,7 +609,7 @@ def test_family_identities_read_the_registry_formulas(monkeypatch, m):
 
 
 def test_j_majorant_is_the_recurrence_in_the_l1_ring():
-    J = fam._jvalues(fam._L1(1), 30)
+    J = _J(fam._L1(1))
     assert [J(k).n for k in range(-1, 31)] == [
         l1(jpoly(k)) for k in range(-1, 31)]
     for k in (-2, -5):

@@ -216,7 +216,7 @@ def test_recurrence_equals_explicit_sum_up_to_50():
 def test_jpoly_table_any_order(monkeypatch):
     # the table grows only when a larger index is asked for; smaller ones
     # afterwards, in any order, read it
-    monkeypatch.setattr(polynomials, "_jtable", (ONE, X))
+    monkeypatch.setattr(polynomials, "_JPOLY", polynomials._J(X))
     indices = list(range(200, -2, -1))
     for k in indices:
         assert jpoly(k) == jpoly_explicit(k), f"J_{k}"
@@ -227,7 +227,8 @@ def test_jpoly_table_any_order(monkeypatch):
 
 def test_jpoly_table_threads(monkeypatch):
     expected = [jpoly_explicit(k) for k in range(120)]
-    monkeypatch.setattr(polynomials, "_jtable", (ONE, X))  # threads grow it
+    # threads grow one fresh table
+    monkeypatch.setattr(polynomials, "_JPOLY", polynomials._J(X))
     errors = []
 
     def ask(order):

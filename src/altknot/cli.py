@@ -43,8 +43,11 @@ def _load_source(text: str,
     malformed one is an input error rather than a crash further down the
     pipeline.  A matrix must be an adjacency matrix (square, nonempty,
     nonnegative, every row and column summing to 2) like the ones diagrams
-    give.
+    give.  An empty or blank source names neither, and is refused.
     """
+    if not text.strip():
+        raise InputError(f"source {text!r} is empty: give a family spec "
+                         "or a file")
     try:
         return fam.generate(fam.parse_spec_string(text))
     except fam.FamilyError as spec_err:

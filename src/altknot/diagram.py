@@ -172,9 +172,8 @@ def _flat(d: Diagram, error: type[DiagramError] = DiagramError
 
 def _carry(d: Diagram, flat: tuple, faces: list) -> Diagram:
     """d, carrying the `_flat` lists and face trace of a check that found
-    nothing: for the surgery builder's `finish` and `from_json_dict`, which
-    make d's rings tuples and its darts a view over `flat` (`_Darts`) or a
-    tuple of records."""
+    nothing: for `_made` and `from_json_dict`, which make d's rings tuples
+    and its darts a view over `flat` (`_Darts`) or a tuple of records."""
     object.__setattr__(d, "_checked", (flat, faces))
     return d
 
@@ -278,13 +277,13 @@ def _map_problems(problems: list[str], vertex_count: int, rotation: Sequence,
                   vertex: list[int], twin: list[int], direction: list[str],
                   out: list[bool]) -> list[tuple[int, ...]] | bool:
     """`validate`'s checks from the vertex count through Euler on lists by
-    dart id, for it and the surgery builder: appends to `problems`, which
-    must start empty (a problem in it stops them after the twin checks),
-    and returns the Euler check's face trace when they ran to the end,
-    else False.  A loop runs only where C-level passes fail, to write the
-    texts.  Ring listing passes when `ring_of == vertex`: the 4V darts then
-    fill at most V rings of four, so each is listed once (pigeonhole), and
-    each ring alternates iff `out[succ[i]] != out[i]` for its darts."""
+    dart id, for it and `_made`: appends to `problems`, which must start
+    empty (a problem in it stops them after the twin checks), and returns
+    the Euler check's face trace when they ran to the end, else False.  A
+    loop runs only where C-level passes fail, to write the texts.  Ring
+    listing passes when `ring_of == vertex`: the 4V darts then fill at
+    most V rings of four, so each is listed once (pigeonhole), and each
+    ring alternates iff `out[succ[i]] != out[i]` for its darts."""
     n = len(twin)
     if vertex_count < 1:
         problems.append("vertex count: V must be >= 1")
@@ -717,6 +716,27 @@ def from_json_dict(data: dict) -> Diagram:
     return _carry(d, *checked) if checked else d
 
 
+def _made(twin: list[int], direction: list[str], rotation: list,
+          what: str, error: type[Exception]) -> Diagram:
+    """The diagram of the surgery builder's lists, its kind derived first
+    (so the strand walk refuses an inconsistent map), then `validate`'s
+    checks on them, raising `error` naming `what`.  It carries the lists
+    and their face trace, and its darts are a view over them (`_Darts`)."""
+    n = len(twin)
+    succ, vertex = _rings(rotation, n)
+    out = [r == OUT for r in direction]
+    kind = _kind(twin, succ, out, vertex)
+    problems: list[str] = []
+    faces = _map_problems(problems, len(rotation), rotation, succ, vertex,
+                          range(n), vertex, twin, direction, out)
+    if problems:
+        raise error(f"{what} produced an invalid diagram: "
+                    + "; ".join(problems))
+    flat = twin, succ, out, vertex
+    d = Diagram(kind, len(rotation), _Darts(flat), tuple(rotation))
+    return _carry(d, flat, faces)
+
+
 def from_json(text: str) -> Diagram:
     try:
         data = json.loads(text)
@@ -728,11 +748,13 @@ def from_json(text: str) -> Diagram:
 
 
 def to_dot(d: Diagram) -> str:
-    """GraphViz digraph: one node per vertex, one arc per edge."""
+    """GraphViz digraph: one node per vertex, one arc per edge; the edges
+    are read first, through `_flat`'s gate."""
+    edges = d.edges()
     lines = ["digraph altknot {"]
     for v in range(d.vertex_count):
         lines.append(f"  {v};")
-    for u, w in d.edges():
+    for u, w in edges:
         lines.append(f"  {u} -> {w};")
     lines.append("}")
     return "\n".join(lines) + "\n"

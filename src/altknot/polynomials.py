@@ -300,16 +300,16 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     entry j sits in the w-bit slot j (Kronecker substitution), and it sums
     L_ij times packed row j of L^(k-1) over the nonzero L_ij, in C-level
     passes: `layers[l]` names, for every row i, the l-th column of its
-    support (n past a short support, where the packed list holds an
-    appended 0).  `spectra.adjacency` repeats a column by its multiplicity;
-    `_plan` lists it once and puts (i, j, L_ij - 1) in `extra` for each
-    L_ij != 1, added after the passes.  The first two layers take one fused
-    pass, so an adjacency matrix costs one pass per power.  Each layer is
-    one `operator.itemgetter` of its columns, built once per call and
-    applied to every power (at n = 1 it gets a one-item slice, as a
-    single-index getter returns the bare row).  `signed` says L has a
-    negative entry, and `c` is the c below, by default the number of
-    layers, which it is when they repeat columns and there is no `extra`.
+    support (n past a short support, where the packed list holds a 0).
+    `spectra.adjacency` repeats a column by its multiplicity; `_plan`
+    lists it once and puts (i, j, L_ij - 1) in `extra` for each L_ij != 1,
+    added after the passes.  The first two layers take one fused pass, so
+    an adjacency matrix costs one pass per power.  Each layer is one
+    `operator.itemgetter` of its columns and of slot n, built once per
+    call and applied to every power, so every product keeps its padding 0
+    in slot n.  `signed` says L has a negative entry, and `c` is the c
+    below, by default the number of layers, which it is when they repeat
+    columns and there is no `extra`.
 
     The width suffices for every k <= K, the capacity.  Let c = max(1,
     ||L||_inf), the largest sum of |L_ij| over a row (for a matrix with no
@@ -344,7 +344,7 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     bias, offset = sum(map(h.__lshift__, shifts)), n * h
     power = [*map((1).__lshift__, shifts), 0]
     first, second, *rest = [
-        itemgetter(*layer if n > 1 else [slice(layer[0], layer[0] + 1)])
+        itemgetter(*layer, n)
         for layer in (layers if layers[1:] else [*layers, [n] * n])]
     traces = []
     for _ in range(capacity):
@@ -355,7 +355,6 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
             prod[i] += v * power[j]
         digits = map(add, prod, repeat(bias)) if signed else prod
         traces.append(sum(map(and_, digits, masks)) % fold - offset)
-        prod.append(0)
         power = prod
     return traces
 

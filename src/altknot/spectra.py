@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
-from .diagram import OUT, Diagram
+from .diagram import Diagram, _flat
 from .limits import decimal_int
 from .polynomials import _layers, _plan, _power_traces, _shape_problem
 
@@ -95,28 +95,21 @@ def adjacency(d: Diagram) -> AdjMatrix:
     """Count directed edges between vertex pairs; loops land on the diagonal.
 
     The matrix determines the directed multigraph of the diagram but not
-    its sphere embedding.  Reads the vertex count and each out dart's
-    vertex and its twin's, in dart order: from the lists a checked diagram
-    carries, else from the `Dart` records, unchecked, so defined on maps
-    `validate` accepts.  The same loop lists each vertex's out-heads and
-    in-tails, its row's and column's supports, which the matrix carries as
-    layers.
+    its sphere embedding.  Reads each out dart's vertex and its twin's, in
+    dart order, from `diagram._flat`'s lists, so a map that fails its gate
+    raises its DiagramError.  The same loop lists each vertex's out-heads
+    and in-tails, its row's and column's supports, which the matrix
+    carries as layers.
     """
+    twin, _, out, vertex = _flat(d)
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]
     heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
-    if checked := d._checked:
-        twin, _, out, vertex = checked[0]
-    else:
-        darts = d.darts
-        twin = [x.twin for x in darts]
-        vertex = [x.vertex for x in darts]
-        out = [x.direction == OUT for x in darts]
     for i in compress(range(len(twin)), out):
         v, w = vertex[i], vertex[twin[i]]
-        rows[v][w] += 1  # a vertex in -n..-1 wraps, and so do the layers
-        heads[v].append(w % n)
-        tails[w].append(v % n)
+        rows[v][w] += 1
+        heads[v].append(w)
+        tails[w].append(v)
     m = object.__new__(AdjMatrix)
     object.__setattr__(m, "rows", tuple([tuple(row) for row in rows]))
     if n:  # n tuples of n ints: with layers, no reader scans the shape
@@ -267,8 +260,9 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
 # Eigen-structure facts that stay in integer arithmetic
 # ---------------------------------------------------------------------------
 
-# The last matrix swept by closed_path_count and the traces of its powers so
-# far: replaced whole, never mutated, so threads never see it torn.
+# The rows object of the last matrix swept by closed_path_count and the
+# traces of its powers so far: replaced whole, never mutated, so threads
+# never see it torn.
 _paths_slot: tuple = (None, ())
 
 
@@ -277,10 +271,11 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
 
     The traces are `altknot.polynomials._power_traces` of the columns of M,
     the rows of M^T, as `_plan` gives them: trace((M^T)^j) = trace(M^j).
-    Those of the last matrix asked about are kept, so a sweep k = 1..V
-    costs V products, not V(V + 1)/2.  A call on a new matrix, or with a k
-    past the traces kept, computes max(k, V) traces afresh, so a single
-    call with a small k costs V products, not k.
+    Those of the last matrix asked about are kept, keyed on its rows
+    object, so a sweep k = 1..V costs V products, not V(V + 1)/2.  A call
+    on another rows object, equal or not, or with a k past the traces
+    kept, computes max(k, V) traces afresh, so a single call with a small
+    k costs V products, not k.
 
     `charpoly` runs the same kernel on the rows of M.  An empty or
     non-square M, a non-int entry (bool and float too) or k not an int
@@ -291,10 +286,7 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
         raise ValueError("path length must be an integer >= 1")
     rows = m.rows
     key, traces = _paths_slot
-    plan = None if key is rows else _plan(m, 1)  # checks a new object
-    traces = traces if key is rows or key == rows else ()
-    if k > len(traces):
-        traces = _power_traces(max(k, len(rows)),
-                               *(plan or _plan(m, 1)))
-    _paths_slot = (rows, traces)
+    if key is not rows or k > len(traces):  # `_plan` checks a new object
+        traces = _power_traces(max(k, len(rows)), *_plan(m, 1))
+        _paths_slot = (rows, traces)
     return traces[k - 1]

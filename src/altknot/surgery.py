@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (_DIRECTION, IN, OUT, Diagram, DiagramError, _carry,
-                      _Darts, _face_traces, _flat, _kind, _map_problems,
-                      _rings)
+from .diagram import (_DIRECTION, IN, OUT, Diagram, DiagramError,
+                      _face_traces, _flat, _made)
 
 LANE_OUT = "lane_out"
 LANE_IN = "lane_in"
@@ -226,26 +225,9 @@ class _Builder:
 
     def finish(self, what: str,
                error: type[Exception] = SurgeryError) -> Diagram:
-        """The diagram, its kind derived first (so the strand walk refuses
-        an inconsistent map), then `validate`'s checks on the builder's
-        lists, raising `error` naming `what`.  The diagram carries the
-        checked lists and their face trace, and its darts are a view over
-        those lists (`diagram._Darts`), so the builder is spent: its lists
-        are now the diagram's."""
-        twin, direction, rotation = self.twin, self.direction, self.rotation
-        n = len(twin)
-        succ, vertex = _rings(rotation, n)
-        out = [r == OUT for r in direction]
-        kind = _kind(twin, succ, out, vertex)
-        problems: list[str] = []
-        faces = _map_problems(problems, len(rotation), rotation, succ, vertex,
-                              range(n), vertex, twin, direction, out)
-        if problems:
-            raise error(f"{what} produced an invalid diagram: "
-                        + "; ".join(problems))
-        flat = twin, succ, out, vertex
-        d = Diagram(kind, len(rotation), _Darts(flat), tuple(rotation))
-        return _carry(d, flat, faces)
+        """`diagram._made` of the builder's lists, raising `error` naming
+        `what`; the builder is spent: its lists are now the diagram's."""
+        return _made(self.twin, self.direction, self.rotation, what, error)
 
 
 # ---------------------------------------------------------------------------

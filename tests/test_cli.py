@@ -110,6 +110,17 @@ def test_charpoly_missing_input(capsys):
         assert code == 2 and "error:" in err, source
 
 
+@pytest.mark.parametrize("command",
+                         ["charpoly", "census", "components", "decompose"])
+@pytest.mark.parametrize("source", ["", "  "])
+def test_empty_source_is_input_error_saying_so(capsys, command, source):
+    # an empty path once read the current directory
+    code, out, err = run(capsys, command, source)
+    assert code == 2 and out == ""
+    assert err == (f"error: source {source!r} is empty: give a family "
+                   "spec or a file\n")
+
+
 @pytest.mark.parametrize("command", ["charpoly", "census"])
 def test_undecodable_file_is_input_error_naming_it(capsys, tmp_path, command):
     path = tmp_path / "bad.bin"

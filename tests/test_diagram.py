@@ -187,6 +187,7 @@ def test_loops_and_edges_read_each_vertex_from_the_rings():
     assert dg.component_count(bad) == 1  # no loop and one strand: a knot
     assert bad.edges() == d.edges()
     assert dg.to_dot(bad) == dg.to_dot(d)
+    assert sp.adjacency(bad) == sp.adjacency(d)
 
 
 # ---------------------------------------------------------------------------

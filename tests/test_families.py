@@ -779,15 +779,15 @@ def test_generate_validates_each_member_once(monkeypatch):
     # checks the map, once, on the builder's own lists, so the cost of a
     # member stays linear in its size
     calls, kinds = [], []
-    real, real_kind = sg._map_problems, sg._kind
+    real, real_kind = dg._map_problems, dg._kind
 
     def check(problems, v, rotation, succ, ring_of, ids, vertex, twin, *rest):
         calls.append((vertex[:], twin[:]))
         return real(problems, v, rotation, succ, ring_of, ids, vertex, twin,
                     *rest)
 
-    monkeypatch.setattr(sg, "_map_problems", check)
-    monkeypatch.setattr(sg, "_kind", lambda *a: kinds.append(a)
+    monkeypatch.setattr(dg, "_map_problems", check)
+    monkeypatch.setattr(dg, "_kind", lambda *a: kinds.append(a)
                         or real_kind(*a))
 
     def checked(d):
@@ -806,7 +806,7 @@ def test_generate_validates_each_member_once(monkeypatch):
 
 
 def test_generator_failure_names_the_generator(monkeypatch):
-    monkeypatch.setattr(sg, "_map_problems",
+    monkeypatch.setattr(dg, "_map_problems",
                         lambda problems, *a: problems.append("made up"))
     with pytest.raises(fam.FamilyError,
                        match="generator produced an invalid diagram: made up"):

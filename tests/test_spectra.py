@@ -15,6 +15,7 @@ from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
 
+from altknot import diagram as dg
 from altknot import families as fam
 from altknot import polynomials as pl
 from altknot import spectra as sp
@@ -477,10 +478,10 @@ def test_power_traces_at_the_width_edge(n):
 @pytest.mark.parametrize("source", ["cyclic:V=1", "twistchain:V=1",
                                     "[[2]]", "[[1]]", "[[0]]", "[[-3]]"])
 def test_power_kernel_on_one_by_one_matrices(source):
-    # itemgetter of a single index returns the bare item, so at n = 1 the
-    # kernel gathers each layer as a one-item slice: both members' two
-    # layers, and one layer with padding in the parsed ones (2 through an
-    # `extra`, 0 with no support, -3 with the bias)
+    # each layer's getter also gathers the padding slot n, so at n = 1 it
+    # gathers two items, never a bare one: both members' two layers, and
+    # one layer with padding in the parsed ones (2 through an `extra`, 0
+    # with no support, -3 with the bias)
     if source.startswith("["):
         m = sp.parse_matrix(source)
         assert not m._layers
@@ -595,6 +596,30 @@ def test_adjacency_layers_on_random_surgery():
         assert_layers_agree(sp.adjacency(d))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertex_count", "3"), ("vertex_count", None), ("vertex_count", 2.0),
+    ("vertex_count", -2), ("darts", None)])
+def test_adjacency_and_dot_refuse_what_faces_refuses(field, value):
+    # one read path, through `_flat`'s gate: its DiagramError, not TypeError
+    bad = dataclasses.replace(fam.generate(fam.parse_spec_string(
+        "cyclic:V=3")), **{field: value})
+    with pytest.raises(dg.DiagramError) as caught:
+        dg.faces(bad)
+    for reader in (sp.adjacency, dg.to_dot):
+        with pytest.raises(dg.DiagramError) as refused:
+            reader(bad)
+        assert str(refused.value) == str(caught.value)
+
+
+def test_adjacency_of_an_unchecked_copy_on_sweep():
+    # a copy carries nothing and is read through the gate: the same
+    # matrix and layers as the carried lists give
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        d = fam.generate(s)
+        m, cold = sp.adjacency(d), sp.adjacency(dataclasses.replace(d))
+        assert (cold.rows, cold._layers) == (m.rows, m._layers), str(s)
+
+
 def test_adjacency_layers_of_a_vertex_with_three_out_darts():
     # flipping one edge of the trefoil leaves its head vertex with three
     # out darts and its tail vertex with one: rows sum to 3 and 1, and the
@@ -613,13 +638,15 @@ def test_adjacency_layers_of_a_vertex_with_three_out_darts():
     assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
 
 
-def test_adjacency_layers_wrap_a_negative_vertex_as_the_rows_do():
-    # dart 0's or dart 1's vertex -1 puts its edge in the last row or column
+def test_adjacency_reads_a_vertex_from_the_rings_not_the_dart():
+    # dart 0's or dart 1's vertex field -1: adjacency reads each vertex
+    # from the rings, as `_flat` gives it, so the matrix is the trefoil's
     d = fam.generate(fam.parse_spec_string("cyclic:V=3"))
     for i in (0, 1):  # an out dart and an in dart
         darts = list(d.darts)
         darts[i] = dataclasses.replace(darts[i], vertex=-1)
         m = sp.adjacency(dataclasses.replace(d, darts=tuple(darts)))
+        assert m.rows == sp.adjacency(d).rows
         assert_layers_agree(m)
         assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
 
@@ -661,8 +688,9 @@ def test_strands_from_layers_on_sweep_and_random_surgery():
 
 
 def test_strands_from_layers_of_broken_maps_as_from_rows():
-    # the three-out-darts trefoil and dart 0 or 1 at vertex -1: refused
-    # with the same texts, or walked the same, as the scanned rows
+    # the three-out-darts trefoil and dart 0 or 1 with vertex field -1
+    # (read from the rings): refused with the same texts, or walked the
+    # same, as the scanned rows
     d = fam.generate(fam.parse_spec_string("cyclic:V=3"))
     flipped = {0: "in", d.darts[0].twin: "out"}
     broken = [tuple(dataclasses.replace(x, direction=flipped.get(

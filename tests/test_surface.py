@@ -1,10 +1,12 @@
 """Every public name of the package has a caller in the package or in
-`perfbench/`.
+`perfbench/`, and the private names that cross a module boundary are
+the listed ones.
 
 A public function, class or method of a public class that nothing but the
 tests calls does not belong in `src/`: it moves to the tests or goes.
 The names below stay without such a caller, each for the reason given;
-this list only shrinks.
+this list only shrinks.  So does the list of private names a module
+imports from another.
 """
 
 import ast
@@ -69,3 +71,65 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert sorted(found - set(KEPT)) == []
     # a kept name that gains a caller, or goes, leaves the list
     assert sorted(set(KEPT) - found) == []
+
+
+# (importing module, module imported from): the private names it imports
+PRIVATE_IMPORTS = {
+    ("surgery", "diagram"): {"_DIRECTION", "_face_traces", "_flat", "_made"},
+    ("spectra", "diagram"): {"_flat"},
+    ("spectra", "polynomials"): {"_layers", "_plan", "_power_traces",
+                                 "_shape_problem"},
+    ("families", "surgery"): {"_Builder"},
+    ("families", "polynomials"): {"_J", "_read"},
+}
+
+
+def private_imports():
+    """{(module, other module): private names} over the package: the
+    names of `from .other import _name` and the attributes `alias._name`
+    of `from . import other as alias`."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if not node.module:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.setdefault((path.stem, node.module),
+                                         set()).add(alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases
+                    and node.attr.startswith("_")):
+                found.setdefault((path.stem, aliases[node.value.id]),
+                                 set()).add(node.attr)
+    return found
+
+
+def test_private_names_cross_modules_only_as_listed():
+    assert private_imports() == PRIVATE_IMPORTS
+
+
+def test_only_diagram_makes_and_reads_what_a_diagram_carries():
+    # `Diagram._checked` is set by `_carry` and read behind `_flat` and
+    # `_face_traces`: no other module names either
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "diagram.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):  # getattr(d, "_checked")
+                name = node.value
+            else:
+                continue
+            assert name not in ("_checked", "_carry"), (path.name,
+                                                        node.lineno)

@@ -1282,7 +1282,7 @@ def test_readers_of_builder_outputs_skip_the_gate(monkeypatch):
 
 
 def test_contraction_reads_the_rings_once_per_map(monkeypatch):
-    # `_flat` reads the input's rings and `finish` the result's; the face
+    # `_flat` reads the input's rings and `_made` the result's; the face
     # trace takes its lists from the builder's `_flat` call
     calls = []
     rings = dg._rings
@@ -1292,7 +1292,6 @@ def test_contraction_reads_the_rings_once_per_map(monkeypatch):
         return rings(rotation, n)
 
     monkeypatch.setattr(dg, "_rings", counted)
-    monkeypatch.setattr(sg, "_rings", counted)
     d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
     grown, _, bigon = sg._expand(d, 0, sg.LANE_IN)
     cold = dataclasses.replace(grown)  # carries nothing

@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("all", "identities",
                                    *(f.prefix for f in fam.FAMILIES)))
     p_verify.add_argument("--max", type=decimal_int, default=8,
-                          help="largest index swept (default 8)")
+                          help="largest index swept (default 8); the "
+                               f"identities stop at {fam.IDENTITY_MAX}")
     p_verify.add_argument("--report", choices=("csv", "text"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

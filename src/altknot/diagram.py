@@ -436,31 +436,6 @@ def check_face_identity(census: FaceCensus) -> bool:
     return lhs == rhs
 
 
-CCW = "CCW"
-CW = "CW"
-
-
-def face_orientations(d: Diagram) -> dict[int, str]:
-    """Rotation sense of every face: CCW when the boundary follows the edge
-    orientations, CW when it opposes them.
-
-    Each boundary must be coherently oriented; a mixed face means the input
-    violates the alternating orientation rule.  Faces sharing an edge always
-    come out with opposite senses, which is the two-coloring.  Read from
-    `_flat`'s is-outgoing list and the face trace.
-    """
-    flat = _flat(d)
-    out = flat[2]
-    senses: dict[int, str] = {}
-    for idx, trace in enumerate(_face_traces(d, flat)):
-        dirs = set(map(out.__getitem__, trace))
-        if len(dirs) != 1:
-            raise DiagramError(
-                f"orientation rule broken: face {idx} mixes edge directions")
-        senses[idx] = CCW if True in dirs else CW
-    return senses
-
-
 # ---------------------------------------------------------------------------
 # Strand components at map level (used to derive `kind`)
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from typing import Callable, Iterable
 
 from .diagram import IN, OUT, Diagram
 from .limits import decimal_int, max_vertices
-from .polynomials import IntPoly, X, _J, _read, charpoly, divide_out, jpoly
+from .polynomials import IntPoly, X, _J, _read, charpoly, jpoly
 from .spectra import adjacency
-from .surgery import LANE_IN, LANE_OUT, _Builder, compose_twist
+from .surgery import _Builder, compose_twist
 
 TWIST_CHAIN = "TWIST_CHAIN"
 HOPF_TWIST = "HOPF_TWIST"
@@ -287,7 +287,9 @@ def closed_form(spec: FamilySpec) -> IntPoly:
     formula, params = _BY_TAG[spec.family].formula, spec.params
     w = formula(*params, _L1(1), _jl1).n.bit_length() + 1
     x0 = 1 << w
-    return _read(formula(*params, x0, _J(x0)), w)
+    J = _J(x0)
+    J(max(params))  # grown once: no formula reads J past its largest parameter
+    return _read(formula(*params, x0, J), w)
 
 
 # ---------------------------------------------------------------------------
@@ -340,45 +342,7 @@ _BY_PREFIX = {f.prefix: f for f in FAMILIES}
 
 
 # ---------------------------------------------------------------------------
-# The polynomial-collision pair: a circle threaded around the waist of a
-# twisted loop.  Two growth directions share one polynomial family.
-# ---------------------------------------------------------------------------
-
-WAIST_RING_GROWTHS = ("chain", "clasp")
-
-
-def _check_waist_v(v: int) -> None:
-    if type(v) is not int or v < 5:
-        raise FamilyError(
-            f"waist-ring family takes an integer V >= 5, got {v!r}")
-
-
-def waist_ring_poly(v: int) -> IntPoly:
-    """x^2 [(x^2 - 2) J_{V-4} - 2 J_{V-5} - 2], defined for V >= 5."""
-    _check_waist_v(v)
-    return X * X * ((X * X - 2) * jpoly(v - 4) - 2 * jpoly(v - 5) - 2)
-
-
-def waist_ring_diagram(v: int, growth: str = "chain") -> Diagram:
-    """The two-component link of a ring around a twisted loop's waist.
-
-    Both growth directions extend a ribbon at the loop's crossing and give
-    the same polynomials but different diagrams: "chain" keeps two
-    components, "clasp" alternates between two and three.
-    """
-    if growth not in WAIST_RING_GROWTHS:
-        raise FamilyError(f"growth must be one of {WAIST_RING_GROWTHS}")
-    _check_waist_v(v)
-    if v > max_vertices():
-        raise FamilyError(f"V={v} above the cap {max_vertices()}")
-    b = _twist_chain(1)
-    b.pierce_waist(b.tail(0), b.tail(1))
-    b.ribbon(0, v - 4, LANE_OUT if growth == "chain" else LANE_IN)
-    return b.finish("generator", FamilyError)
-
-
-# ---------------------------------------------------------------------------
-# Generator-vs-formula verification and family recurrences
+# Generator-vs-formula verification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -397,29 +361,6 @@ def verify_member(spec: FamilySpec) -> VerifyResult:
     return VerifyResult(spec, generated == formula, generated, formula)
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    homogeneous: bool
-    source: IntPoly | None  # the residue divided by (x - 2), when present
-
-
-def check_family_recurrence(p0: IntPoly, p1: IntPoly,
-                            p2: IntPoly) -> RecurrenceCheck:
-    """Classify a consecutive family triple by its three-term recurrence.
-
-    Twists satisfy p2 - x*p1 + p0 = 0; knot and link families leave a
-    residue (x - 2) * H with H constant along the family.
-    """
-    residue = p2 - X * p1 + p0
-    if not residue:
-        return RecurrenceCheck(True, None)
-    quotient, exact = divide_out(residue, X - 2)
-    if not exact:
-        raise FamilyError("not a family triple: the recurrence residue is "
-                          "not divisible by (x - 2)")
-    return RecurrenceCheck(False, quotient)
-
-
 # ---------------------------------------------------------------------------
 # Cross-family identities, each decided by one exact evaluation per side
 # ---------------------------------------------------------------------------
@@ -429,6 +370,9 @@ def _g_of(x, J) -> Callable[[int, int, int], object]:
     return lru_cache(maxsize=None)(
         lambda k, l, m: three_ribbon_g_poly(k, l, m, x, J))
 
+
+# the largest index `check_identities` runs to (see its docstring)
+IDENTITY_MAX = 30
 
 # name, number of indices (each runs over 1..max_index), and the pairs
 # (L, R) whose equality is the identity, over a ring (x, J) with g the
@@ -489,9 +433,12 @@ def _identity_holds(sides: _Sides, arity: int, max_index: int) -> bool | None:
 def check_identities(max_index: int) -> dict[str, bool]:
     """Exact polynomial identities tying the families together.
 
-    Every entry is checked for all indices up to `max_index`; the mapping
-    reports each named identity separately and leaves out an identity
-    with no instance in that range, so nothing unchecked reads as a pass.
+    Every entry is checked for all indices up to min(max_index,
+    IDENTITY_MAX), that is up to 30 at most, since the work grows about as
+    the seventh power of the largest index; `composition_of_cyclic` runs
+    to min(max_index, 5).  The mapping reports each named identity
+    separately and leaves out an identity with no instance in that range,
+    so nothing unchecked reads as a pass.
 
     Each instance L == R is decided by one integer comparison
     L(x0) == R(x0), the formulas evaluated over the ring of x0 and the
@@ -528,7 +475,8 @@ def check_identities(max_index: int) -> dict[str, bool]:
     if type(max_index) is not int:
         raise FamilyError(
             f"identity index must be an integer, got {max_index!r}")
-    report = {name: _identity_holds(sides, arity, max_index)
+    top = min(max_index, IDENTITY_MAX)
+    report = {name: _identity_holds(sides, arity, top)
               for name, arity, sides in _IDENTITIES}
     comp_max = min(max_index, 5)
     report["composition_of_cyclic"] = _verdict(
@@ -538,113 +486,6 @@ def check_identities(max_index: int) -> dict[str, bool]:
         == three_ribbon_g_poly(k, l, 0)
         for k in range(2, comp_max + 1) for l in range(2, comp_max + 1))
     return {name: ok for name, ok in report.items() if ok is not None}
-
-
-# ---------------------------------------------------------------------------
-# Catalog of the standard-table correspondences
-# ---------------------------------------------------------------------------
-
-#: entries are claims transcribed from the source tables, never re-derived.
-FLAG_CLAIMED = "source_claimed"
-FLAG_INCONSISTENT = "source_inconsistent"
-FLAG_SEQUENCE = "from_family_sequence"
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A standard-table label (e.g. "4_1", "6_2^2") matched to a family
-    member.  `flags` record provenance; nothing here is independently
-    re-identified."""
-
-    rolfsen_label: str
-    family: FamilySpec
-    flags: tuple[str, ...] = (FLAG_CLAIMED,)
-    note: str = ""
-
-
-def _entry(label: str, family: str, params: tuple[int, ...],
-           flags: tuple[str, ...] = (FLAG_CLAIMED,), note: str = "") -> CatalogEntry:
-    return CatalogEntry(label, FamilySpec(family, params), flags, note)
-
-
-def catalog() -> list[CatalogEntry]:
-    """All stated label-to-family correspondences, verbatim, flagged."""
-    seq = (FLAG_CLAIMED, FLAG_SEQUENCE)
-    dup = (FLAG_CLAIMED, FLAG_INCONSISTENT)
-    entries = [
-        # cyclic torus sequence: eight-twist, Hopf, trefoil, Solomon, ...
-        _entry("3_1", CYCLIC_TORUS, (3,), seq),
-        _entry("4_1^2", CYCLIC_TORUS, (4,), seq),
-        _entry("5_1", CYCLIC_TORUS, (5,), seq),
-        _entry("6_1^2", CYCLIC_TORUS, (6,), seq),
-        _entry("7_1", CYCLIC_TORUS, (7,), seq),
-        _entry("8_1^2", CYCLIC_TORUS, (8,), seq),
-        # twist knots: twist of two vertices, trefoil, four-knot, then primes
-        _entry("3_1", TWIST_KNOTS, (3,), seq),
-        _entry("4_1", TWIST_KNOTS, (4,), seq),
-        _entry("5_2", TWIST_KNOTS, (5,), seq),
-        _entry("6_1", TWIST_KNOTS, (6,), seq),
-        _entry("7_2", TWIST_KNOTS, (7,), seq),
-        _entry("8_1", TWIST_KNOTS, (8,), seq),
-        _entry("9_2", TWIST_KNOTS, (9,), seq),
-        _entry("10_1", TWIST_KNOTS, (10,), seq),
-        # two-ribbon table
-        _entry("4_1", TWO_RIBBON, (2, 2)),
-        _entry("5_2", TWO_RIBBON, (3, 2)),
-        _entry("6_1", TWO_RIBBON, (4, 2)),
-        _entry("7_2", TWO_RIBBON, (5, 2)),
-        _entry("7_3", TWO_RIBBON, (4, 3)),
-        _entry("8_1", TWO_RIBBON, (6, 2)),
-        _entry("8_3", TWO_RIBBON, (4, 4)),
-        _entry("9_2", TWO_RIBBON, (7, 2)),
-        _entry("9_3", TWO_RIBBON, (6, 3)),
-        _entry("9_4", TWO_RIBBON, (5, 4)),
-        _entry("10_1", TWO_RIBBON, (8, 2)),
-        _entry("6_2^2", TWO_RIBBON, (3, 3)),
-        _entry("8_2^2", TWO_RIBBON, (5, 3)),
-        # three-ribbon, adjacent-ribbon variant
-        _entry("6_2", THREE_RIBBON_P, (3, 2, 1)),
-        _entry("7_4", THREE_RIBBON_P, (3, 3, 1)),
-        _entry("7_5", THREE_RIBBON_P, (3, 2, 2)),
-        _entry("8_2", THREE_RIBBON_P, (5, 2, 1)),
-        _entry("8_4", THREE_RIBBON_P, (4, 3, 1)),
-        _entry("8_6", THREE_RIBBON_P, (3, 2, 3),
-               note="printed with a dot: 8.6"),
-        _entry("9_6", THREE_RIBBON_P, (5, 2, 2)),
-        _entry("9_7", THREE_RIBBON_P, (3, 2, 4)),
-        _entry("9_9", THREE_RIBBON_P, (4, 3, 2)),
-        _entry("9_10", THREE_RIBBON_P, (3, 3, 3)),
-        _entry("10_4", THREE_RIBBON_P, (6, 1, 3)),
-        _entry("10_6", THREE_RIBBON_P, (5, 2, 3), dup,
-               note="the same member is also listed as 10_20"),
-        _entry("10_11", THREE_RIBBON_P, (4, 3, 3)),
-        _entry("10_20", THREE_RIBBON_P, (5, 2, 3), dup,
-               note="the same member is also listed as 10_6"),
-        _entry("6_2^3", THREE_RIBBON_P, (2, 2, 2)),
-        _entry("7_2^3", THREE_RIBBON_P, (2, 2, 3)),
-        _entry("8_2^3", THREE_RIBBON_P, (4, 2, 2)),
-        _entry("8_2^4", THREE_RIBBON_P, (3, 3, 2)),
-        _entry("5_2^1", THREE_RIBBON_P, (2, 2, 1), dup,
-               note="superscript as printed; a 1-component link label is "
-                    "suspect"),
-        # three-ribbon, triangular variant
-        _entry("3_1", THREE_RIBBON_G, (1, 1, 1)),
-        _entry("8_5", THREE_RIBBON_G, (3, 3, 2)),
-        _entry("9_35", THREE_RIBBON_G, (3, 3, 3)),
-        _entry("10_46", THREE_RIBBON_G, (5, 3, 2)),
-        _entry("10_61", THREE_RIBBON_G, (4, 3, 3)),
-        _entry("7_1^2", THREE_RIBBON_G, (4, 2, 1)),
-        _entry("7_4^2", THREE_RIBBON_G, (3, 2, 2)),
-        _entry("8_1^3", THREE_RIBBON_G, (4, 2, 2)),
-        # trefoil twist sequence: first twist, then the table entries
-        _entry("5_2", TREFOIL_TWIST, (5,), seq),
-        _entry("6_2", TREFOIL_TWIST, (6,), seq),
-        _entry("7_4", TREFOIL_TWIST, (7,), seq),
-        _entry("8_4", TREFOIL_TWIST, (8,), seq),
-        _entry("9_6", TREFOIL_TWIST, (9,), seq),
-        _entry("10_4", TREFOIL_TWIST, (10,), seq),
-    ]
-    return entries
 
 
 # ---------------------------------------------------------------------------

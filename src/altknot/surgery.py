@@ -1,5 +1,5 @@
-"""Diagram rewriting: bigon contraction, ribbon expansion, crossing
-elimination and composition twisting.
+"""Diagram rewriting: bigon contraction, ribbon expansion and composition
+twisting.
 
 All operations are pure: inputs are never mutated.  Vertex and dart ids of
 results are assigned deterministically (new vertices appended, removed ids
@@ -11,8 +11,6 @@ and turns it into a diagram once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (_DIRECTION, IN, OUT, Diagram, DiagramError,
                       _face_traces, _flat, _made)
 
@@ -23,19 +21,6 @@ LANES = (LANE_OUT, LANE_IN)
 
 class SurgeryError(DiagramError):
     """Raised when a rewriting operation is not applicable."""
-
-
-@dataclass(frozen=True)
-class Unknot:
-    """Result of eliminating the last crossing: a circle with no vertices.
-
-    `circles` counts the vertexless closed curves the splice produced.
-    """
-
-    circles: int = 1
-
-    def __str__(self) -> str:
-        return f"<unknot: {self.circles} circle(s), no crossings>"
 
 
 def _check_lane(lane: str) -> None:
@@ -181,34 +166,6 @@ class _Builder:
         self.rotation.append((a_in, r1t, mid_h, r2t))
         self.rotation.append((mid_t, r1h, d_out, r2h))
 
-    def pierce_waist(self, tail_a: int, tail_b: int) -> None:
-        """Thread a fresh circle around the edges leaving `tail_a` and
-        `tail_b` together, at new vertices a_l, a_r, b_l and b_r."""
-        head_a, head_b = self.twin[tail_a], self.twin[tail_b]
-        base = len(self.twin)
-        a1 = base                           # head at a_l on strand a
-        ma_t, ma_h = base + 1, base + 2     # a_r -> a_l
-        ao_t = base + 3                     # tail at a_r toward a's old head
-        b1 = base + 4                       # head at b_r on strand b
-        mb_t, mb_h = base + 5, base + 6     # b_l -> b_r
-        bo_t = base + 7                     # tail at b_l toward b's old head
-        r1t, r1h = base + 8, base + 9       # ring a_l -> b_l
-        r2t, r2h = base + 10, base + 11     # ring b_r -> b_l
-        r3t, r3h = base + 12, base + 13     # ring b_r -> a_r
-        r4t, r4h = base + 14, base + 15     # ring a_l -> a_r
-        self.twin[tail_a] = a1
-        self.twin[head_a] = ao_t
-        self.twin[tail_b] = b1
-        self.twin[head_b] = bo_t
-        self._add((tail_a, IN), (ma_h, OUT), (ma_t, IN), (head_a, OUT),
-                  (tail_b, IN), (mb_h, OUT), (mb_t, IN), (head_b, OUT),
-                  (r1h, OUT), (r1t, IN), (r2h, OUT), (r2t, IN),
-                  (r3h, OUT), (r3t, IN), (r4h, OUT), (r4t, IN))
-        self.rotation.append((a1, r1t, ma_h, r4t))
-        self.rotation.append((ma_t, r3h, ao_t, r4h))
-        self.rotation.append((bo_t, r2h, mb_t, r1h))
-        self.rotation.append((mb_h, r2t, b1, r3t))
-
     def drop(self, darts: set[int], vertex: int) -> None:
         """Remove `darts` and `vertex`, compacting dart and vertex ids in
         order.  No kept dart may still sit at `vertex` or pair with a
@@ -301,64 +258,6 @@ def contract_bigon(d: Diagram, face_id: int) -> Diagram:
     b.rotation[keep] = remaining_arc(keep) + remaining_arc(gone)
     b.drop(removed, gone)
     return b.finish("contraction")
-
-
-# ---------------------------------------------------------------------------
-# Crossing elimination
-# ---------------------------------------------------------------------------
-
-def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | Unknot:
-    """Remove a vertex by splicing each incoming edge onto an outgoing edge.
-
-    The lane picks between the two pairings: LANE_OUT joins every incoming
-    dart to the outgoing dart that follows it in the rotation, LANE_IN to
-    the one that precedes it.  Eliminating the last vertex yields an
-    `Unknot` result rather than a diagram.
-    """
-    b = _Builder(d)
-    _check_lane(direction)
-    if type(vertex_id) is not int or not 0 <= vertex_id < len(b.rotation):
-        raise SurgeryError(f"no vertex {vertex_id!r}")
-    ring, twin = b.rotation[vertex_id], b.twin
-    step = 1 if direction == LANE_OUT else -1
-
-    def onward(head: int) -> int:
-        """Where an arc entering at in dart `head` arrives next."""
-        return twin[ring[(ring.index(head) + step) % 4]]
-
-    def reach(head: int) -> None:
-        """Strike off a loop head an arc has reached."""
-        if head not in loops:
-            raise SurgeryError(f"splice strays at dart {head}: inconsistent map")
-        loops.remove(head)
-
-    heads = [x for x in ring if b.direction[x] == IN]
-    loops = [h for h in heads if twin[h] in ring]
-    for h in [h for h in heads if h not in loops]:
-        # an arc entering from outside runs on through the vertex's loops;
-        # only darts away from the vertex are rewired
-        tail, head = twin[h], onward(h)
-        while head in ring:
-            reach(head)
-            head = onward(head)
-        twin[tail], twin[head] = head, tail
-
-    # the loop heads no outside arc reached close vertexless circles
-    circles = 0
-    while loops:
-        h = cur = loops.pop()
-        while onward(cur) != h:
-            cur = onward(cur)
-            reach(cur)
-        circles += 1
-    if len(b.rotation) == 1:
-        return Unknot(circles=circles)
-    if circles:
-        raise SurgeryError(
-            "splice closes a vertexless circle while other crossings remain; "
-            "the result would be a split diagram")
-    b.drop(set(ring), vertex_id)
-    return b.finish("elimination")
 
 
 # ---------------------------------------------------------------------------

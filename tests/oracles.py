@@ -1,12 +1,21 @@
-"""Independent oracles the tests check the library against: each states a
-fact of the paper or a law of the code by a second method."""
+"""Code only the tests call.  Most of it is independent oracles the tests
+check the library against: each states a fact of the paper or a law of the
+code by a second method.  The rest states a claim of the paper, or makes
+diagrams no family makes, for the tests alone: the two senses of the faces,
+the family recurrence, crossing elimination and the waist-ring pair."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from altknot import diagram as dg
-from altknot.polynomials import ONE, ZERO, X, IntPoly, jpoly
+from altknot.diagram import IN, OUT, Diagram, DiagramError, _face_traces, _flat
+from altknot.families import FamilyError, _twist_chain
+from altknot.limits import max_vertices
+from altknot.polynomials import ONE, ZERO, X, IntPoly, divide_out, jpoly
+from altknot.surgery import (LANE_IN, LANE_OUT, SurgeryError, _Builder,
+                             _check_lane)
 
 
 def jpoly_explicit(k):
@@ -171,3 +180,182 @@ def necklace_charpoly(pieces, twist=0):
     for m_i, alpha_i, beta_i in pieces[1:]:
         m, alpha, beta = mat2_mul(m, m_i), alpha * alpha_i, beta * beta_i
     return m[0][0] + m[1][1] - alpha - beta
+
+
+CCW = "CCW"
+CW = "CW"
+
+
+def face_orientations(d: Diagram) -> dict[int, str]:
+    """Rotation sense of every face: CCW when the boundary follows the edge
+    orientations, CW when it opposes them.
+
+    Each boundary must be coherently oriented; a mixed face means the input
+    violates the alternating orientation rule.  Faces sharing an edge always
+    come out with opposite senses, which is the two-coloring.  Read from
+    `_flat`'s is-outgoing list and the face trace.
+    """
+    flat = _flat(d)
+    out = flat[2]
+    senses: dict[int, str] = {}
+    for idx, trace in enumerate(_face_traces(d, flat)):
+        dirs = set(map(out.__getitem__, trace))
+        if len(dirs) != 1:
+            raise DiagramError(
+                f"orientation rule broken: face {idx} mixes edge directions")
+        senses[idx] = CCW if True in dirs else CW
+    return senses
+
+
+@dataclass(frozen=True)
+class RecurrenceCheck:
+    homogeneous: bool
+    source: IntPoly | None  # the residue divided by (x - 2), when present
+
+
+def check_family_recurrence(p0: IntPoly, p1: IntPoly,
+                            p2: IntPoly) -> RecurrenceCheck:
+    """Classify a consecutive family triple by its three-term recurrence.
+
+    Twists satisfy p2 - x*p1 + p0 = 0; knot and link families leave a
+    residue (x - 2) * H with H constant along the family.
+    """
+    residue = p2 - X * p1 + p0
+    if not residue:
+        return RecurrenceCheck(True, None)
+    quotient, exact = divide_out(residue, X - 2)
+    if not exact:
+        raise FamilyError("not a family triple: the recurrence residue is "
+                          "not divisible by (x - 2)")
+    return RecurrenceCheck(False, quotient)
+
+
+@dataclass(frozen=True)
+class Unknot:
+    """Result of eliminating the last crossing: a circle with no vertices.
+
+    `circles` counts the vertexless closed curves the splice produced.
+    """
+
+    circles: int = 1
+
+    def __str__(self) -> str:
+        return f"<unknot: {self.circles} circle(s), no crossings>"
+
+
+def eliminate_crossing(d: Diagram, vertex_id: int, direction: str) -> Diagram | Unknot:
+    """Remove a vertex by splicing each incoming edge onto an outgoing edge.
+
+    The lane picks between the two pairings: LANE_OUT joins every incoming
+    dart to the outgoing dart that follows it in the rotation, LANE_IN to
+    the one that precedes it.  Eliminating the last vertex yields an
+    `Unknot` result rather than a diagram.
+    """
+    b = _Builder(d)
+    _check_lane(direction)
+    if type(vertex_id) is not int or not 0 <= vertex_id < len(b.rotation):
+        raise SurgeryError(f"no vertex {vertex_id!r}")
+    ring, twin = b.rotation[vertex_id], b.twin
+    step = 1 if direction == LANE_OUT else -1
+
+    def onward(head: int) -> int:
+        """Where an arc entering at in dart `head` arrives next."""
+        return twin[ring[(ring.index(head) + step) % 4]]
+
+    def reach(head: int) -> None:
+        """Strike off a loop head an arc has reached."""
+        if head not in loops:
+            raise SurgeryError(f"splice strays at dart {head}: inconsistent map")
+        loops.remove(head)
+
+    heads = [x for x in ring if b.direction[x] == IN]
+    loops = [h for h in heads if twin[h] in ring]
+    for h in [h for h in heads if h not in loops]:
+        # an arc entering from outside runs on through the vertex's loops;
+        # only darts away from the vertex are rewired
+        tail, head = twin[h], onward(h)
+        while head in ring:
+            reach(head)
+            head = onward(head)
+        twin[tail], twin[head] = head, tail
+
+    # the loop heads no outside arc reached close vertexless circles
+    circles = 0
+    while loops:
+        h = cur = loops.pop()
+        while onward(cur) != h:
+            cur = onward(cur)
+            reach(cur)
+        circles += 1
+    if len(b.rotation) == 1:
+        return Unknot(circles=circles)
+    if circles:
+        raise SurgeryError(
+            "splice closes a vertexless circle while other crossings remain; "
+            "the result would be a split diagram")
+    b.drop(set(ring), vertex_id)
+    return b.finish("elimination")
+
+
+def pierce_waist(b: _Builder, tail_a: int, tail_b: int) -> None:
+    """Thread a fresh circle around the edges leaving `tail_a` and
+    `tail_b` together, at new vertices a_l, a_r, b_l and b_r."""
+    head_a, head_b = b.twin[tail_a], b.twin[tail_b]
+    base = len(b.twin)
+    a1 = base                           # head at a_l on strand a
+    ma_t, ma_h = base + 1, base + 2     # a_r -> a_l
+    ao_t = base + 3                     # tail at a_r toward a's old head
+    b1 = base + 4                       # head at b_r on strand b
+    mb_t, mb_h = base + 5, base + 6     # b_l -> b_r
+    bo_t = base + 7                     # tail at b_l toward b's old head
+    r1t, r1h = base + 8, base + 9       # ring a_l -> b_l
+    r2t, r2h = base + 10, base + 11     # ring b_r -> b_l
+    r3t, r3h = base + 12, base + 13     # ring b_r -> a_r
+    r4t, r4h = base + 14, base + 15     # ring a_l -> a_r
+    b.twin[tail_a] = a1
+    b.twin[head_a] = ao_t
+    b.twin[tail_b] = b1
+    b.twin[head_b] = bo_t
+    b._add((tail_a, IN), (ma_h, OUT), (ma_t, IN), (head_a, OUT),
+           (tail_b, IN), (mb_h, OUT), (mb_t, IN), (head_b, OUT),
+           (r1h, OUT), (r1t, IN), (r2h, OUT), (r2t, IN),
+           (r3h, OUT), (r3t, IN), (r4h, OUT), (r4t, IN))
+    b.rotation.append((a1, r1t, ma_h, r4t))
+    b.rotation.append((ma_t, r3h, ao_t, r4h))
+    b.rotation.append((bo_t, r2h, mb_t, r1h))
+    b.rotation.append((mb_h, r2t, b1, r3t))
+
+
+# The polynomial-collision pair: a circle threaded around the waist of a
+# twisted loop.  Two growth directions share one polynomial family.
+WAIST_RING_GROWTHS = ("chain", "clasp")
+
+
+def _check_waist_v(v: int) -> None:
+    if type(v) is not int or v < 5:
+        raise FamilyError(
+            f"waist-ring family takes an integer V >= 5, got {v!r}")
+
+
+def waist_ring_poly(v: int) -> IntPoly:
+    """x^2 [(x^2 - 2) J_{V-4} - 2 J_{V-5} - 2], defined for V >= 5."""
+    _check_waist_v(v)
+    return X * X * ((X * X - 2) * jpoly(v - 4) - 2 * jpoly(v - 5) - 2)
+
+
+def waist_ring_diagram(v: int, growth: str = "chain") -> Diagram:
+    """The two-component link of a ring around a twisted loop's waist.
+
+    Both growth directions extend a ribbon at the loop's crossing and give
+    the same polynomials but different diagrams: "chain" keeps two
+    components, "clasp" alternates between two and three.
+    """
+    if growth not in WAIST_RING_GROWTHS:
+        raise FamilyError(f"growth must be one of {WAIST_RING_GROWTHS}")
+    _check_waist_v(v)
+    if v > max_vertices():
+        raise FamilyError(f"V={v} above the cap {max_vertices()}")
+    b = _twist_chain(1)
+    pierce_waist(b, b.tail(0), b.tail(1))
+    b.ribbon(0, v - 4, LANE_OUT if growth == "chain" else LANE_IN)
+    return b.finish("generator", FamilyError)

@@ -8,8 +8,10 @@ tests/test_acceptance.py`` to see them.
 import random
 
 import pytest
-from oracles import (all_ones_check, check_generating_function,
-                     check_quadratic_identity, jpoly_explicit)
+from oracles import (WAIST_RING_GROWTHS, all_ones_check,
+                     check_family_recurrence, check_generating_function,
+                     check_quadratic_identity, jpoly_explicit,
+                     waist_ring_diagram, waist_ring_poly)
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -65,8 +67,8 @@ def corpus():
         m = sp.adjacency(d)
         out.append((spec, d, m, charpoly(m)))
     for v in range(5, 13):
-        for growth in fam.WAIST_RING_GROWTHS:
-            d = fam.waist_ring_diagram(v, growth)
+        for growth in WAIST_RING_GROWTHS:
+            d = waist_ring_diagram(v, growth)
             m = sp.adjacency(d)
             out.append((f"waist_ring({growth},V={v})", d, m, charpoly(m)))
     return out
@@ -99,7 +101,7 @@ def test_criterion_2_twist_families():
             assert res.match, f"{family} V={v}"
             polys.append(res.formula)
         for i in range(len(polys) - 2):
-            assert fam.check_family_recurrence(*polys[i:i + 3]).homogeneous, \
+            assert check_family_recurrence(*polys[i:i + 3]).homogeneous, \
                 (family, i)
     print("[criterion 2] PASS - twist families match their closed forms for "
           "V<=30 and every consecutive triple is homogeneous")
@@ -130,7 +132,7 @@ def test_criterion_4_knot_families(corpus):
     for v in range(3, 21):
         assert fam.verify_member(_spec(fam.TWIST_KNOTS, v)).match, v
     triple = [by_family[fam.TWIST_KNOTS][(v,)] for v in (4, 5, 6)]
-    assert fam.check_family_recurrence(*triple).source == 2 * X
+    assert check_family_recurrence(*triple).source == 2 * X
 
     for j in range(1, 9):
         for k in range(1, j + 1):
@@ -155,9 +157,9 @@ def test_criterion_4_knot_families(corpus):
                 == (X - 2) * (1 + X) ** 2 * jpoly(k - 1) ** 3), k
 
     for v in range(5, 13):
-        for growth in fam.WAIST_RING_GROWTHS:
-            d = fam.waist_ring_diagram(v, growth)
-            assert charpoly(sp.adjacency(d)) == fam.waist_ring_poly(v), \
+        for growth in WAIST_RING_GROWTHS:
+            d = waist_ring_diagram(v, growth)
+            assert charpoly(sp.adjacency(d)) == waist_ring_poly(v), \
                 (growth, v)
     for k in range(1, 9):
         assert fam.verify_member(_spec(fam.CLOSED_CHAIN, k)).match, k
@@ -244,8 +246,8 @@ def test_criterion_7_surgery():
         for _ in range(3):
             d, cur, _ = sg._expand(d, cur, sg.LANE_IN)
             polys.append(charpoly(sp.adjacency(d)))
-        first = fam.check_family_recurrence(*polys[0:3])
-        second = fam.check_family_recurrence(*polys[1:4])
+        first = check_family_recurrence(*polys[0:3])
+        second = check_family_recurrence(*polys[1:4])
         assert first.homogeneous == second.homogeneous
         assert first.source == second.source, base_spec
     print("[criterion 7] PASS - expand/contract is the identity over 100 "

@@ -256,6 +256,13 @@ def test_verify_identities(capsys):
     assert "all match" in out
 
 
+def test_verify_identities_past_their_cap_prints_the_caps_bytes(capsys):
+    capped = run(capsys, "verify", "--family", "identities", "--max", "30")
+    assert capped[0] == 0
+    assert run(capsys, "verify", "--family", "identities",
+               "--max", "1000") == capped
+
+
 def test_verify_two_ribbon(capsys):
     code, out, _ = run(capsys, "verify", "--family", "f", "--max", "5")
     assert code == 0

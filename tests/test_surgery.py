@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import charpoly_cofactor, mirror, reference_canonical_code
+from oracles import (CCW, CW, Unknot, charpoly_cofactor,
+                     check_family_recurrence, eliminate_crossing,
+                     face_orientations, mirror, reference_canonical_code,
+                     waist_ring_diagram)
 from test_diagram import relabel  # the same map, renumbered
 
 from altknot import diagram as dg
@@ -137,8 +140,8 @@ def test_expansion_chain_has_constant_source():
     for _ in range(3):
         d, cur, _ = sg._expand(d, cur, sg.LANE_IN)
         polys.append(poly_of(d))
-    first = fam.check_family_recurrence(*polys[0:3])
-    second = fam.check_family_recurrence(*polys[1:4])
+    first = check_family_recurrence(*polys[0:3])
+    second = check_family_recurrence(*polys[1:4])
     assert not first.homogeneous
     assert first.source == second.source
 
@@ -157,8 +160,8 @@ def test_expand_rejects_bad_input():
 
 def test_eliminate_trefoil_both_lanes():
     d = member(fam.CYCLIC_TORUS, 3)
-    upper = sg.eliminate_crossing(d, 2, sg.LANE_OUT)
-    lower = sg.eliminate_crossing(d, 2, sg.LANE_IN)
+    upper = eliminate_crossing(d, 2, sg.LANE_OUT)
+    lower = eliminate_crossing(d, 2, sg.LANE_IN)
     # one smoothing leaves the Hopf link, the other the doubly twisted circle
     assert poly_of(upper) == X ** 2 - 4
     assert poly_of(lower) == (X - 2) * X
@@ -169,15 +172,15 @@ def test_eliminate_trefoil_both_lanes():
 
 
 def test_eliminate_hopf_gives_one_vertex_twist():
-    r = sg.eliminate_crossing(member(fam.CYCLIC_TORUS, 2), 0, sg.LANE_OUT)
+    r = eliminate_crossing(member(fam.CYCLIC_TORUS, 2), 0, sg.LANE_OUT)
     assert sp.adjacency(r).rows == ((2,),)
     assert r.kind == "twist"
 
 
 def test_eliminate_last_vertex_yields_unknot():
     for lane in sg.LANES:
-        r = sg.eliminate_crossing(member(fam.CYCLIC_TORUS, 1), 0, lane)
-        assert isinstance(r, sg.Unknot)
+        r = eliminate_crossing(member(fam.CYCLIC_TORUS, 1), 0, lane)
+        assert isinstance(r, Unknot)
         assert r.circles >= 1
 
 
@@ -188,7 +191,7 @@ def test_eliminate_results_validate(member_diagrams):
         for v in {0, d.vertex_count // 2, d.vertex_count - 1}:
             for lane in sg.LANES:
                 try:
-                    r = sg.eliminate_crossing(d, v, lane)
+                    r = eliminate_crossing(d, v, lane)
                 except sg.SurgeryError:
                     continue  # split results are refused, which is fine
                 assert isinstance(r, dg.Diagram)
@@ -213,7 +216,7 @@ def test_ribbon_unwinds_back_to_seed():
                 dg.canonical_code(previous),
                 dg.canonical_code(mirror(previous))), \
                 (family, d.vertex_count)
-        assert isinstance(sg.eliminate_crossing(d, 0, sg.LANE_IN), sg.Unknot)
+        assert isinstance(eliminate_crossing(d, 0, sg.LANE_IN), Unknot)
 
 
 # Every outcome of eliminate_crossing, pinned: one line per (diagram,
@@ -246,11 +249,11 @@ def elimination_lines(label, d):
     for v in range(d.vertex_count):
         for lane in sg.LANES:
             try:
-                r = sg.eliminate_crossing(d, v, lane)
+                r = eliminate_crossing(d, v, lane)
             except Exception as exc:
                 out = f"{type(exc).__name__}: {exc}"
             else:
-                out = (str(r) if isinstance(r, sg.Unknot) else
+                out = (str(r) if isinstance(r, Unknot) else
                        f"{r.kind}\t"
                        + hashlib.sha256(dg.to_json(r).encode()).hexdigest())
             lines.append(f"{label}\t{v}\t{lane}\t{out}\n")
@@ -270,7 +273,7 @@ def test_eliminate_waist_ring_outcomes_are_golden():
     for growth, expected in GOLDEN_ELIMINATE_WAIST_RING_5_9.items():
         lines = []
         for v in range(5, 10):
-            lines += elimination_lines(v, fam.waist_ring_diagram(v, growth))
+            lines += elimination_lines(v, waist_ring_diagram(v, growth))
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         assert digest == expected, growth
 
@@ -279,9 +282,9 @@ def test_eliminate_rejects_bad_arguments():
     d = member(fam.CYCLIC_TORUS, 3)
     for v in (-1, 3):
         with pytest.raises(sg.SurgeryError, match=f"^no vertex {v}$"):
-            sg.eliminate_crossing(d, v, sg.LANE_OUT)
+            eliminate_crossing(d, v, sg.LANE_OUT)
     with pytest.raises(sg.SurgeryError, match="^lane must be one of"):
-        sg.eliminate_crossing(d, 0, "sideways")
+        eliminate_crossing(d, 0, "sideways")
 
 
 def _walk_hung(signum, frame):
@@ -303,7 +306,7 @@ def test_inconsistent_map_raises_instead_of_hanging():
         with pytest.raises(dg.DiagramError, match="does not close"):
             dg.component_count(bad)
         with pytest.raises(dg.DiagramError, match="does not close"):
-            sg.eliminate_crossing(bad, 4, sg.LANE_OUT)
+            eliminate_crossing(bad, 4, sg.LANE_OUT)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -333,8 +336,8 @@ def test_composition_twist_family_is_homogeneous():
     a = member(fam.CYCLIC_TORUS, 3)
     b = member(fam.CYCLIC_TORUS, 4)
     polys = [poly_of(sg.compose_twist(a, 1, b, 2, t)) for t in range(4)]
-    assert fam.check_family_recurrence(*polys[0:3]).homogeneous
-    assert fam.check_family_recurrence(*polys[1:4]).homogeneous
+    assert check_family_recurrence(*polys[0:3]).homogeneous
+    assert check_family_recurrence(*polys[1:4]).homogeneous
 
 
 def test_compose_validates_arguments():
@@ -352,7 +355,7 @@ def test_the_lane_rule_picks_growth_direction():
                  if len(t) == 2 and 0 in {d.darts[x].vertex for x in t})
     # the lane that keeps a face runs against it: LANE_IN keeps an
     # outgoing-coherent (CCW) face, LANE_OUT an incoming-coherent one
-    ccw = dg.face_orientations(d)[bigon] == dg.CCW
+    ccw = face_orientations(d)[bigon] == CCW
     keep, split = (sg.LANE_IN, sg.LANE_OUT) if ccw else sg.LANES
     # preserving the necklace bigon lengthens the necklace; splitting it
     # starts the orthogonal ribbon
@@ -371,7 +374,7 @@ def test_eliminate_on_a_non_alternating_ring_raises_surgery_error():
                               rotation=((1, 3, 0, 2),))
     for lane in sg.LANES:
         with pytest.raises(sg.SurgeryError, match="inconsistent map"):
-            sg.eliminate_crossing(bad, 0, lane)
+            eliminate_crossing(bad, 0, lane)
 
 
 @pytest.mark.parametrize("ring", [(0, 1, 2, 99), (-1, 5, 6, 7), (4, 5, 6)])
@@ -384,7 +387,7 @@ def test_rings_that_do_not_list_every_dart_are_refused(ring):
             with refused:
                 sg.expand_vertex(bad, v, lane)
             with refused:
-                sg.eliminate_crossing(bad, v, lane)
+                eliminate_crossing(bad, v, lane)
     for twists in (0, 1):
         with refused:
             sg.compose_twist(bad, 0, d, 0, twists)
@@ -400,7 +403,7 @@ def test_vertex_count_must_match_the_rings(count):
     bad = dataclasses.replace(member(fam.CYCLIC_TORUS, 3), vertex_count=count)
     for v in range(count):
         with pytest.raises(sg.SurgeryError, match="rotation rings"):
-            sg.eliminate_crossing(bad, v, sg.LANE_OUT)
+            eliminate_crossing(bad, v, sg.LANE_OUT)
 
 
 def test_builder_reads_each_darts_vertex_from_its_ring():
@@ -438,7 +441,7 @@ def test_twins_that_are_not_an_out_in_involution_are_refused(twin):
         with refused:
             sg.expand_vertex(bad, 0, lane)
         with refused:
-            sg.eliminate_crossing(bad, 0, lane)
+            eliminate_crossing(bad, 0, lane)
     with refused:
         sg.contract_bigon(bad, 0)
     for twists in (0, 1):
@@ -455,7 +458,7 @@ def _each_operation_refuses(bad, good, refused):
         with refused:
             sg.expand_vertex(bad, 0, lane)
         with refused:
-            sg.eliminate_crossing(bad, 0, lane)
+            eliminate_crossing(bad, 0, lane)
     with refused:
         sg.contract_bigon(bad, 0)
     for twists in (0, 1):
@@ -523,7 +526,7 @@ def test_rotations_that_are_not_sequences_of_rings_are_refused(rotate,
     assert dg.validate(bad) == [problem]
     refused = pytest.raises(sg.SurgeryError, match=f"^{re.escape(problem)}$")
     _each_operation_refuses(bad, d, refused)
-    for reader in (dg.canonical_code, dg.faces, dg.face_orientations,
+    for reader in (dg.canonical_code, dg.faces, face_orientations,
                    dg.component_count):
         with pytest.raises(dg.DiagramError, match=f"^{re.escape(problem)}$"):
             reader(bad)
@@ -593,7 +596,7 @@ def test_call_arguments_that_are_not_integers_are_refused(arg):
         with pytest.raises(sg.SurgeryError, match="^no vertex "):
             sg.expand_vertex(d, arg, lane)
         with pytest.raises(sg.SurgeryError, match="^no vertex "):
-            sg.eliminate_crossing(d, arg, lane)
+            eliminate_crossing(d, arg, lane)
     with pytest.raises(sg.SurgeryError, match="^no face "):
         sg.contract_bigon(d, arg)
     with pytest.raises(sg.SurgeryError, match="^diagram 1 has no edge "):
@@ -788,7 +791,7 @@ def test_corrupted_maps_raise_only_diagram_errors():
             for call in (
                     lambda: sg.expand_vertex(bad, v, lane),
                     lambda: sg.contract_bigon(bad, rng.randrange(v + 2)),
-                    lambda: sg.eliminate_crossing(bad, v, lane),
+                    lambda: eliminate_crossing(bad, v, lane),
                     lambda: sg.compose_twist(bad, e1, good, e2, twists),
                     lambda: sg.compose_twist(good, e2, bad, e1, twists)):
                 signal.alarm(5)
@@ -802,7 +805,7 @@ def test_corrupted_maps_raise_only_diagram_errors():
         signal.signal(signal.SIGALRM, previous)
 
 
-READERS = (dg.canonical_code, dg.faces, dg.face_orientations,
+READERS = (dg.canonical_code, dg.faces, face_orientations,
            dg.component_count)
 
 
@@ -910,7 +913,7 @@ def outcome(call):
         r = call()
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    if isinstance(r, sg.Unknot):
+    if isinstance(r, Unknot):
         return str(r)
     return f"{r.kind}\t" + hashlib.sha256(dg.to_json(r).encode()).hexdigest()
 
@@ -935,7 +938,7 @@ def test_corrupted_map_reports_and_refusals_are_golden():
         for name, call in (
                 ("expand", lambda: sg.expand_vertex(bad, v, lane)),
                 ("contract", lambda: sg.contract_bigon(bad, face)),
-                ("eliminate", lambda: sg.eliminate_crossing(bad, v, lane)),
+                ("eliminate", lambda: eliminate_crossing(bad, v, lane)),
                 ("compose", lambda: sg.compose_twist(bad, e1, good, e2,
                                                      twists)),
                 ("compose", lambda: sg.compose_twist(good, e2, bad, e1,
@@ -1000,8 +1003,8 @@ def surgery_step(d, op, i, j, twists, lane):
                                 j % (2 * other.vertex_count), twists)
     if op == "contract":
         return sg.contract_bigon(d, i % (v + 2))
-    out = sg.eliminate_crossing(d, i % v, lane)
-    return None if isinstance(out, sg.Unknot) else out
+    out = eliminate_crossing(d, i % v, lane)
+    return None if isinstance(out, Unknot) else out
 
 
 @settings(max_examples=60, deadline=None)
@@ -1024,11 +1027,11 @@ def test_random_surgery_keeps_invariants(start, steps, rng):
         assert dg.canonical_code(relabel(d, rng)) == dg.canonical_code(d)
         # the two senses: a dart and its twin lie on faces of opposite
         # sense, and each sense's faces hold one dart of every edge
-        senses, (face_list, _) = dg.face_orientations(d), dg.faces(d)
+        senses, (face_list, _) = face_orientations(d), dg.faces(d)
         owner = {x: i for i, t in enumerate(face_list) for x in t}
         assert all(senses[owner[x.id]] != senses[owner[x.twin]]
                    for x in d.darts), step
-        for sense in (dg.CCW, dg.CW):
+        for sense in (CCW, CW):
             assert sum(len(t) for i, t in enumerate(face_list)
                        if senses[i] == sense) == 2 * d.vertex_count, step
     # composite and non-reduced maps, which no family makes, against the
@@ -1146,7 +1149,7 @@ def test_a_benchmark_pass_makes_no_dart_records(monkeypatch):
     d = fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2"))
     assert len(d.darts) == 36 and made == [0]
     # every reader of the module reads the lists d carries
-    dg.face_orientations(d), dg.faces(d), dg.canonical_code(d)
+    face_orientations(d), dg.faces(d), dg.canonical_code(d)
     dg.component_count(d), d.loop_count(), dg.to_dot(d)
     assert made == [0]
     assert d.darts[5].id == 5 and made == [36]  # all at once, on first read
@@ -1441,7 +1444,7 @@ def test_an_equal_copy_is_checked_afresh():
     assert copy == d and dg.validate(d) == []
     problem = "dart 1: id must be an integer, got True"
     assert dg.validate(copy) == [problem]
-    for reader in (dg.faces, dg.face_orientations, dg.canonical_code,
+    for reader in (dg.faces, face_orientations, dg.canonical_code,
                    lambda x: sg.contract_bigon(x, 0)):
         with pytest.raises(dg.DiagramError, match=f"^{problem}$"):
             reader(copy)

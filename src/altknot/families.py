@@ -6,15 +6,16 @@ member edit one ``surgery._Builder``; ``generate`` finishes it, deriving
 the kind and running ``validate``'s checks on the builder's own lists
 once.  The closed forms are combinations of the Chebyshev-type basis in
 :mod:`altknot.polynomials`; ``verify_member`` checks a generator against
-its formula by exact characteristic-polynomial equality.  The registry
-``FAMILIES`` holds one ``Family`` record per family (tag, spec prefix,
-parameters, shape, closed form); everything that dispatches on a family,
-the CLI included, reads it from there.
+its formula by exact characteristic-polynomial equality.  Each family is
+one ``Family`` record (spec prefix, parameters, shape, closed form), bound
+to a module name such as ``CYCLIC_TORUS`` and listed in ``FAMILIES``; a
+``FamilySpec`` holds its record, and everything that dispatches on a
+family, the CLI included, reads it from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable
@@ -25,35 +26,21 @@ from .polynomials import IntPoly, X, _J, _read, charpoly, jpoly
 from .spectra import adjacency
 from .surgery import _Builder, compose_twist
 
-TWIST_CHAIN = "TWIST_CHAIN"
-HOPF_TWIST = "HOPF_TWIST"
-TREFOIL_TWIST = "TREFOIL_TWIST"
-FOUR_KNOT_TWIST = "FOUR_KNOT_TWIST"
-CYCLIC_TORUS = "CYCLIC_TORUS"
-TWIST_KNOTS = "TWIST_KNOTS"
-TWO_RIBBON = "TWO_RIBBON"
-THREE_RIBBON_P = "THREE_RIBBON_P"
-THREE_RIBBON_G = "THREE_RIBBON_G"
-CLOSED_CHAIN = "CLOSED_CHAIN"
-K_RIBBON_CYCLIC = "K_RIBBON_CYCLIC"
-CHAINED_CYCLIC = "CHAINED_CYCLIC"
-
-
 class FamilyError(ValueError):
     """Unknown family or out-of-range parameters."""
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family tag plus the integer parameters selecting one member."""
+    """A family record plus the integer parameters selecting one member."""
 
-    family: str
+    family: Family
     params: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.family not in _BY_TAG:
-            raise FamilyError(f"unknown family {self.family!r}")
-        family = _BY_TAG[self.family]
+        family = self.family
+        if not isinstance(family, Family):
+            raise FamilyError(f"unknown family {family!r}")
         prefix, values = family.prefix, tuple(self.params)
         for v in values:
             if type(v) is not int:  # bool and float included: never coerced
@@ -75,11 +62,11 @@ class FamilySpec:
 Shape = tuple[int, tuple[int, ...], int, int]  # (v, lengths, twist, rings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
-    """One named family: its tag, CLI prefix, parameters, shape and closed
-    form, `shape` and `formula` taking the member's parameters in the order
-    of `names`.  The shape (v, lengths, twist, rings) is the v-crossing
+    """One named family: its CLI prefix, parameters, shape and closed form,
+    `shape` and `formula` taking the member's parameters in the order of
+    `names`.  The shape (v, lengths, twist, rings) is the v-crossing
     necklace, crossing i grown into a ribbon of lengths[i] crossings, edge
     0 twisted `twist` times and `rings` circles chained on.  Every formula
     takes a ring (x, J), X and jpoly by default, in which `closed_form`
@@ -87,16 +74,22 @@ class Family:
 
     The verify sweep runs every parameter from its minimum up to the sweep
     maximum; a `descending` family, symmetric in its ribbons, keeps only
-    the non-increasing tuples.
+    the non-increasing tuples.  Records compare by identity, and their
+    repr leaves out the two functions, so a spec's repr is deterministic.
     """
 
-    tag: str
     prefix: str
     names: tuple[str, ...]
     minima: tuple[int, ...]
-    shape: Callable[..., Shape]
-    formula: Callable[..., IntPoly]
+    shape: Callable[..., Shape] = field(repr=False)
+    formula: Callable[..., IntPoly] = field(repr=False)
     descending: bool = False
+
+    def __reduce__(self) -> str:
+        """A copy or pickle of a record is the module name bound to it, so
+        a copied spec holds the same record and equals its original."""
+        return next(name for name, value in globals().items()
+                    if value is self)
 
     def sweep(self, maximum: int) -> list[FamilySpec]:
         """Members with every parameter at most `maximum` and no more
@@ -109,7 +102,7 @@ class Family:
         cap = max_vertices()
         top = min(maximum, cap)
         grid = product(*(range(lo, top + 1) for lo in self.minima))
-        return [FamilySpec(self.tag, p) for p in grid
+        return [FamilySpec(self, p) for p in grid
                 if (not self.descending or list(p) == sorted(p, reverse=True))
                 and _size(*self.shape(*p)) <= cap]
 
@@ -118,22 +111,6 @@ def _size(v: int, lengths: tuple[int, ...], twist: int, rings: int) -> int:
     """Vertices of a shape: v, l - 1 more per ribbon of l crossings, one
     per twist and two per ring."""
     return v + sum(lengths) - len(lengths) + twist + 2 * rings
-
-
-def _shape(spec: FamilySpec, cap: int) -> Shape:
-    """The shape of `spec`, read only when no parameter is above `cap`:
-    each is at most the vertex count, so no shape is longer than the cap."""
-    top = max(spec.params)
-    if top > cap:
-        raise FamilyError(f"{spec} has at least {top} vertices, above the "
-                          f"cap {cap} (raise ALTKNOT_MAX_V to allow it)")
-    return _BY_TAG[spec.family].shape(*spec.params)
-
-
-def vertex_count(spec: FamilySpec) -> int:
-    """Number of crossings of the member selected by `spec`; FamilyError
-    when one of its parameters alone is above the cap."""
-    return _size(*_shape(spec, max_vertices()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +156,14 @@ def _twist_chain(v: int) -> _Builder:
 # ---------------------------------------------------------------------------
 
 def generate(spec: FamilySpec) -> Diagram:
-    """Build the diagram selected by `spec` through ribbon surgery."""
-    cap = max_vertices()
-    shape = _shape(spec, cap)
+    """Build the diagram selected by `spec` through ribbon surgery.  The
+    shape is read only when no parameter is above the cap: each is at most
+    the vertex count, so no shape is longer than the cap."""
+    cap, top = max_vertices(), max(spec.params)
+    if top > cap:
+        raise FamilyError(f"{spec} has at least {top} vertices, above the "
+                          f"cap {cap} (raise ALTKNOT_MAX_V to allow it)")
+    shape = spec.family.shape(*spec.params)
     if _size(*shape) > cap:
         raise FamilyError(
             f"{spec} has {_size(*shape)} vertices, above the cap {cap} "
@@ -284,7 +266,7 @@ def closed_form(spec: FamilySpec) -> IntPoly:
     by `polynomials._read`.  Evaluated in the majorant ring first, the
     formula bounds its own l1 norm, and so every |c_i|, by B (see
     `check_identities`); w = bitlen(B) + 1 puts B below 2^(w-1)."""
-    formula, params = _BY_TAG[spec.family].formula, spec.params
+    formula, params = spec.family.formula, spec.params
     w = formula(*params, _L1(1), _jl1).n.bit_length() + 1
     x0 = 1 << w
     J = _J(x0)
@@ -296,48 +278,51 @@ def closed_form(spec: FamilySpec) -> IntPoly:
 # The registry: one record per family, in verify sweep order
 # ---------------------------------------------------------------------------
 
-FAMILIES: tuple[Family, ...] = (
-    Family(CYCLIC_TORUS, "cyclic", ("V",), (1,),
-           lambda v: (v, (), 0, 0), cyclic_poly),
-    Family(TWIST_CHAIN, "twistchain", ("V",), (1,), lambda v: (1, (v,), 0, 0),
-           lambda v, x=X, J=jpoly: (x - 2) * J(v - 1)),
-    Family(HOPF_TWIST, "hopftwist", ("V",), (2,), lambda v: (2, (), v - 2, 0),
-           lambda v, x=X, J=jpoly: (x - 2) * ((x + 2) * J(v - 2)
-                                            - x * J(v - 3))),
-    Family(TREFOIL_TWIST, "trefoiltwist", ("V",), (3,),
-           lambda v: (3, (), v - 3, 0),
-           lambda v, x=X, J=jpoly: ((x - 2) * (x + 1)
-                                    * ((x + 1) * J(v - 3) - x * J(v - 4)))),
-    Family(FOUR_KNOT_TWIST, "fourknottwist", ("V",), (4,),
-           lambda v: (3, (2,), v - 4, 0),
-           # the J_{V-4} and J_{V-5} factors inside (x - 2)
-           lambda v, x=X, J=jpoly: (x - 2) * (
-               x * (x * x + 2 * x + 2) * J(v - 4)
-               - (x ** 3 + 2 * x * x - 1) * J(v - 5))),
-    Family(TWIST_KNOTS, "twistknot", ("V",), (3,),
-           lambda v: (v - 1, (2,), 0, 0),
-           lambda v, x=X, J=jpoly: ((x ** 3 - x - 2) * J(v - 3)
-                                    - x * x * J(v - 4) - 2 * x)),
-    Family(TWO_RIBBON, "f", ("j", "k"), (1, 1),
-           lambda j, k: (j + 1, (k,), 0, 0), two_ribbon_poly,
-           descending=True),
-    Family(THREE_RIBBON_P, "p", ("k", "l", "m"), (1, 1, 1),
-           lambda k, l, m: (m + 2, (k, l), 0, 0), three_ribbon_p_poly),
-    Family(THREE_RIBBON_G, "g", ("k", "l", "m"), (1, 1, 1),
-           lambda k, l, m: (3, (k, l, m), 0, 0), three_ribbon_g_poly,
-           descending=True),
-    Family(CLOSED_CHAIN, "chain", ("k",), (1,), lambda k: (k, (2,) * k, 0, 0),
-           lambda k, x=X, J=jpoly: cyclic_poly(k, x, J) * x ** k),
-    Family(K_RIBBON_CYCLIC, "kribbon", ("k", "m"), (1, 1),
-           lambda k, m: (k, (m,) * k, 0, 0),
-           lambda k, m, x=X, J=jpoly: cyclic_poly(k, x, J) * J(m - 1) ** k),
-    # k = 0 degenerates to the bare cyclic knot (the formula then needs the
-    # convention J_{-1} = 0)
-    Family(CHAINED_CYCLIC, "lchain", ("k", "n"), (0, 1),
-           lambda k, n: (n, (), 0, k), chained_cyclic_poly),
-)
+CYCLIC_TORUS = Family("cyclic", ("V",), (1,), lambda v: (v, (), 0, 0),
+                      cyclic_poly)
+TWIST_CHAIN = Family("twistchain", ("V",), (1,), lambda v: (1, (v,), 0, 0),
+                     lambda v, x=X, J=jpoly: (x - 2) * J(v - 1))
+HOPF_TWIST = Family("hopftwist", ("V",), (2,), lambda v: (2, (), v - 2, 0),
+                    lambda v, x=X, J=jpoly: (x - 2) * ((x + 2) * J(v - 2)
+                                                     - x * J(v - 3)))
+TREFOIL_TWIST = Family("trefoiltwist", ("V",), (3,),
+                       lambda v: (3, (), v - 3, 0),
+                       lambda v, x=X, J=jpoly: (
+                           (x - 2) * (x + 1)
+                           * ((x + 1) * J(v - 3) - x * J(v - 4))))
+FOUR_KNOT_TWIST = Family("fourknottwist", ("V",), (4,),
+                         lambda v: (3, (2,), v - 4, 0),
+                         # the J_{V-4} and J_{V-5} factors inside (x - 2)
+                         lambda v, x=X, J=jpoly: (x - 2) * (
+                             x * (x * x + 2 * x + 2) * J(v - 4)
+                             - (x ** 3 + 2 * x * x - 1) * J(v - 5)))
+TWIST_KNOTS = Family("twistknot", ("V",), (3,),
+                     lambda v: (v - 1, (2,), 0, 0),
+                     lambda v, x=X, J=jpoly: ((x ** 3 - x - 2) * J(v - 3)
+                                              - x * x * J(v - 4) - 2 * x))
+TWO_RIBBON = Family("f", ("j", "k"), (1, 1), lambda j, k: (j + 1, (k,), 0, 0),
+                    two_ribbon_poly, descending=True)
+THREE_RIBBON_P = Family("p", ("k", "l", "m"), (1, 1, 1),
+                        lambda k, l, m: (m + 2, (k, l), 0, 0),
+                        three_ribbon_p_poly)
+THREE_RIBBON_G = Family("g", ("k", "l", "m"), (1, 1, 1),
+                        lambda k, l, m: (3, (k, l, m), 0, 0),
+                        three_ribbon_g_poly, descending=True)
+CLOSED_CHAIN = Family("chain", ("k",), (1,), lambda k: (k, (2,) * k, 0, 0),
+                      lambda k, x=X, J=jpoly: cyclic_poly(k, x, J) * x ** k)
+K_RIBBON_CYCLIC = Family("kribbon", ("k", "m"), (1, 1),
+                         lambda k, m: (k, (m,) * k, 0, 0),
+                         lambda k, m, x=X, J=jpoly: (cyclic_poly(k, x, J)
+                                                     * J(m - 1) ** k))
+# k = 0 degenerates to the bare cyclic knot (the formula then needs the
+# convention J_{-1} = 0)
+CHAINED_CYCLIC = Family("lchain", ("k", "n"), (0, 1),
+                        lambda k, n: (n, (), 0, k), chained_cyclic_poly)
 
-_BY_TAG = {f.tag: f for f in FAMILIES}
+FAMILIES: tuple[Family, ...] = (
+    CYCLIC_TORUS, TWIST_CHAIN, HOPF_TWIST, TREFOIL_TWIST, FOUR_KNOT_TWIST,
+    TWIST_KNOTS, TWO_RIBBON, THREE_RIBBON_P, THREE_RIBBON_G, CLOSED_CHAIN,
+    K_RIBBON_CYCLIC, CHAINED_CYCLIC)
 _BY_PREFIX = {f.prefix: f for f in FAMILIES}
 
 
@@ -395,10 +380,9 @@ _IDENTITIES: tuple[tuple[str, int, _Sides], ...] = (
         (g(k, l, m), g(l, k, m)), (g(l, k, m), g(m, l, k)),
         (g(m, l, k), g(k, m, l))]),
     ("closed_chain_form", 1, lambda x, J, g, k: [
-        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 2, x, J),
-         _BY_TAG[CLOSED_CHAIN].formula(k, x, J))]),
+        (K_RIBBON_CYCLIC.formula(k, 2, x, J), CLOSED_CHAIN.formula(k, x, J))]),
     ("k_ribbon_form", 1, lambda x, J, g, k: [
-        (_BY_TAG[K_RIBBON_CYCLIC].formula(k, 1, x, J), cyclic_poly(k, x, J))]),
+        (K_RIBBON_CYCLIC.formula(k, 1, x, J), cyclic_poly(k, x, J))]),
 )
 
 
@@ -521,11 +505,11 @@ def parse_spec_string(text: str) -> FamilySpec:
     missing = [n for n in names if n not in given]
     if missing:
         raise FamilyError(f"{head} is missing parameters {missing}")
-    return FamilySpec(family.tag, tuple(given[n] for n in names))
+    return FamilySpec(family, tuple(given[n] for n in names))
 
 
 def spec_string(spec: FamilySpec) -> str:
     """The spec in CLI syntax, as in ``p:k=3,l=2,m=2``."""
-    family = _BY_TAG[spec.family]
+    family = spec.family
     inner = ",".join(f"{n}={v}" for n, v in zip(family.names, spec.params))
     return f"{family.prefix}:{inner}"

@@ -1,13 +1,17 @@
 """The standard-table catalog: label-to-member claims transcribed from the
-source tables.  Only the tests read it."""
+source tables, and the determinant that checks them without a table.  Only
+the tests read it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from altknot import diagram as dg
+from altknot.diagram import Diagram
 from altknot.families import (CYCLIC_TORUS, THREE_RIBBON_G, THREE_RIBBON_P,
-                              TREFOIL_TWIST, TWIST_KNOTS, TWO_RIBBON,
+                              TREFOIL_TWIST, TWIST_KNOTS, TWO_RIBBON, Family,
                               FamilySpec)
+from oracles import CCW, CW, face_orientations
 
 
 #: entries are claims transcribed from the source tables, never re-derived.
@@ -28,7 +32,7 @@ class CatalogEntry:
     note: str = ""
 
 
-def _entry(label: str, family: str, params: tuple[int, ...],
+def _entry(label: str, family: Family, params: tuple[int, ...],
            flags: tuple[str, ...] = (FLAG_CLAIMED,), note: str = "") -> CatalogEntry:
     return CatalogEntry(label, FamilySpec(family, params), flags, note)
 
@@ -111,3 +115,67 @@ def catalog() -> list[CatalogEntry]:
         _entry("10_4", TREFOIL_TWIST, (10,), seq),
     ]
     return entries
+
+
+# ---------------------------------------------------------------------------
+# The determinant, read from the diagram
+# ---------------------------------------------------------------------------
+
+def checkerboard_edges(d: Diagram, sense: str = CCW) -> list[tuple[int, int]]:
+    """The checkerboard graph on the faces of one `sense`
+    (`face_orientations`), one edge per crossing: each dart of a ring lies
+    on the face of one corner, the senses alternate around the ring, and
+    the edge joins the two corners of `sense`.  A loop is a nugatory
+    crossing, two opposite corners on one face."""
+    senses = face_orientations(d)
+    face_list, _ = dg.faces(d)
+    face_of = {x: i for i, trace in enumerate(face_list) for x in trace}
+    edges = []
+    for ring in d.rotation:
+        a, b = (face_of[x] for x in ring if senses[face_of[x]] == sense)
+        edges.append((a, b))
+    return edges
+
+
+def bareiss_determinant(matrix: list[list[int]]) -> int:
+    """det of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so every entry stays an
+    integer."""
+    m = [list(row) for row in matrix]
+    n, sign, previous = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def determinant(d: Diagram, sense: str = CCW) -> int:
+    """The determinant of the knot or link of an alternating diagram: the
+    number of spanning trees of its checkerboard graph, which is any
+    cofactor of the graph's Laplacian (loops left out)."""
+    edges = checkerboard_edges(d, sense)
+    faces = sorted({f for edge in edges for f in edge})
+    index = {f: i for i, f in enumerate(faces)}
+    laplacian = [[0] * len(faces) for _ in faces]
+    for a, b in edges:
+        if a != b:
+            i, j = index[a], index[b]
+            laplacian[i][i] += 1
+            laplacian[j][j] += 1
+            laplacian[i][j] -= 1
+            laplacian[j][i] -= 1
+    return bareiss_determinant([row[1:] for row in laplacian[1:]])
+
+
+def nugatory_crossings(d: Diagram) -> int:
+    """Crossings with two opposite corners on one face: loops of either
+    checkerboard graph.  A diagram with none is reduced."""
+    return sum(a == b for sense in (CCW, CW)
+               for a, b in checkerboard_edges(d, sense))

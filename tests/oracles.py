@@ -1,8 +1,9 @@
 """Code only the tests call.  Most of it is independent oracles the tests
 check the library against: each states a fact of the paper or a law of the
 code by a second method.  The rest states a claim of the paper, or makes
-diagrams no family makes, for the tests alone: the two senses of the faces,
-the family recurrence, crossing elimination and the waist-ring pair."""
+diagrams no family makes, for the tests alone: a member's vertex count read
+from its shape, the two senses of the faces, the family recurrence,
+crossing elimination and the waist-ring pair."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from altknot import diagram as dg
 from altknot.diagram import IN, OUT, Diagram, DiagramError, _face_traces, _flat
-from altknot.families import FamilyError, _twist_chain
+from altknot.families import FamilyError, FamilySpec, _size, _twist_chain
 from altknot.limits import max_vertices
 from altknot.polynomials import ONE, ZERO, X, IntPoly, divide_out, jpoly
 from altknot.surgery import (LANE_IN, LANE_OUT, SurgeryError, _Builder,
@@ -180,6 +181,16 @@ def necklace_charpoly(pieces, twist=0):
     for m_i, alpha_i, beta_i in pieces[1:]:
         m, alpha, beta = mat2_mul(m, m_i), alpha * alpha_i, beta * beta_i
     return m[0][0] + m[1][1] - alpha - beta
+
+
+def vertex_count(spec: FamilySpec) -> int:
+    """Number of crossings of the member selected by `spec`; FamilyError
+    when one of its parameters alone is above the cap."""
+    top, cap = max(spec.params), max_vertices()
+    if top > cap:
+        raise FamilyError(f"{spec} has at least {top} vertices, above the "
+                          f"cap {cap}")
+    return _size(*spec.family.shape(*spec.params))
 
 
 CCW = "CCW"

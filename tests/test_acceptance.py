@@ -10,7 +10,7 @@ import random
 import pytest
 from oracles import (WAIST_RING_GROWTHS, all_ones_check,
                      check_family_recurrence, check_generating_function,
-                     check_quadratic_identity, jpoly_explicit,
+                     check_quadratic_identity, jpoly_explicit, vertex_count,
                      waist_ring_diagram, waist_ring_poly)
 
 from altknot import diagram as dg
@@ -221,7 +221,7 @@ def test_criterion_6_decompositions(corpus):
 def test_criterion_7_surgery():
     rng = random.Random(2024)
     pool = [s for s in _sweep_specs()
-            if 2 <= fam.vertex_count(s) <= 16]
+            if 2 <= vertex_count(s) <= 16]
     checked = 0
     while checked < 100:
         spec = rng.choice(pool)

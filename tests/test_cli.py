@@ -28,6 +28,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    """The environment of a fresh CLI process: this checkout's src/ first
+    on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -609,9 +617,7 @@ def test_closed_stdout_exits_quietly():
     # more output than a pipe buffer holds, so the reader closes it
     # mid-write; chain:k=32 has 2^31 pairs, which only a decompose that
     # prints each pair as it is made reaches
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     for source, head, timeout in [
             ("kribbon:k=8,m=4", [b"strands: 8\n"], 60),
             ("chain:k=32", [b"strands: 32\n",
@@ -628,6 +634,44 @@ def test_closed_stdout_exits_quietly():
         finally:
             proc.kill()
             proc.wait()
+
+
+# ---------------------------------------------------------------------------
+# Every accepted input does bounded work
+# ---------------------------------------------------------------------------
+
+# For each subcommand, the costliest input it accepts at the default vertex
+# cap (64), with its wall time in a fresh process, the median of three runs
+# on one Intel Xeon core with Python 3.11.  Each must finish within ten
+# times that, and never less than 5 s.  Two more inputs are accepted at the
+# cap but take too long for Tier-1, one run each on the same machine:
+# `verify --max 64` (63 s, 33 MB of output) and `verify --family p --max
+# 64` (53 s, 26 MB).
+BUDGETS = [
+    (["gen", "kribbon:k=8,m=8"], 0.07),
+    (["charpoly", "kribbon:k=8,m=8"], 0.07),
+    (["charpoly", "twistknot:V=64"], 0.08),
+    (["census", "kribbon:k=8,m=8"], 0.07),
+    (["components", "kribbon:k=8,m=8"], 0.07),
+    (["decompose", "kribbon:k=8,m=8"], 0.08),
+    (["verify", "--max", "12", "--report", "csv"], 0.74),
+    (["verify", "--family", "identities", "--max", "1000"], 0.78),
+]
+
+
+@pytest.mark.parametrize("argv, measured", BUDGETS,
+                         ids=[shlex.join(argv) for argv, _ in BUDGETS])
+def test_costliest_accepted_inputs_run_within_their_budget(argv, measured):
+    env = cli_env()
+    env.pop("ALTKNOT_MAX_V", None)
+    budget = max(5.0, 10 * measured)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "altknot.cli", *argv],
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, env=env, timeout=budget)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"altknot {shlex.join(argv)} ran past its {budget} s")
+    assert (proc.returncode, proc.stderr) == (0, b""), argv
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +717,7 @@ def test_readme_cli_pipeline_runs():
     [argv] = [argv for argv, _ in readme_cli_lines() if "|" in argv]
     assert argv == ["altknot", "decompose", "chain:k=32", "|", "head", "-n",
                     "3"]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     altknot = shlex.join([sys.executable, "-m", "altknot.cli"])
     proc = subprocess.run(
         ["sh", "-c", f"{altknot} {shlex.join(argv[1:3])} | "

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -17,11 +19,12 @@ from altknot.families import (CLOSED_CHAIN, CYCLIC_TORUS, K_RIBBON_CYCLIC,
 from altknot.polynomials import IntPoly, X, _J, charpoly, jpoly
 from altknot.spectra import adjacency
 from altknot.surgery import compose_twist
-from catalog import FLAG_INCONSISTENT, catalog
-from oracles import (WAIST_RING_GROWTHS, bead_charpoly,
+from catalog import (FLAG_INCONSISTENT, bareiss_determinant, catalog,
+                     determinant, nugatory_crossings)
+from oracles import (CW, WAIST_RING_GROWTHS, bead_charpoly,
                      check_family_recurrence, lane_out_piece,
-                     necklace_charpoly, ribbon_piece, waist_ring_diagram,
-                     waist_ring_poly)
+                     necklace_charpoly, ribbon_piece, vertex_count,
+                     waist_ring_diagram, waist_ring_poly)
 
 
 def spec(family, *params):
@@ -55,7 +58,7 @@ def test_param_must_be_int(param):
 
 def test_vertex_counts(member_specs):
     for s in member_specs:
-        assert fam.vertex_count(s) == fam.generate(s).vertex_count, str(s)
+        assert vertex_count(s) == fam.generate(s).vertex_count, str(s)
 
 
 def test_vertex_cap(monkeypatch):
@@ -70,6 +73,10 @@ def test_spec_strings():
     assert s == spec(fam.THREE_RIBBON_P, 3, 2, 2)
     assert fam.spec_string(s) == "p:k=3,l=2,m=2"
     assert fam.parse_spec_string("cyclic:V=5") == spec(fam.CYCLIC_TORUS, 5)
+    # a spec holds its record, whose repr names no function address
+    assert repr(spec(fam.CYCLIC_TORUS, 5)) == (
+        "FamilySpec(family=Family(prefix='cyclic', names=('V',), "
+        "minima=(1,), descending=False), params=(5,))")
     for text in ("nonsense", "cyclic", "cyclic:V=x", "cyclic:W=3", "f:j=2",
                  "cyclic:V=1_0", "cyclic:V=\u0663"):
         with pytest.raises(fam.FamilyError):
@@ -86,6 +93,9 @@ def test_spec_string_round_trip(member_specs):
     for s in member_specs:
         assert fam.parse_spec_string(fam.spec_string(s)) == s
         assert str(s) == fam.spec_string(s)
+        # a copy or pickle holds the same record
+        for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s and copied.family is s.family, str(s)
 
 
 def test_registry_order_and_keys(monkeypatch):
@@ -93,13 +103,17 @@ def test_registry_order_and_keys(monkeypatch):
     assert [f.prefix for f in fam.FAMILIES] == [
         "cyclic", "twistchain", "hopftwist", "trefoiltwist", "fourknottwist",
         "twistknot", "f", "p", "g", "chain", "kribbon", "lchain"]
-    tags = [f.tag for f in fam.FAMILIES]
-    assert len(set(tags)) == len(tags) == 12
-    assert fam.CHAINED_CYCLIC in tags and fam.TWIST_CHAIN in tags
+    # the module names are the records, each listed once
+    named = [getattr(fam, name) for name in dir(fam)
+             if isinstance(getattr(fam, name), fam.Family)]
+    assert sorted(map(id, named)) == sorted(map(id, fam.FAMILIES))
+    assert len(set(map(id, fam.FAMILIES))) == 12
     for f in fam.FAMILIES:
+        assert fam.parse_spec_string(
+            fam.spec_string(FamilySpec(f, f.minima))).family is f
         assert len(f.names) == len(f.minima)
         for s in f.sweep(8):  # the minima included
-            assert fam.vertex_count(s) == fam.generate(s).vertex_count, str(s)
+            assert vertex_count(s) == fam.generate(s).vertex_count, str(s)
 
 
 def test_registry_sweeps(monkeypatch):
@@ -140,7 +154,7 @@ def test_huge_parameters_are_a_cap_error(member, monkeypatch):
     with pytest.raises(fam.FamilyError, match=rf"^{s} has .* the cap 64 "):
         fam.generate(s)
     with pytest.raises(fam.FamilyError, match="cap"):
-        fam.vertex_count(s)
+        vertex_count(s)
     assert time.perf_counter() - start < 1
 
 
@@ -219,14 +233,14 @@ def test_verify_member_everywhere(member_specs):
 def _reads_its_formula(s):
     """closed_form(s), read from one integer, is the registry formula
     evaluated in the IntPoly ring."""
-    return closed_form(s) == fam._BY_TAG[s.family].formula(*s.params)
+    return closed_form(s) == s.family.formula(*s.params)
 
 
 @pytest.mark.parametrize("family", fam.FAMILIES, ids=lambda f: f.prefix)
 def test_closed_form_reads_the_intpoly_formula_on_sweep(family):
     # the minima (lchain:k=0,n=1, and the rows reaching J_{-1}) included
     members = family.sweep(12)
-    assert FamilySpec(family.tag, family.minima) in members
+    assert FamilySpec(family, family.minima) in members
     for s in members:
         assert _reads_its_formula(s), str(s)
 
@@ -238,7 +252,7 @@ def test_closed_form_reads_one_parameter_families_to_128(monkeypatch,
                                                          family):
     monkeypatch.setenv("ALTKNOT_MAX_V", "128")
     members = family.sweep(128)
-    assert max(fam.vertex_count(s) for s in members) >= 127
+    assert max(vertex_count(s) for s in members) >= 127
     for s in members:
         assert _reads_its_formula(s), str(s)
 
@@ -247,9 +261,8 @@ def test_closed_form_reads_one_parameter_families_to_128(monkeypatch,
 def test_closed_form_reads_a_formula_at_its_majorant(monkeypatch, c):
     # a monomial c*x^v has its majorant |c| as its one coefficient, the
     # tightest a formula can be: one bit less headroom misreads it
-    family = fam._BY_TAG[fam.TWIST_CHAIN]
-    monkeypatch.setitem(fam._BY_TAG, fam.TWIST_CHAIN, dataclasses.replace(
-        family, formula=lambda v, x=X, J=jpoly: c * x ** v))
+    monkeypatch.setattr(fam, "TWIST_CHAIN", dataclasses.replace(
+        fam.TWIST_CHAIN, formula=lambda v, x=X, J=jpoly: c * x ** v))
     for v in (1, 2, 9):
         assert closed_form(spec(fam.TWIST_CHAIN, v)) == c * X ** v, v
 
@@ -590,11 +603,11 @@ def test_every_identity_perturbed_reads_false():
             assert fam._identity_holds(off, arity, 4) is False, name
 
 
-def _formula_off_by_one(monkeypatch, tag):
-    """Make the registry's formula for `tag` one more than it is, in every
-    ring, for the rest of the test."""
-    family = fam._BY_TAG[tag]
-    monkeypatch.setitem(fam._BY_TAG, tag, dataclasses.replace(
+def _formula_off_by_one(monkeypatch, name):
+    """Make the formula of the record named `name` one more than it is, in
+    every ring, for the rest of the test."""
+    family = getattr(fam, name)
+    monkeypatch.setattr(fam, name, dataclasses.replace(
         family, formula=lambda *args, f=family.formula: f(*args) + 1))
 
 
@@ -608,11 +621,11 @@ def _family_identities(max_index):
 def test_family_identities_read_the_registry_formulas(monkeypatch, m):
     assert _family_identities(m) == {
         "closed_chain_form": True, "k_ribbon_form": True}
-    _formula_off_by_one(monkeypatch, CLOSED_CHAIN)
+    _formula_off_by_one(monkeypatch, "CLOSED_CHAIN")
     assert _family_identities(m) == {
         "closed_chain_form": False, "k_ribbon_form": True}
     monkeypatch.undo()
-    _formula_off_by_one(monkeypatch, K_RIBBON_CYCLIC)
+    _formula_off_by_one(monkeypatch, "K_RIBBON_CYCLIC")
     assert _family_identities(m) == {
         "closed_chain_form": False, "k_ribbon_form": False}
 
@@ -722,9 +735,58 @@ def test_catalog_labels_count_crossings_and_components(entry):
     # crossings, so n is the member's vertex count
     crossings, _, rest = entry.rolfsen_label.partition("_")
     components = rest.partition("^")[2] or "1"
-    assert int(crossings) == fam.vertex_count(entry.family)
+    assert int(crossings) == vertex_count(entry.family)
     agrees = int(components) == dg.component_count(generate(entry.family))
     assert agrees == (entry.rolfsen_label not in SUPERSCRIPT_DISAGREES)
+
+
+# the determinants of the five members whose superscript disagrees: each
+# is even, so none is a knot, and 22 is not a multiple of 4, so the member
+# read as 8_2^3 is not a three-component link
+DISAGREEING_DETERMINANTS = {"6_2^3": 12, "7_2^3": 16, "8_2^3": 22,
+                            "8_2^4": 24, "5_2^1": 8}
+
+
+def test_catalog_labels_share_their_determinant():
+    # the determinant is a link invariant, so the members one label names
+    # share it; a member with a nugatory crossing is not reduced, its
+    # label not derivable from it: each trefoil twist is a trefoil
+    by_label = {}
+    for entry in catalog():
+        d = generate(entry.family)
+        det = determinant(d)
+        # the two checkerboard graphs are planar duals
+        assert det == determinant(d, CW), entry.rolfsen_label
+        # a knot has an odd determinant, and a link of c components one
+        # divisible by 2^(c-1)
+        components = dg.component_count(d)
+        assert det % 2 == (components == 1), entry.rolfsen_label
+        assert det % 2 ** (components - 1) == 0, entry.rolfsen_label
+        if nugatory_crossings(d):
+            assert entry.family.family is fam.TREFOIL_TWIST and det == 3
+            continue
+        by_label.setdefault(entry.rolfsen_label, set()).add(det)
+    assert [label for label, dets in by_label.items() if len(dets) > 1] == []
+    assert by_label["3_1"] == {3} and by_label["4_1"] == {5}
+    assert {label: by_label[label] for label in DISAGREEING_DETERMINANTS} == {
+        label: {det} for label, det in DISAGREEING_DETERMINANTS.items()}
+
+
+def test_bareiss_determinant_is_the_leibniz_sum():
+    rng = random.Random(11)
+    for n in range(6):
+        for _ in range(30):
+            m = [[rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(n)]
+                 for _ in range(n)]
+            leibniz = 0
+            for perm in permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n)
+                                 for j in range(i + 1, n))
+                term = (-1) ** inversions
+                for i in range(n):
+                    term *= m[i][perm[i]]
+                leibniz += term
+            assert bareiss_determinant(m) == leibniz, m
 
 
 def test_same_label_different_polynomials_is_allowed():

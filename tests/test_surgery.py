@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (CCW, CW, Unknot, charpoly_cofactor,
                      check_family_recurrence, eliminate_crossing,
-                     face_orientations, mirror, reference_canonical_code,
-                     waist_ring_diagram)
+                     face_orientations, mirror, pierce_waist,
+                     reference_canonical_code, waist_ring_diagram)
 from test_diagram import relabel  # the same map, renumbered
 
 from altknot import diagram as dg
@@ -984,17 +984,35 @@ def contraction(d, face):
 SURGERY_SEEDS = [fam.generate(s) for f in fam.FAMILIES for s in f.sweep(4)]
 SURGERY_MAX_V = 24
 SURGERY_STEP = st.tuples(
-    st.sampled_from(("expand", "compose", "contract", "eliminate")),
+    st.sampled_from(("expand", "compose", "contract", "eliminate", "curl",
+                     "pierce")),
     st.integers(0, 1 << 16), st.integers(0, 1 << 16), st.integers(0, 2),
     st.sampled_from(sg.LANES))
 
 
 def surgery_step(d, op, i, j, twists, lane):
     """One step of a random surgery sequence; None when it does not apply
-    (too many vertices, or an eliminated last crossing)."""
+    (too many vertices, an eliminated last crossing, or a waist ring
+    around one edge).  A curl kinks edge i; a pierce threads a ring around
+    edge i and the edge whose tail is the j-th dart of the face that edge
+    i's tail lies on, whose darts are all tails."""
     v = d.vertex_count
     if op == "expand":
         return sg.expand_vertex(d, i % v, lane) if v < SURGERY_MAX_V else None
+    if op in ("curl", "pierce"):
+        b = sg._Builder(d)
+        tail = b.tail(i % (2 * v))
+        if op == "curl":
+            if v + 1 > SURGERY_MAX_V:
+                return None
+            b.curl(tail)
+        else:
+            face = next(t for t in dg.faces(d)[0] if tail in t)
+            other = face[j % len(face)]
+            if v + 4 > SURGERY_MAX_V or other == tail:
+                return None
+            pierce_waist(b, tail, other)
+        return b.finish(op)
     if op == "compose":
         other = SURGERY_SEEDS[j % len(SURGERY_SEEDS)]
         if v + other.vertex_count + twists > SURGERY_MAX_V:

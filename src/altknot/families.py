@@ -87,9 +87,11 @@ class Family:
 
     def __reduce__(self) -> str:
         """A copy or pickle of a record is the module name bound to it, so
-        a copied spec holds the same record and equals its original."""
-        return next(name for name, value in globals().items()
-                    if value is self)
+        a copied spec holds the same record; with no such name, TypeError."""
+        for name, value in globals().items():
+            if value is self:
+                return name
+        raise TypeError(f"family record {self.prefix!r} is bound to no name")
 
     def sweep(self, maximum: int) -> list[FamilySpec]:
         """Members with every parameter at most `maximum` and no more

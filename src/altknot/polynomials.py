@@ -7,7 +7,7 @@ divisions.  Floating point never enters.
 Hot paths build tuples from lists (``tuple([...])``), not from generators:
 ``tuple()`` of an iterator of unknown length grows a 10-slot tuple, and
 over a long run that parks megabytes of freed tuples on CPython's per-size
-free lists, which stay resident.
+free lists, which keep that memory.
 
 The public `IntPoly(...)` constructor is the one type gate for
 coefficients.  `IntPoly`'s own arithmetic, `charpoly` and `divide_out`
@@ -58,7 +58,7 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __getitem__(self, power: int) -> int:
-        """Coefficient of x**power (0 outside the stored range); a power
+        """Coefficient of x**power (0 beyond the stored range); a power
         that is not an `int` (`bool` included) raises ValueError."""
         if type(power) is not int:
             raise ValueError(f"a coefficient is indexed by an integer "
@@ -270,17 +270,16 @@ def _layers(supports: Sequence[Sequence[int]], n: int) -> list[list[int]]:
             for l in range(max(1, *map(len, supports)))]
 
 
-def _plan(matrix, side: int = 0) -> tuple:
-    """`_power_traces`' arguments after the capacity for the rows (side 0)
-    or columns (side 1) of `matrix`: the layers `spectra.adjacency` gave
-    it, else, unless `_shape_problem` finds a ValueError to raise, the
-    layers, `extra`, c and `signed` of its lines."""
+def _plan(matrix) -> tuple:
+    """`_power_traces`' arguments after the capacity for the rows of
+    `matrix`: the layers `spectra.adjacency` gave it, else, unless
+    `_shape_problem` finds a ValueError to raise, the layers, `extra`, c
+    and `signed` of its rows."""
     if layers := getattr(matrix, "_layers", None):
-        return (layers[side],)
+        return (layers,)
     lines = getattr(matrix, "rows", matrix)
     if problem := _shape_problem(lines):
         raise ValueError(problem)
-    lines = list(zip(*lines)) if side else lines
     n = len(lines)
     supports = [list(compress(range(n), line)) for line in lines]
     signed = min(map(min, lines)) < 0
@@ -320,7 +319,7 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     only reading needs the bound.  With no negative entry in L, no power
     has one, and every entry is its own digit in [0, 2^b]; otherwise
     adding h = 2^(b+1) to every slot (the bias) makes every digit entry + h
-    lie in [2^b, 3*2^b].  Either way the digits lie in [0, 2^(b+2)), inside
+    lie in [2^b, 3*2^b].  Either way the digits lie in [0, 2^(b+2)), within
     [0, 2^w), so they are the row's base-2^w digits with no borrow between
     slots, and ANDing row i with the mask of its own slot i keeps
     digit_ii * 2^(w*i) alone.  The sum S of these n terms is read in one
@@ -328,11 +327,6 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     the sum of the n diagonal digits, which is below n * 2^(b+2) <=
     (2^bitlen(n) - 1) * 2^(b+2) < 2^w - 1, so the remainder is that sum
     itself.  The trace is that sum less n*h (0 with no bias).
-
-    Either packing of a matrix M is covered.  Rows of M (L = M) take c
-    from ||M||_inf; columns of M are the rows of L = M^T, whose powers are
-    (M^k)^T, and take c from ||M^T||_inf = ||M||_1.  Both norms bound every
-    entry of M^k, and trace((M^T)^k) = trace(M^k).
     """
     n = len(layers[0])
     b = capacity * ((c or len(layers)) - 1).bit_length()

@@ -26,7 +26,7 @@ class AdjMatrix:
     """Square nonnegative integer matrix with all row and column sums 2."""
 
     rows: Matrix
-    _layers = None  # (row layers, column layers), set only by `adjacency`
+    _layers = None  # row layers, set only by `adjacency`
 
     def __post_init__(self) -> None:
         # tuple([...]) rather than tuple(genexpr): see altknot.polynomials
@@ -37,22 +37,17 @@ class AdjMatrix:
         return len(self.rows)
 
     def problems(self) -> list[str]:
-        """Why this is not an adjacency matrix, or [].  A matrix with
-        layers has no negative entry, and a row's or column's sum is the
-        number of its support's entries that are not padding (n), so two
-        row layers and two column layers without padding pass at once."""
-        if layers := self._layers:
-            n, out = len(self.rows), []
-            if all(len(side) == 2 and n not in side[0] and n not in side[1]
-                   for side in layers):
-                return out
-            sums = [[len(side) - line.count(n) for line in zip(*side)]
-                    for side in layers]
-        else:
-            if problem := _shape_problem(self.rows):
-                return [problem]
-            out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
-            sums = map(sum, self.rows), map(sum, zip(*self.rows))
+        """Why this is not an adjacency matrix, or [].  A matrix with two
+        row layers passes unscanned: `adjacency` read it through `_flat`'s
+        gate, so each of its V vertices has four darts, 2V darts are out
+        darts, and at most 2 in a row make every row sum 2 and every
+        column, the in darts of a vertex, 4 less its row sum, 2 too."""
+        if self._layers and len(self._layers) == 2:
+            return []
+        if problem := _shape_problem(self.rows):
+            return [problem]
+        out = ["negative entry"] if min(map(min, self.rows)) < 0 else []
+        sums = map(sum, self.rows), map(sum, zip(*self.rows))
         for name, lines in zip(("row", "column"), sums):
             out += [f"{name} {i} sums to {s}, not 2"
                     for i, s in enumerate(lines) if s != 2]
@@ -97,24 +92,21 @@ def adjacency(d: Diagram) -> AdjMatrix:
     The matrix determines the directed multigraph of the diagram but not
     its sphere embedding.  Reads each out dart's vertex and its twin's, in
     dart order, from `diagram._flat`'s lists, so a map that fails its gate
-    raises its DiagramError.  The same loop lists each vertex's out-heads
-    and in-tails, its row's and column's supports, which the matrix
-    carries as layers.
+    raises its DiagramError.  The same loop lists each vertex's out-heads,
+    its row's support, which the matrix carries as its row layers.
     """
     twin, _, out, vertex = _flat(d)
     n = d.vertex_count
     rows = [[0] * n for _ in range(n)]
-    heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
+    heads = [[] for _ in range(n)]
     for i in compress(range(len(twin)), out):
         v, w = vertex[i], vertex[twin[i]]
         rows[v][w] += 1
         heads[v].append(w)
-        tails[w].append(v)
     m = object.__new__(AdjMatrix)
     object.__setattr__(m, "rows", tuple([tuple(row) for row in rows]))
     if n:  # n tuples of n ints: with layers, no reader scans the shape
-        layers = (_layers(heads, n), _layers(tails, n))
-        object.__setattr__(m, "_layers", layers)
+        object.__setattr__(m, "_layers", _layers(heads, n))
     return m
 
 
@@ -173,7 +165,7 @@ def trace_strands(m: AdjMatrix) -> StrandDecomposition:
         raise ValueError("not an adjacency matrix: " + "; ".join(problems))
     n = m.n
     if layers := m._layers:  # `problems` passed: two row layers, no padding
-        heads, mates = layers[0]
+        heads, mates = layers
         cols = heads + mates
         cols[0::2], cols[1::2] = heads, mates
         for e in compress(range(0, 2 * n, 2), map(int.__gt__, heads, mates)):
@@ -269,17 +261,16 @@ _paths_slot: tuple = (None, ())
 def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
-    The traces are `altknot.polynomials._power_traces` of the columns of M,
-    the rows of M^T, as `_plan` gives them: trace((M^T)^j) = trace(M^j).
+    The traces are `altknot.polynomials._power_traces` of the rows of M,
+    as `_plan` gives them, the same kernel and packing as `charpoly`'s.
     Those of the last matrix asked about are kept, keyed on its rows
     object, so a sweep k = 1..V costs V products, not V(V + 1)/2.  A call
     on another rows object, equal or not, or with a k past the traces
     kept, computes max(k, V) traces afresh, so a single call with a small
     k costs V products, not k.
 
-    `charpoly` runs the same kernel on the rows of M.  An empty or
-    non-square M, a non-int entry (bool and float too) or k not an int
-    >= 1: ValueError; a matrix `adjacency` made is not scanned.
+    An empty or non-square M, a non-int entry (bool and float too) or k
+    not an int >= 1: ValueError; a matrix `adjacency` made is not scanned.
     """
     global _paths_slot
     if type(k) is not int or k < 1:
@@ -287,6 +278,6 @@ def closed_path_count(m: AdjMatrix, k: int) -> int:
     rows = m.rows
     key, traces = _paths_slot
     if key is not rows or k > len(traces):  # `_plan` checks a new object
-        traces = _power_traces(max(k, len(rows)), *_plan(m, 1))
+        traces = _power_traces(max(k, len(rows)), *_plan(m))
         _paths_slot = (rows, traces)
     return traces[k - 1]

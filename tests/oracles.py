@@ -73,6 +73,45 @@ def charpoly_cofactor(matrix):
                 for i in range(n)])
 
 
+def reference_charpoly(matrix):
+    """The Faddeev-LeVerrier loop with a per-entry sparse product over
+    mutable list rows, kept verbatim as a stateless reference."""
+    rows = getattr(matrix, "rows", matrix)
+    n = len(rows)
+    m = [[int(v) for v in row] for row in rows]
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m]
+
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_1 = I
+    for k in range(1, n + 1):
+        prod = [[sum(v * aux[j][col] for j, v in sparse[i]) for col in range(n)]
+                for i in range(n)]
+        trace = sum(prod[i][i] for i in range(n))
+        q, r = divmod(trace, k)
+        if r:
+            raise ArithmeticError(
+                f"Faddeev-LeVerrier division not exact: trace {trace} at k={k}")
+        c = -q
+        coeffs[n - k] = c
+        if k < n:
+            aux = prod
+            for i in range(n):
+                aux[i][i] += c
+    return IntPoly(tuple(coeffs))
+
+
+def reference_path_counts(m, k_max):
+    """trace(M^k) for k = 1..k_max from a fresh dense power, no state."""
+    n = m.n
+    power, out = m.rows, []
+    for _ in range(k_max):
+        out.append(sum(power[i][i] for i in range(n)))
+        power = tuple(tuple(sum(power[i][t] * m.rows[t][j] for t in range(n))
+                            for j in range(n)) for i in range(n))
+    return out
+
+
 def all_ones_check(m):
     """True iff the all-ones vector is a left and right eigenvector with
     eigenvalue 2, i.e. all row and column sums equal 2."""

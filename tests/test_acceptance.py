@@ -10,8 +10,9 @@ import random
 import pytest
 from oracles import (WAIST_RING_GROWTHS, all_ones_check,
                      check_family_recurrence, check_generating_function,
-                     check_quadratic_identity, jpoly_explicit, vertex_count,
-                     waist_ring_diagram, waist_ring_poly)
+                     check_quadratic_identity, jpoly_explicit,
+                     reference_path_counts, vertex_count, waist_ring_diagram,
+                     waist_ring_poly)
 
 from altknot import diagram as dg
 from altknot import families as fam
@@ -175,7 +176,14 @@ def test_criterion_4_knot_families(corpus):
           "closed chains, k-ribbon necklaces and ring chains all match")
 
 
+DENSE_TRACE_MAX_V = 16  # dense powers for the trace law up to this V
+
+
 def test_criterion_5_matrix_laws(corpus):
+    # the trace law twice: the kernel's traces against Newton's inverse of
+    # the charpoly, which the same kernel made, on every member, and
+    # against dense matrix powers, which share no code with it
+    dense = 0
     for spec, d, m, p in corpus:
         assert not m.problems(), spec
         assert all_ones_check(m), spec
@@ -188,12 +196,19 @@ def test_criterion_5_matrix_laws(corpus):
         assert report.all_pass(), spec
         if not loops:
             assert dg.check_face_identity(census), spec
-        sums = power_sums_from_charpoly(p, d.vertex_count)
-        for k in range(1, d.vertex_count + 1):
-            assert sums[k - 1] == sp.closed_path_count(m, k), (spec, k)
+        v = d.vertex_count
+        sums = power_sums_from_charpoly(p, v)
+        ref = reference_path_counts(m, v) if v <= DENSE_TRACE_MAX_V else None
+        dense += ref is not None
+        for k in range(1, v + 1):
+            count = sp.closed_path_count(m, k)
+            assert sums[k - 1] == count, (spec, k)
+            assert ref is None or ref[k - 1] == count, (spec, k)
+    assert (len(corpus), dense) == (613, 484)  # 597 family members, 16 rings
     print(f"[criterion 5] PASS - matrix laws on {len(corpus)} generated "
           "diagrams: row/col sums, eigenvalue 2, (x-2) factor, coefficient "
-          "rules, face identity, trace/Newton agreement to k=V")
+          "rules, face identity, trace/Newton agreement to k=V, and dense "
+          f"powers to k=V on the {dense} with V <= {DENSE_TRACE_MAX_V}")
 
 
 def test_criterion_6_decompositions(corpus):

@@ -98,6 +98,20 @@ def test_spec_string_round_trip(member_specs):
             assert copied == s and copied.family is s.family, str(s)
 
 
+def test_a_spec_of_an_unbound_record_refuses_to_copy():
+    # a record no module name binds has no name to copy as: TypeError,
+    # never a StopIteration that would end a map over specs early
+    loose = dataclasses.replace(fam.CYCLIC_TORUS)
+    specs = [fam.FamilySpec(fam.CYCLIC_TORUS, (3,)),
+             fam.FamilySpec(loose, (3,)),
+             fam.FamilySpec(fam.CYCLIC_TORUS, (4,))]
+    for attempt in (lambda: copy.deepcopy(specs[1]),
+                    lambda: pickle.dumps(specs[1]),
+                    lambda: list(map(copy.deepcopy, specs))):
+        with pytest.raises(TypeError, match="'cyclic' is bound to no"):
+            attempt()
+
+
 def test_registry_order_and_keys(monkeypatch):
     monkeypatch.setenv("ALTKNOT_MAX_V", "64")
     assert [f.prefix for f in fam.FAMILIES] == [

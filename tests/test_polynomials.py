@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (charpoly_cofactor, check_generating_function,
                      check_quadratic_identity, invert_power_series,
-                     jpoly_explicit)
+                     jpoly_explicit, reference_charpoly)
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 
 from altknot import families as fam
@@ -346,34 +346,6 @@ def test_charpoly_invariant_under_relabeling(v, rng):
     rows = tuple(tuple(m.rows[perm[i]][perm[j]] for j in range(v))
                  for i in range(v))
     assert charpoly(rows) == charpoly(m)
-
-
-def reference_charpoly(matrix):
-    """The Faddeev-LeVerrier loop with a per-entry sparse product over
-    mutable list rows, kept verbatim as a stateless reference."""
-    rows = getattr(matrix, "rows", matrix)
-    n = len(rows)
-    m = [[int(v) for v in row] for row in rows]
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in m]
-
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    aux = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_1 = I
-    for k in range(1, n + 1):
-        prod = [[sum(v * aux[j][col] for j, v in sparse[i]) for col in range(n)]
-                for i in range(n)]
-        trace = sum(prod[i][i] for i in range(n))
-        q, r = divmod(trace, k)
-        if r:
-            raise ArithmeticError(
-                f"Faddeev-LeVerrier division not exact: trace {trace} at k={k}")
-        c = -q
-        coeffs[n - k] = c
-        if k < n:
-            aux = prod
-            for i in range(n):
-                aux[i][i] += c
-    return IntPoly(tuple(coeffs))
 
 
 def test_charpoly_kernel_dense_random():

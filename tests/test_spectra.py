@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (WAIST_RING_GROWTHS, all_ones_check, charpoly_cofactor,
-                     waist_ring_diagram)
+                     reference_path_counts, waist_ring_diagram)
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
@@ -430,17 +430,6 @@ def test_two_paths_count_bigons(member_diagrams):
             str(spec)
 
 
-def reference_path_counts(m, k_max):
-    """trace(M^k) for k = 1..k_max from a fresh dense power, no state."""
-    n = m.n
-    power, out = m.rows, []
-    for _ in range(k_max):
-        out.append(sum(power[i][i] for i in range(n)))
-        power = tuple(tuple(sum(power[i][t] * m.rows[t][j] for t in range(n))
-                            for j in range(n)) for i in range(n))
-    return out
-
-
 WIDTH_EDGE_SCALARS = (1, 2, 3, 2 ** 5 - 1, 2 ** 5, 2 ** 5 + 1, 2 ** 17,
                       2 ** 17 + 1)
 
@@ -518,9 +507,8 @@ def test_closed_path_count_descending_repeated_and_beyond_v():
 
 def test_closed_path_count_reuses_the_kernel():
     """A sweep k = 1..V, a repeat, k past V and an equal matrix built from
-    rows give trace(M^k) on an `adjacency` matrix, which the kernel reads
-    through its column layers, and the power sums of `charpoly`, which
-    reads its row layers, are the same counts."""
+    rows give trace(M^k), and the power sums of `charpoly` are the same
+    counts."""
     m = sp.adjacency(fam.generate(fam.parse_spec_string("twistknot:V=24")))
     v = m.n
     ref = reference_path_counts(m, 2 * v)
@@ -544,16 +532,14 @@ def rows_path_traces(m, capacity):
 
 
 def assert_layers_agree(m, dense=True):
-    """For capacities 1, V and 3V, the traces from the row layers and
-    from the column layers `adjacency` recorded equal those of the rows
-    path, and with `dense` those of dense powers too."""
-    row_layers, column_layers = m._layers
+    """For capacities 1, V and 3V, the traces from the row layers
+    `adjacency` recorded equal those of the rows path, and with `dense`
+    those of dense powers too."""
     ref = reference_path_counts(m, 3 * m.n) if dense else None
     for capacity in (1, m.n, 3 * m.n):
         want = rows_path_traces(m, capacity)
         assert ref is None or want == ref[:capacity], m.rows
-        assert pl._power_traces(capacity, row_layers) == want, m.rows
-        assert pl._power_traces(capacity, column_layers) == want, m.rows
+        assert pl._power_traces(capacity, m._layers) == want, m.rows
 
 
 def test_adjacency_layers_agree_with_the_rows_path_on_sweep():
@@ -634,7 +620,7 @@ def test_adjacency_layers_of_a_vertex_with_three_out_darts():
                   for x in d.darts)
     m = sp.adjacency(dataclasses.replace(d, darts=darts))
     assert sorted(map(sum, m.rows)) == [1, 2, 3]
-    assert len(m._layers[0]) == 3
+    assert len(m._layers) == 3
     assert_layers_agree(m)
     assert charpoly(m) == charpoly(sp.AdjMatrix(m.rows))
 
@@ -713,11 +699,11 @@ def test_a_layer_with_one_head_swapped_is_caught():
     m = sp.adjacency(fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2")))
     ref = reference_path_counts(m, m.n)
     assert ref[0] == 0
-    bad = [layer[:] for layer in m._layers[0]]
+    bad = [layer[:] for layer in m._layers]
     j = bad[0][0]
     bad[0][0], bad[0][j] = bad[0][j], bad[0][0]
     assert pl._power_traces(m.n, bad) != ref
-    assert pl._power_traces(m.n, m._layers[0]) == ref
+    assert pl._power_traces(m.n, m._layers) == ref
 
 
 def test_closed_path_count_threads_on_different_matrices():
@@ -811,9 +797,10 @@ def test_closed_path_count_matches_dense_powers_on_random_matrices():
 
 
 def test_charpoly_and_closed_path_counts_agree_on_the_transpose():
-    """Row packing of M^T is column packing of M, so both kernels must give
-    the same answers on M and M^T although their slot widths differ: one
-    dense row of 3s makes ||M||_inf = 3n while ||M||_1 <= n + 2."""
+    """Row packing of M^T is column packing of M, so `charpoly` and
+    `closed_path_count` must give the same answers on M and M^T although
+    their slot widths differ: one dense row of 3s makes ||M||_inf = 3n
+    while ||M||_1 <= n + 2."""
     rng = random.Random(19)
     for _ in range(40):
         n = rng.randint(2, 8)

@@ -995,7 +995,9 @@ def surgery_step(d, op, i, j, twists, lane):
     (too many vertices, an eliminated last crossing, or a waist ring
     around one edge).  A curl kinks edge i; a pierce threads a ring around
     edge i and the edge whose tail is the j-th dart of the face that edge
-    i's tail lies on, whose darts are all tails."""
+    i's tail lies on, whose darts are all tails.  A contraction takes the
+    i-th bigon of a map that has one, unless twists is 0: then it takes
+    face i % (V + 2), most often no bigon or no face, to check refusals."""
     v = d.vertex_count
     if op == "expand":
         return sg.expand_vertex(d, i % v, lane) if v < SURGERY_MAX_V else None
@@ -1020,7 +1022,9 @@ def surgery_step(d, op, i, j, twists, lane):
         return sg.compose_twist(d, i % (2 * v), other,
                                 j % (2 * other.vertex_count), twists)
     if op == "contract":
-        return sg.contract_bigon(d, i % (v + 2))
+        bigons = bigon_faces(d) if twists else []
+        return sg.contract_bigon(d, bigons[i % len(bigons)] if bigons
+                                 else i % (v + 2))
     out = eliminate_crossing(d, i % v, lane)
     return None if isinstance(out, Unknot) else out
 

@@ -353,6 +353,26 @@ def _power_traces(capacity: int, layers: list[list[int]], extra=(),
     return traces
 
 
+# The rows object of the last matrix given with `rows` and the traces of its
+# powers: replaced whole, never mutated, so threads never see it torn.
+_traces_slot: tuple = (None, ())
+
+
+def _matrix_traces(matrix, k: int) -> list[int]:
+    """trace(M^1..M^K), K >= max(k, n), of the n rows of M: the slot's, so
+    `charpoly` and `spectra.closed_path_count` share one kernel run per
+    matrix, else `_power_traces` on what `_plan` gives.  A raw sequence,
+    its own rows, bypasses the slot, as its caller may mutate it."""
+    global _traces_slot
+    rows = getattr(matrix, "rows", matrix)
+    key, traces = _traces_slot
+    if key is not rows or k > len(traces):
+        traces = _power_traces(max(k, len(rows)), *_plan(matrix))
+        if rows is not matrix:
+            _traces_slot = (rows, traces)
+    return traces
+
+
 def charpoly(matrix) -> IntPoly:
     """det(x*I - M) of an integer matrix, exact.
 
@@ -362,19 +382,18 @@ def charpoly(matrix) -> IntPoly:
     division by k is exact because the c_k are integers; a remainder
     raises ArithmeticError.
 
-    The traces come from `_power_traces` with capacity n on the rows of M,
-    any sequence of sequences of ints or an AdjMatrix, read through
-    `_plan`: unless `spectra.adjacency` made it, a matrix that is empty,
-    not square or has an entry of another type (`bool` and `float` too)
-    raises its ValueError rather than being truncated.
+    The traces come from `_matrix_traces` on the rows of M, any sequence of
+    sequences of ints or an AdjMatrix, after the `ALTKNOT_MAX_V` check:
+    unless `spectra.adjacency` made it or it holds the trace slot, a matrix
+    that is empty, not square or has an entry of another type (`bool` and
+    `float` too) raises its ValueError rather than being truncated.  A raw
+    sequence is read afresh on every call.
     """
-    rows = getattr(matrix, "rows", matrix)
-    n = len(rows)
-    if n > max_vertices():
-        raise ValueError(
-            f"matrix dimension {n} above the cap {max_vertices()} "
-            "(raise ALTKNOT_MAX_V to allow it)")
-    traces = _power_traces(n, *_plan(matrix))
+    n = len(getattr(matrix, "rows", matrix))
+    if n > (cap := max_vertices()):
+        raise ValueError(f"matrix dimension {n} above the cap {cap} "
+                         "(raise ALTKNOT_MAX_V to allow it)")
+    traces = _matrix_traces(matrix, n)
     coeffs = [1]
     for k in range(1, n + 1):
         q, rem = divmod(sum(map(mul, reversed(coeffs), traces)), k)

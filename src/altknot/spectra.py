@@ -16,7 +16,7 @@ from itertools import compress
 
 from .diagram import Diagram, _flat
 from .limits import decimal_int
-from .polynomials import _layers, _plan, _power_traces, _shape_problem
+from .polynomials import _layers, _matrix_traces, _shape_problem
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -252,32 +252,17 @@ def permutation_decompositions(m: AdjMatrix) -> list[tuple[Matrix, Matrix]]:
 # Eigen-structure facts that stay in integer arithmetic
 # ---------------------------------------------------------------------------
 
-# The rows object of the last matrix swept by closed_path_count and the
-# traces of its powers so far: replaced whole, never mutated, so threads
-# never see it torn.
-_paths_slot: tuple = (None, ())
-
-
 def closed_path_count(m: AdjMatrix, k: int) -> int:
     """Number of closed directed paths of length k = trace(M^k), exactly.
 
-    The traces are `altknot.polynomials._power_traces` of the rows of M,
-    as `_plan` gives them, the same kernel and packing as `charpoly`'s.
-    Those of the last matrix asked about are kept, keyed on its rows
-    object, so a sweep k = 1..V costs V products, not V(V + 1)/2.  A call
-    on another rows object, equal or not, or with a k past the traces
-    kept, computes max(k, V) traces afresh, so a single call with a small
-    k costs V products, not k.
+    The traces come from `altknot.polynomials._matrix_traces`, whose slot
+    `charpoly` shares, so after `charpoly(m)` a sweep k = 1..V runs no
+    kernel.  Another rows object, equal or not, or a k past the traces
+    kept, gets max(k, V) traces afresh, so one call costs V products.
 
     An empty or non-square M, a non-int entry (bool and float too) or k
     not an int >= 1: ValueError; a matrix `adjacency` made is not scanned.
     """
-    global _paths_slot
     if type(k) is not int or k < 1:
         raise ValueError("path length must be an integer >= 1")
-    rows = m.rows
-    key, traces = _paths_slot
-    if key is not rows or k > len(traces):  # `_plan` checks a new object
-        traces = _power_traces(max(k, len(rows)), *_plan(m))
-        _paths_slot = (rows, traces)
-    return traces[k - 1]
+    return _matrix_traces(m, k)[k - 1]

@@ -74,6 +74,16 @@ MUTANTS = (
            "power = [*map((2).__lshift__, shifts), 0]",
            ("tests/test_acceptance.py::test_criterion_5_matrix_laws",
             "tests/test_polynomials.py")),
+    Mutant("trace-slot-always-reuses", "polynomials.py",
+           "if key is not rows or k > len(traces):",
+           "if k > len(traces):",
+           ("tests/test_spectra.py::"
+            "test_charpoly_and_path_counts_interleave_exactly",)),
+    Mutant("trace-slot-keeps-raw-sequences", "polynomials.py",
+           "if rows is not matrix:",
+           "if True:",
+           ("tests/test_spectra.py::"
+            "test_a_raw_matrix_mutated_between_calls_gives_its_new_polynomial",)),
     Mutant("problems-passes-any-layered-matrix", "spectra.py",
            "if self._layers and len(self._layers) == 2:",
            "if self._layers:",

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (WAIST_RING_GROWTHS, all_ones_check, charpoly_cofactor,
-                     reference_path_counts, waist_ring_diagram)
+                     reference_charpoly, reference_path_counts,
+                     waist_ring_diagram)
 from test_acceptance import _sweep_specs  # the criteria 2-6 corpus
 from test_acceptance import class_matrix
 from test_surgery import SURGERY_SEEDS, surgery_step  # random surgery
@@ -523,6 +524,72 @@ def test_closed_path_count_reuses_the_kernel():
         assert pl.power_sums_from_charpoly(charpoly(matrix), 2 * v) == ref
 
 
+def watch_kernel(monkeypatch, runs, entry=1):
+    """Append `entry` to `runs` at each `_power_traces` run from now on, in
+    every module that holds the kernel by name."""
+    kernel = pl._power_traces
+    for module in (pl, sp):
+        if getattr(module, "_power_traces", None) is kernel:
+            monkeypatch.setattr(module, "_power_traces", lambda *args: (
+                runs.append(entry) or kernel(*args)))
+    return runs
+
+
+def test_charpoly_and_a_path_sweep_run_the_kernel_once(monkeypatch):
+    # every `sweep(8)` member, each matrix built afresh; the counts are
+    # checked against dense powers where V <= 16 (529 of the 726 distinct
+    # matrices) and against a kernel run on the raw rows, which bypasses
+    # the slot, above
+    runs = watch_kernel(monkeypatch, [])
+    seen, members = set(), 0
+    for s in (s for f in fam.FAMILIES for s in f.sweep(8)):
+        m = sp.adjacency(fam.generate(s))
+        runs.clear()
+        charpoly(m)
+        counts = [sp.closed_path_count(m, k) for k in range(1, m.n + 1)]
+        assert len(runs) == 1, str(s)
+        members += 1
+        if m.rows not in seen:
+            seen.add(m.rows)
+            assert counts == (reference_path_counts(m, m.n) if m.n <= 16
+                              else rows_path_traces(m, m.n)), str(s)
+    assert (members, len(seen)) == (852, 726)
+
+
+def test_charpoly_and_path_counts_interleave_exactly(monkeypatch):
+    # A, B, A across the two functions, on matrices of different sizes:
+    # each switch of matrix runs the kernel again, each return to the
+    # matrix just read does not
+    a = matrix_of(fam.CYCLIC_TORUS, (7,))
+    b = matrix_of(fam.K_RIBBON_CYCLIC, (3, 2))
+    assert a.n != b.n
+    refs = {m.n: (charpoly_cofactor(m), reference_path_counts(m, m.n))
+            for m in (a, b)}
+    runs = watch_kernel(monkeypatch, [])
+    for first, second in ((a, b), (b, a)):
+        for m, other in ((first, second), (second, first), (first, second)):
+            runs.clear()
+            assert charpoly(m) == refs[m.n][0]
+            assert [sp.closed_path_count(m, k)
+                    for k in range(1, m.n + 1)] == refs[m.n][1]
+            assert len(runs) == 1
+            for k in (1, m.n):
+                assert sp.closed_path_count(m, k) == refs[m.n][1][k - 1]
+                assert charpoly(other) == refs[other.n][0]
+                assert charpoly(m) == refs[m.n][0]
+
+
+def test_a_raw_matrix_mutated_between_calls_gives_its_new_polynomial():
+    rows = [[0, 2], [2, 0]]
+    assert charpoly(rows) == pl.IntPoly((-4, 0, 1))
+    rows[0][0], rows[0][1] = 1, 1
+    rows[1][0], rows[1][1] = 1, 1
+    assert charpoly(rows) == pl.IntPoly((0, -2, 1))
+    rows[1][0] = 0
+    assert charpoly(rows) == pl.IntPoly((1, -2, 1))
+    assert charpoly(rows) == charpoly_cofactor(rows)
+
+
 # ---------------------------------------------------------------------------
 # The kernel on `adjacency`'s layers against the rows path and dense powers
 # ---------------------------------------------------------------------------
@@ -710,14 +777,20 @@ def test_closed_path_count_threads_on_different_matrices():
     specs = [(fam.CYCLIC_TORUS, (9,)), (fam.TWO_RIBBON, (4, 3)),
              (fam.CLOSED_CHAIN, (4,)), (fam.TWIST_KNOTS, (8,))]
     matrices = [matrix_of(family, params) for family, params in specs]
-    refs = [reference_path_counts(m, m.n + 2) for m in matrices]
+    refs = [(reference_charpoly(m), reference_path_counts(m, m.n + 2))
+            for m in matrices]
     errors = []
 
     def sweep(m, ref):
-        for _ in range(30):
+        poly, counts = ref
+        for i in range(30):
+            if i % 2 and charpoly(m) != poly:
+                errors.append((m.n, 0))
             for k in range(1, m.n + 3):
-                if sp.closed_path_count(m, k) != ref[k - 1]:
+                if sp.closed_path_count(m, k) != counts[k - 1]:
                     errors.append((m.n, k))
+                if k == m.n and charpoly(m) != poly:
+                    errors.append((m.n, 0))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -940,26 +1013,38 @@ def test_matrix_text_tokens_may_be_signed():
 
 def test_adjacency_matrices_skip_the_shape_scan(monkeypatch):
     # `adjacency` builds a nonempty square int matrix; every other one,
-    # equal by value, parsed from its text or replaced, is scanned once
-    # per call
-    scans = []
+    # equal by value, parsed from its text or replaced, is scanned once,
+    # before the kernel first runs on it, and not again by `charpoly` or
+    # `closed_path_count` while it holds the trace slot; `problems` and
+    # `trace_strands` scan it on every call
+    events = []
     scan = pl._shape_problem
     monkeypatch.setattr(pl, "_shape_problem",
-                        lambda rows: scans.append(rows) or scan(rows))
+                        lambda rows: events.append(rows) or scan(rows))
     monkeypatch.setattr(sp, "_shape_problem", pl._shape_problem)
+    watch_kernel(monkeypatch, events, "kernel")
     m = sp.adjacency(fam.generate(fam.parse_spec_string("p:k=3,l=4,m=2")))
-    calls = (charpoly, lambda x: sp.closed_path_count(x, 2),
-             sp.AdjMatrix.problems, sp.trace_strands)
-    for call in calls:
+    traces = (charpoly, lambda x: sp.closed_path_count(x, 2))
+    scans = (sp.AdjMatrix.problems, sp.trace_strands)
+    for call in traces + scans:
         call(m)
-    assert scans == []
-    for other in (sp.AdjMatrix(m.rows), sp.parse_matrix(m.to_text()),
-                  dataclasses.replace(m)):
-        assert other == m
-        for call in calls:
-            scans.clear()
-            call(other)
-            assert scans == [other.rows], call
+    assert events == ["kernel"]
+    for order in (traces, traces[::-1]):
+        for other in (sp.AdjMatrix(m.rows), sp.parse_matrix(m.to_text()),
+                      dataclasses.replace(m)):
+            assert other == m
+            events.clear()
+            for call in order:
+                call(other)
+            assert events == [other.rows, "kernel"], order
+            for call in scans:
+                events.clear()
+                call(other)
+                assert events == [other.rows], call
+            events.clear()
+            for call in order:
+                call(other)
+            assert events == [], order
 
 
 @pytest.mark.parametrize("rows,problem", [

@@ -112,7 +112,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 PRIVATE_IMPORTS = {
     ("surgery", "diagram"): {"_DIRECTION", "_face_traces", "_flat", "_made"},
     ("spectra", "diagram"): {"_flat"},
-    ("spectra", "polynomials"): {"_layers", "_plan", "_power_traces",
+    ("spectra", "polynomials"): {"_layers", "_matrix_traces",
                                  "_shape_problem"},
     ("families", "surgery"): {"_Builder"},
     ("families", "polynomials"): {"_J", "_read"},
